@@ -93,18 +93,18 @@ def check_admissibility(structure: Structure, report: ValuationReport) -> Admiss
     report; a miss means the report belongs to a different structure.
     """
     rows = []
-    for lat in structure.lattices:
+    for ctx in structure.contexts:
         values = []
-        for atom, rng in zip(lat.context.atoms, lat.atom_ranges):
+        for atom in ctx.atoms:
             try:
-                values.append(report.values[rng])
+                values.append(report.values[atom.range])
             except KeyError:
                 raise MissingAtomEntryError(
-                    f"no valuation entry for atom {atom.name!r} of context {lat.name!r}"
+                    f"no valuation entry for atom {atom.name!r} of context {ctx.name!r}"
                 ) from None
         rows.append(
             ContextAdmissibility(
-                context=lat.name,
+                context=ctx.name,
                 true_count=sum(1 for v in values if v is TruthValue.TRUE),
                 false_count=sum(1 for v in values if v is TruthValue.FALSE),
                 gap_count=sum(1 for v in values if v is TruthValue.GAP),
@@ -169,7 +169,7 @@ def ks_search(structure: Structure) -> list[KsAssignment]:
     Contexts are processed in structure order and atoms in context order,
     so the result list is stable; counts are independent of either order.
     """
-    range_lists = [lat.atom_ranges for lat in structure.lattices]
+    range_lists = [[atom.range for atom in ctx.atoms] for ctx in structure.contexts]
     solutions: list[KsAssignment] = []
 
     def descend(ci: int, assignment: dict[Subspace, int], chosen: tuple[int, ...]) -> None:

@@ -40,7 +40,8 @@ def load_structure(path: str) -> Structure:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
+            # RecursionError: nesting deeper than the decoder's recursion limit.
             raise ValueError(f"{path}: not valid JSON: {err}") from err
     return structure_from_dict(data)
 

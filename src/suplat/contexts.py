@@ -12,10 +12,11 @@ the lattice is Boolean with 2^k members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 
 from .linalg import DimensionMismatchError, ExactMatrix, as_scalar, format_scalar, parse_scalar
-from .operators import Projector, is_invariant, range_of, validate_projector
+from .operators import Projector, is_invariant, validate_projector
 from .subspaces import Subspace
 
 
@@ -67,8 +68,15 @@ def validate_context(name: str, projectors) -> Context:
     """Check the context laws and return the validated context.
 
     Laws: at least two atoms, all on the same space, each nontrivial,
-    pairwise orthogonal (zero products), names unique, and the atom sum
+    names unique, pairwise orthogonal (zero products), and the atom sum
     equal to the identity.
+
+    The sum is checked first.  Hermitian projectors that sum to I are
+    pairwise orthogonal: ``P_j = P_j I P_j`` gives
+    ``sum_{i != j} (P_i P_j)* (P_i P_j) = 0``, a sum of positive
+    semidefinite terms, so every ``P_i P_j`` is zero.  The pairwise
+    products are therefore computed only when the sum fails, to report
+    the first non-orthogonal pair, or else the incomplete sum.
     """
     atoms = tuple(projectors)
     if len(atoms) < 2:
@@ -87,6 +95,11 @@ def validate_context(name: str, projectors) -> Context:
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
         raise DuplicateAtomNameError(f"context {name!r}: duplicate atom name {dup!r}")
+    total = atoms[0].matrix
+    for p in atoms[1:]:
+        total = total + p.matrix
+    if total == ExactMatrix.identity(dim):
+        return Context(name, atoms)
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):
             if not (atoms[i].matrix * atoms[j].matrix).is_zero():
@@ -94,12 +107,7 @@ def validate_context(name: str, projectors) -> Context:
                     f"context {name!r}: atoms {atoms[i].name!r} and {atoms[j].name!r}"
                     " are not orthogonal"
                 )
-    total = atoms[0].matrix
-    for p in atoms[1:]:
-        total = total + p.matrix
-    if total != ExactMatrix.identity(dim):
-        raise IncompleteSumError(f"context {name!r}: atoms do not sum to the identity")
-    return Context(name, atoms)
+    raise IncompleteSumError(f"context {name!r}: atoms do not sum to the identity")
 
 
 class InvariantLattice:
@@ -112,14 +120,16 @@ class InvariantLattice:
 
     def __init__(self, context: Context) -> None:
         self.context = context
-        self.atom_ranges: tuple[Subspace, ...] = tuple(range_of(p) for p in context.atoms)
+        self.atom_ranges: tuple[Subspace, ...] = tuple(p.range for p in context.atoms)
+        # Subsets come in combinations order, so each one's prefix (the
+        # subset without its last atom) is already summed: one join apiece.
+        sums: dict[tuple[int, ...], Subspace] = {(): Subspace.zero(context.dimension)}
         pairs: dict[Subspace, tuple[int, ...]] = {}
         indices = range(len(context.atoms))
         for subset in chain.from_iterable(combinations(indices, r) for r in range(len(context.atoms) + 1)):
-            member = Subspace.zero(context.dimension)
-            for i in subset:
-                member = member.join(self.atom_ranges[i])
-            pairs.setdefault(member, subset)
+            if subset:
+                sums[subset] = sums[subset[:-1]].join(self.atom_ranges[subset[-1]])
+            pairs.setdefault(sums[subset], subset)
         ordered = sorted(pairs.items(), key=lambda item: item[0].sort_key())
         self.members: tuple[Subspace, ...] = tuple(m for m, _ in ordered)
         self.atom_sets: tuple[tuple[int, ...], ...] = tuple(s for _, s in ordered)
@@ -197,7 +207,15 @@ class Structure:
             raise StructureError(f"duplicate context name {dup!r}")
         self.ambient_dim = dim
         self.contexts = contexts
-        self.lattices: tuple[InvariantLattice, ...] = tuple(InvariantLattice(c) for c in contexts)
+
+    @cached_property
+    def lattices(self) -> tuple[InvariantLattice, ...]:
+        """One lattice per context, enumerated on first access.
+
+        Commands that never read a member (``validate``, ``ks-search``)
+        never pay for the 2^k subset sums.
+        """
+        return tuple(InvariantLattice(c) for c in self.contexts)
 
     def find_lattice(self, context_name: str) -> InvariantLattice | None:
         for lat in self.lattices:
@@ -267,7 +285,7 @@ def structure_from_dict(data) -> Structure:
         raw_contexts = data["contexts"]
     except KeyError as missing:
         raise StructureFormatError(f"missing top-level key {missing}") from None
-    if not isinstance(dimension, int) or dimension < 1:
+    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
         raise StructureFormatError("'dimension' must be a positive integer")
     if not isinstance(raw_contexts, list) or not raw_contexts:
         raise StructureFormatError("'contexts' must be a nonempty list")

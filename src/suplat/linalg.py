@@ -235,7 +235,7 @@ _ONE = GaussianRational(1)
 class ExactMatrix:
     """Immutable row-major matrix over the Gaussian rationals."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, rows: int, cols: int, entries) -> None:
         if rows < 0 or cols < 0:
@@ -248,6 +248,7 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = flat
+        self._hash: int | None = None
 
     @classmethod
     def from_rows(cls, rows) -> ExactMatrix:
@@ -299,7 +300,11 @@ class ExactMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        # Subspaces key dicts by their basis matrix; hashing every Fraction
+        # entry on each lookup would dominate, so hash once.
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, self.entries))
+        return self._hash
 
     def _require_same_shape(self, other: ExactMatrix) -> None:
         if self.rows != other.rows or self.cols != other.cols:

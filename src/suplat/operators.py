@@ -26,15 +26,21 @@ class NotIdempotentError(ProjectorError):
 
 @dataclass(frozen=True)
 class Projector:
-    """A Hermitian idempotent matrix together with its name and rank.
+    """A Hermitian idempotent matrix together with its name and range.
 
-    Instances are produced by :func:`validate_projector`, which is the
-    only place the defining laws are checked.
+    Instances are produced by :func:`validate_projector`, the only place
+    the defining laws are checked, and by :func:`projector_onto`, whose
+    matrices satisfy them by construction.  ``range`` is the canonical
+    column space, computed once.
     """
 
     name: str
     matrix: ExactMatrix
-    rank: int
+    range: Subspace
+
+    @property
+    def rank(self) -> int:
+        return self.range.dim
 
     @property
     def dimension(self) -> int:
@@ -46,7 +52,14 @@ class Projector:
 
 
 def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
-    """Check square, Hermitian and idempotent; compute the rank once.
+    """Check square, Hermitian and idempotent; compute the range once.
+
+    The range comes from one echelon reduction of the columns, and its
+    dimension is the rank.  Idempotence is checked as ``P b = b`` for
+    each range basis vector ``b`` rather than as ``P*P = P``: every
+    column ``P e_j`` lies in the range, so P fixing the range is exactly
+    ``P(P e_j) = P e_j`` for all j.  That costs r matrix-vector products
+    instead of one matrix product.
 
     Raises:
         NotSquareError, NotHermitianError, NotIdempotentError: naming the
@@ -56,15 +69,16 @@ def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
         raise NotSquareError(f"projector {name!r}: matrix is {matrix.rows}x{matrix.cols}, not square")
     if matrix.adjoint() != matrix:
         raise NotHermitianError(f"projector {name!r}: matrix is not equal to its adjoint")
-    if matrix * matrix != matrix:
+    n = matrix.rows
+    image = Subspace.span_of((matrix.column(j) for j in range(n)), n)
+    if any(matrix.apply(b) != b for b in image.basis_vectors()):
         raise NotIdempotentError(f"projector {name!r}: matrix squared differs from the matrix")
-    return Projector(name, matrix, matrix.rank())
+    return Projector(name, matrix, image)
 
 
 def range_of(p: Projector) -> Subspace:
-    """Column space of the projector matrix."""
-    cols = [p.matrix.column(j) for j in range(p.dimension)]
-    return Subspace.span_of(cols, p.dimension)
+    """Column space of the projector matrix, as computed by validation."""
+    return p.range
 
 
 def kernel_of(p: Projector) -> Subspace:
@@ -81,11 +95,11 @@ def projector_onto(s: Subspace, name: str = "P") -> Projector:
     """
     n = s.ambient_dim
     if s.dim == 0:
-        return Projector(name, ExactMatrix.zeros(n, n), 0)
+        return Projector(name, ExactMatrix.zeros(n, n), s)
     a = s.basis.transpose()
     gram = a.adjoint() * a
     matrix = a * gram.inverse() * a.adjoint()
-    return Projector(name, matrix, s.dim)
+    return Projector(name, matrix, s)
 
 
 def commutes(p: Projector, q: Projector) -> bool:

@@ -6,9 +6,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from suplat.contexts import Structure
+from suplat.contexts import IncompleteSumError, NotOrthogonalError, Structure
 from suplat.linalg import ExactMatrix, GaussianRational
-from suplat.operators import range_of
+from suplat.operators import NotHermitianError, NotIdempotentError, range_of
 from suplat.subspaces import Subspace
 
 
@@ -74,3 +74,38 @@ def brute_force_coloring_count(structure: Structure) -> int:
         if consistent:
             count += 1
     return count
+
+
+def reference_projector_law(m: ExactMatrix):
+    """Projector-law oracle written straight from the definition.
+
+    Returns the exception class :func:`validate_projector` should raise
+    for a square matrix, or None for a projector.
+    """
+    if m.adjoint() != m:
+        return NotHermitianError
+    if m * m != m:
+        return NotIdempotentError
+    return None
+
+
+def reference_context_error(name: str, atoms):
+    """Orthogonality-then-completeness oracle for a family of nontrivial,
+    uniquely named projectors on one space.
+
+    Returns the (exception class, message) :func:`validate_context` should
+    raise, or None: every pairwise product first, then the sum.
+    """
+    for i in range(len(atoms)):
+        for j in range(i + 1, len(atoms)):
+            if not (atoms[i].matrix * atoms[j].matrix).is_zero():
+                return NotOrthogonalError, (
+                    f"context {name!r}: atoms {atoms[i].name!r} and {atoms[j].name!r}"
+                    " are not orthogonal"
+                )
+    total = atoms[0].matrix
+    for p in atoms[1:]:
+        total = total + p.matrix
+    if total != ExactMatrix.identity(atoms[0].dimension):
+        return IncompleteSumError, f"context {name!r}: atoms do not sum to the identity"
+    return None

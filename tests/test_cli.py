@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from suplat import contexts
 from suplat.cli import build_parser, load_structure, main
 from suplat.contexts import structure_to_dict
 from suplat.datasets import builtin_structure
@@ -89,6 +90,45 @@ def test_validate_rejects_non_json(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 1
     assert "not valid JSON" in err
+
+
+def test_validate_rejects_boolean_dimension(capsys, tmp_path):
+    data = structure_to_dict(builtin_structure("pauli-qubit"))
+    data["dimension"] = True
+    path = tmp_path / "booldim.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: 'dimension' must be a positive integer\n"
+
+
+def test_validate_rejects_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: not valid JSON:")
+    assert "Traceback" not in err
+
+
+def test_validate_and_ks_search_build_no_lattice(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "cabello.json"
+    path.write_text(json.dumps(structure_to_dict(builtin_structure("cabello-3"))))
+    structure = load_structure(str(path))
+    assert structure.lattices is structure.lattices
+
+    def refuse(context):
+        raise AssertionError(f"lattice of {context.name} built")
+
+    monkeypatch.setattr(contexts, "InvariantLattice", refuse)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (0, "")
+    assert out == "ok: dimension 4, 3 context(s): S1, S2, S6\n"
+    code, out, err = run(capsys, "ks-search", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("solutions: 40\n")
 
 
 def test_validate_missing_file(capsys, tmp_path):
