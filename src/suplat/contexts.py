@@ -1,22 +1,21 @@
-"""Measurement contexts, their invariant-subspace lattices, and structures.
+"""Measurement contexts, their atom-sum lattices, and structures.
 
 A context is a resolution of the identity into at least two nontrivial
-mutually orthogonal projectors.  Its invariant-subspace lattice is the
-family of subset-sums of the atom ranges: a subspace is invariant under a
-projector exactly when it splits along that projector's range and kernel,
-so for a full context the common invariant subspaces are direct sums of
-pieces of atom ranges.  With rank-1 atoms the subset-sums exhaust them and
-the lattice is Boolean with 2^k members.
+mutually orthogonal projectors.  Its lattice is the powerset of its
+atoms: a member is named by its atom mask (bit i for atom i) and is the
+sum of those atom ranges, so there are 2^k distinct members.  A subspace
+lies in the sum of its support's atoms (those whose projectors do not
+annihilate it), so it is a member iff its dimension is that sum's rank.
+With rank-1 atoms the members are exactly the invariant subspaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
 
 from .linalg import DimensionMismatchError, ExactMatrix, as_scalar, format_scalar, parse_scalar
-from .operators import Projector, is_invariant, validate_projector
+from .operators import Projector, validate_projector
 from .subspaces import Subspace
 
 
@@ -62,6 +61,11 @@ class Context:
     @property
     def dimension(self) -> int:
         return self.atoms[0].dimension
+
+    def support(self, s: Subspace) -> int:
+        """Mask of the atoms whose projectors do not annihilate the subspace."""
+        basis = s.basis_vectors()
+        return sum(1 << i for i, p in enumerate(self.atoms) if any(any(p.matrix.apply(b)) for b in basis))
 
 
 def validate_context(name: str, projectors) -> Context:
@@ -113,26 +117,21 @@ def validate_context(name: str, projectors) -> Context:
 class InvariantLattice:
     """The Boolean lattice of subset-sums of a context's atom ranges.
 
-    Members are deduplicated canonical subspaces sorted by dimension and
-    then by lexicographic basis order; ``atom_sets`` aligns each member
-    with the 0-based atom indices whose ranges sum to it.
+    Members are canonical subspaces sorted by dimension and then by
+    lexicographic basis order; ``masks`` aligns each member with its atom
+    mask (bit i set when atom i's range is a summand).
     """
 
     def __init__(self, context: Context) -> None:
         self.context = context
         self.atom_ranges: tuple[Subspace, ...] = tuple(p.range for p in context.atoms)
-        # Subsets come in combinations order, so each one's prefix (the
-        # subset without its last atom) is already summed: one join apiece.
-        sums: dict[tuple[int, ...], Subspace] = {(): Subspace.zero(context.dimension)}
-        pairs: dict[Subspace, tuple[int, ...]] = {}
-        indices = range(len(context.atoms))
-        for subset in chain.from_iterable(combinations(indices, r) for r in range(len(context.atoms) + 1)):
-            if subset:
-                sums[subset] = sums[subset[:-1]].join(self.atom_ranges[subset[-1]])
-            pairs.setdefault(sums[subset], subset)
-        ordered = sorted(pairs.items(), key=lambda item: item[0].sort_key())
-        self.members: tuple[Subspace, ...] = tuple(m for m, _ in ordered)
-        self.atom_sets: tuple[tuple[int, ...], ...] = tuple(s for _, s in ordered)
+        # A mask without its top bit is smaller, so its sum is already built.
+        sums = [Subspace.zero(context.dimension)]
+        for mask in range(1, 1 << len(self.atom_ranges)):
+            top = mask.bit_length() - 1
+            sums.append(sums[mask ^ (1 << top)].join(self.atom_ranges[top]))
+        self.masks: tuple[int, ...] = tuple(sorted(range(len(sums)), key=lambda m: sums[m].sort_key()))
+        self.members: tuple[Subspace, ...] = tuple(sums[m] for m in self.masks)
         self._index = {m: i for i, m in enumerate(self.members)}
 
     @property
@@ -150,10 +149,10 @@ class InvariantLattice:
 
     def label(self, member: Subspace) -> str:
         """Atom-set label of a member: \"0\" for the zero subspace, else \"1+2+3\"."""
-        subset = self.atom_sets[self._index[member]]
-        if not subset:
+        mask = self.masks[self._index[member]]
+        if not mask:
             return "0"
-        return "+".join(str(i + 1) for i in subset)
+        return "+".join(str(i + 1) for i in range(len(self.atom_ranges)) if mask >> i & 1)
 
     def labels(self) -> list[str]:
         return [self.label(m) for m in self.members]
@@ -165,16 +164,18 @@ def invariant_lattice(context: Context) -> InvariantLattice:
 
 
 def is_lattice_member(s: Subspace, context: Context) -> bool:
-    """True iff the subspace is invariant under every atom of the context.
+    """True iff the subspace is a member of the context's atom-sum lattice.
 
-    For rank-1 contexts this coincides with appearing among the enumerated
-    subset-sums.
+    The subspace lies in the sum of its support's atom ranges, so it
+    equals that sum exactly when the dimensions agree.  For rank-1
+    contexts this is invariance under every atom.
     """
     if s.ambient_dim != context.dimension:
         raise DimensionMismatchError(
             f"subspace of C^{s.ambient_dim} against a context on C^{context.dimension}"
         )
-    return all(is_invariant(s, p) for p in context.atoms)
+    support = context.support(s)
+    return s.dim == sum(p.rank for i, p in enumerate(context.atoms) if support >> i & 1)
 
 
 def shared_members(a: InvariantLattice, b: InvariantLattice) -> list[Subspace]:

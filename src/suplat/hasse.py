@@ -1,8 +1,14 @@
-"""Hasse diagrams of subspace collections, rendered as Graphviz DOT.
+"""Hasse diagrams of lattice members, rendered as Graphviz DOT.
 
-Edges are the transitive reduction of strict containment.  Rendering is
-a pure function of the inputs: member order, edge order and attribute
-order are all fixed, so identical inputs give byte-identical DOT.
+Edges are the covering pairs of strict containment among the members in
+scope, read off atom supports with no containment test.  A member's
+support in a context is the mask of atoms that do not annihilate it, the
+union of its own atoms' supports.  Member s lies in member t iff s's
+support is a subset of t's in every lattice in scope: t is the sum of its
+atoms in one of them, and s lies in the sum of its support's atoms there.
+Rendering is a pure function of the inputs: member order, edge order and
+attribute order are all fixed, so identical inputs give byte-identical
+DOT.
 
 Node styling encodes the three truth values: true propositions are
 filled black boxes, false ones filled black circles, gaps hollow
@@ -46,65 +52,52 @@ class HasseGraph:
     edges: tuple[tuple[int, int], ...]
 
 
-def transitive_reduction(members: Sequence[Subspace]) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) with members[i] strictly below members[j].
-
-    An edge survives only if no third member sits strictly between its
-    endpoints.
-    """
-    count = len(members)
-    below = [
-        [
-            i != j and members[i].dim < members[j].dim and members[i].is_subspace_of(members[j])
-            for j in range(count)
-        ]
-        for i in range(count)
-    ]
+def _covers(above: Sequence[int]) -> list[tuple[int, int]]:
+    """Sorted covering pairs (i, j) of a strict order; bit j of above[i] means i < j."""
     edges = []
-    for i in range(count):
-        for j in range(count):
-            if below[i][j] and not any(below[i][k] and below[k][j] for k in range(count)):
-                edges.append((i, j))
-    edges.sort()
+    for i, up in enumerate(above):
+        reach = 0
+        for k, over in enumerate(above):
+            if up >> k & 1:
+                reach |= over
+        edges.extend((i, j) for j in range(len(above)) if (up & ~reach) >> j & 1)
     return edges
 
 
-def _membership_labels(structure: Structure, member: Subspace) -> list[str]:
-    return [
-        f"{lat.name}:{lat.label(member)}" for lat in structure.lattices if lat.has_member(member)
-    ]
+def transitive_reduction(members: Sequence[Subspace]) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) with members[i] strictly below members[j].
 
-
-def _shared_set(structure: Structure) -> set[Subspace]:
-    seen: dict[Subspace, int] = {}
-    for lat in structure.lattices:
-        for member in lat.members:
-            seen[member] = seen.get(member, 0) + 1
-    return {
-        m
-        for m, hits in seen.items()
-        if hits >= 2 and not m.is_zero() and not m.is_full()
-    }
+    Containment is tested geometrically: the oracle for build_graph's order.
+    """
+    return _covers([
+        sum(1 << j for j, t in enumerate(members) if s.dim < t.dim and s.is_subspace_of(t))
+        for s in members
+    ])
 
 
 def build_graph(structure: Structure, report: ValuationReport, scope: str) -> HasseGraph:
     """Assemble the node and edge lists for one lattice or the whole structure."""
-    shared = _shared_set(structure)
     if scope == WHOLE_STRUCTURE_SCOPE:
-        distinct: dict[Subspace, None] = {}
-        for lat in structure.lattices:
-            for member in lat.members:
-                distinct.setdefault(member)
-        members = sorted(distinct, key=lambda m: m.sort_key())
+        lattices = structure.lattices
     else:
         lattice = structure.find_lattice(scope)
         if lattice is None:
             raise UnknownScopeError(
                 f"scope {scope!r} names no context; use a context name or {WHOLE_STRUCTURE_SCOPE!r}"
             )
-        members = list(lattice.members)
-    nodes = []
-    for member in members:
+        lattices = (lattice,)
+    # Each atom's supports in every scope lattice, concatenated into one mask.
+    atom_supports, first = {}, {}
+    for lat in lattices:
+        for i, atom_range in enumerate(lat.atom_ranges):
+            support = 0
+            for other in lattices:
+                support = support << len(other.atom_ranges) | other.context.support(atom_range)
+            atom_supports[lat, i] = support
+        for member, mask in zip(lat.members, lat.masks):
+            first.setdefault(member, (lat, mask))
+    nodes, supports = [], []
+    for member in sorted(first, key=lambda m: m.sort_key()):
         try:
             truth = report.values[member]
         except KeyError:
@@ -112,24 +105,29 @@ def build_graph(structure: Structure, report: ValuationReport, scope: str) -> Ha
                 "the valuation report has no entry for a member in scope; "
                 "it was produced for a different structure"
             ) from None
-        memberships = _membership_labels(structure, member)
-        if scope == WHOLE_STRUCTURE_SCOPE:
-            node_id = memberships[0].replace(":", ".")
-            label = memberships[0].split(":", 1)[1]
-        else:
-            label = structure.find_lattice(scope).label(member)
-            node_id = f"{scope}.{label}"
+        lat, mask = first[member]
+        support = 0
+        for i in range(len(lat.atom_ranges)):
+            if mask >> i & 1:
+                support |= atom_supports[lat, i]
+        supports.append(support)
+        memberships = tuple(f"{o.name}:{o.label(member)}" for o in structure.lattices if o.has_member(member))
+        label = lat.label(member)
         nodes.append(
             HasseNode(
-                node_id=node_id,
+                node_id=f"{lat.name}.{label}",
                 subspace=member,
                 label=label,
                 truth=truth,
-                shared=member in shared,
-                memberships=tuple(memberships),
+                shared=len(memberships) >= 2 and not member.is_zero() and not member.is_full(),
+                memberships=memberships,
             )
         )
-    return HasseGraph(tuple(nodes), tuple(transitive_reduction(members)))
+    above = [
+        sum(1 << j for j, t in enumerate(supports) if j != i and s & ~t == 0)
+        for i, s in enumerate(supports)
+    ]
+    return HasseGraph(tuple(nodes), tuple(_covers(above)))
 
 
 _TRUTH_STYLE = {
@@ -139,27 +137,32 @@ _TRUTH_STYLE = {
 }
 
 
+def _quote(text: str) -> str:
+    """A DOT quoted string holding the text, with backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def render_dot(graph: HasseGraph, name: str, cluster: str | None = None,
                annotate_memberships: bool = False) -> str:
     """Serialize a graph to DOT with stable ordering and attributes."""
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
+    lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;"]
     indent = "  "
     if cluster is not None:
-        lines.append(f'  subgraph "cluster_{cluster}" {{')
-        lines.append(f'    label="{cluster}";')
+        lines.append(f"  subgraph {_quote('cluster_' + cluster)} {{")
+        lines.append(f"    label={_quote(cluster)};")
         indent = "    "
     for node in graph.nodes:
-        attrs = [f'label="{node.label}"']
+        attrs = [f"label={_quote(node.label)}"]
         if annotate_memberships:
-            attrs.append(f'tooltip="{" ".join(node.memberships)}"')
+            attrs.append(f"tooltip={_quote(' '.join(node.memberships))}")
         attrs.append(_TRUTH_STYLE[node.truth])
         if node.shared:
             attrs.append("color=grey penwidth=3")
-        lines.append(f'{indent}"{node.node_id}" [{" ".join(attrs)}];')
+        lines.append(f'{indent}{_quote(node.node_id)} [{" ".join(attrs)}];')
     if cluster is not None:
         lines.append("  }")
     for i, j in graph.edges:
-        lines.append(f'  "{graph.nodes[i].node_id}" -> "{graph.nodes[j].node_id}";')
+        lines.append(f"  {_quote(graph.nodes[i].node_id)} -> {_quote(graph.nodes[j].node_id)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -6,9 +6,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from suplat.contexts import IncompleteSumError, NotOrthogonalError, Structure
+from suplat.contexts import Context, IncompleteSumError, NotOrthogonalError, Structure, validate_context
 from suplat.linalg import ExactMatrix, GaussianRational
-from suplat.operators import NotHermitianError, NotIdempotentError, range_of
+from suplat.operators import NotHermitianError, NotIdempotentError, projector_onto, range_of, validate_projector
 from suplat.subspaces import Subspace
 
 
@@ -50,6 +50,55 @@ def random_state(rng: random.Random, ambient: int, span: int = 4) -> tuple:
         v = tuple(random_fraction(rng, span) for _ in range(ambient))
         if any(v):
             return v
+
+
+def gram_schmidt(vectors) -> list[list[GaussianRational]]:
+    """Exact Gram-Schmidt over the Hermitian inner product: pairwise
+    orthogonal vectors spanning the same space as the independent input."""
+    basis: list[list[GaussianRational]] = []
+    for v in vectors:
+        u = list(v)
+        for b in basis:
+            coeff = sum((x.conjugate() * y for x, y in zip(b, v)), GaussianRational(0)) / sum(
+                (x.conjugate() * x for x in b), GaussianRational(0)
+            )
+            u = [x - coeff * y for x, y in zip(u, b)]
+        basis.append(u)
+    return basis
+
+
+def random_context(rng: random.Random, n: int, name: str, keep=()) -> Context:
+    """A context on C^n: the kept atoms, plus projectors onto the blocks of a
+    random partition of a random orthogonal basis of their complement.
+
+    Half the time every new block is one vector (rank-1 atoms); otherwise
+    blocks of two or more vectors give atoms of higher rank.
+    """
+    kept = Subspace.span_of([b for p in keep for b in p.range.basis_vectors()], n)
+    complement = kept.orthocomplement().basis
+    m = complement.rows
+    vectors = gram_schmidt((random_invertible(rng, m, span=2) * complement).row_list())
+    if rng.random() < 0.5:
+        cuts = list(range(1, m))
+    else:  # without kept atoms, at least one cut: a context needs two atoms
+        cuts = sorted(rng.sample(range(1, m), rng.randint(0 if keep else 1, m - 1)))
+    blocks = [vectors[a:b] for a, b in zip([0] + cuts, cuts + [m])]
+    atoms = [
+        validate_projector(projector_onto(Subspace.span_of(block, n)).matrix, name=f"{name}{i}")
+        for i, block in enumerate(blocks)
+    ]
+    return validate_context(name, list(keep) + atoms)
+
+
+def random_structure(rng: random.Random, n: int) -> Structure:
+    """Two or three contexts on C^n; each after the first keeps a random
+    proper subset, possibly empty, of an earlier context's atoms."""
+    contexts = [random_context(rng, n, "A")]
+    for name in "BC"[: rng.randint(1, 2)]:
+        source = rng.choice(contexts).atoms
+        keep = rng.sample(source, rng.randint(0, len(source) - 1))
+        contexts.append(random_context(rng, n, name, keep))
+    return Structure(contexts)
 
 
 def brute_force_coloring_count(structure: Structure) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from suplat import contexts
 from suplat.cli import build_parser, load_structure, main
 from suplat.contexts import structure_to_dict
 from suplat.datasets import builtin_structure
+from suplat.subspaces import Subspace
 
 
 def run(capsys, *argv):
@@ -322,6 +324,46 @@ def test_hasse_output_file(capsys, tmp_path):
     text = target.read_text()
     assert text.startswith('digraph "structure" {')
     assert "tooltip=" in text
+
+
+# A DOT quoted string on one line: characters other than a double quote or
+# a backslash, and backslash escapes.
+QUOTED_DOT_STRING = re.compile(r'"(?:[^"\\\n]|\\.)*"')
+
+
+def test_hasse_escapes_quotes_and_backslashes(capsys, tmp_path):
+    data = structure_to_dict(builtin_structure("pauli-qubit"))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(data))
+    data["contexts"][0]["name"] = 'Sig"ma\\z'
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps(data))
+    for odd_scope, plain_scope in (('Sig"ma\\z', "Sigma_z"), ("all", "all")):
+        code, out, err = run(capsys, "hasse", str(odd), "--state", "1,0", "--mode", "invariant",
+                             "--scope", odd_scope)
+        assert (code, err) == (0, "")
+        assert '"' not in QUOTED_DOT_STRING.sub("", out)
+        _, plain_out, _ = run(capsys, "hasse", str(plain), "--state", "1,0", "--mode", "invariant",
+                              "--scope", plain_scope)
+        assert out == plain_out.replace("Sigma_z", 'Sig\\"ma\\\\z')
+        if odd_scope == "all":
+            assert '"Sig\\"ma\\\\z.0" [label="0" tooltip="Sig\\"ma\\\\z:0 Sigma_x:0 Sigma_y:0"' in out
+        else:
+            assert out.startswith('digraph "Sig\\"ma\\\\z" {\n  rankdir=BT;\n  subgraph "cluster_Sig\\"ma\\\\z" {\n')
+            assert '    label="Sig\\"ma\\\\z";\n' in out
+            assert '  "Sig\\"ma\\\\z.0" -> "Sig\\"ma\\\\z.2";\n' in out
+
+
+def test_hasse_makes_no_containment_test(capsys, monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("containment test made")
+
+    monkeypatch.setattr(Subspace, "is_subspace_of", refuse)
+    for scope, edges in (("S1", 32), ("all", 112)):
+        code, out, err = run(capsys, "hasse", "--dataset", "cabello-3", "--state", "0,0,0,1",
+                             "--mode", "invariant", "--scope", scope)
+        assert (code, err) == (0, "")
+        assert out.count("->") == edges
 
 
 def test_hasse_failure_leaves_no_file(capsys, tmp_path):

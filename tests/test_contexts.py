@@ -22,10 +22,10 @@ from suplat.contexts import (
     validate_context,
 )
 from suplat.linalg import DimensionMismatchError, ExactMatrix
-from suplat.operators import kernel_of, range_of, validate_projector
+from suplat.operators import is_invariant, kernel_of, range_of, validate_projector
 from suplat.subspaces import Subspace
 
-from helpers import random_subspace
+from helpers import random_context, random_matrix, random_subspace
 
 
 def diag(*entries):
@@ -146,6 +146,36 @@ def test_enumeration_matches_invariance(cabello):
     for _ in range(40):
         s = random_subspace(rng, 4)
         assert lattice.has_member(s) == is_lattice_member(s, lattice.context)
+
+
+def test_membership_rule_is_the_atom_sum_lattice():
+    # span{e1} is invariant under both atoms but is no sum of atom ranges.
+    e1 = Subspace.span_of([[1, 0, 0]], 3)
+    split = validate_context("split", [named(diag(1, 1, 0), "12"), named(diag(0, 0, 1), "3")])
+    assert all(is_invariant(e1, p) for p in split.atoms)
+    assert not is_lattice_member(e1, split)
+    assert not invariant_lattice(split).has_member(e1)
+    rng = random.Random(20180906)
+    seen = set()
+    for case in range(30):
+        context = random_context(rng, rng.randint(2, 4), f"C{case}")
+        lattice = invariant_lattice(context)
+        rank1 = all(p.rank == 1 for p in context.atoms)
+        candidates = list(lattice.members) + [random_subspace(rng, context.dimension) for _ in range(4)]
+        for member in rng.sample(lattice.members[1:], 3):  # spans of vectors inside members
+            rows = random_matrix(rng, rng.randint(1, member.dim), member.dim) * member.basis
+            candidates.append(Subspace.span_of(rows.row_list(), context.dimension))
+        for s in candidates:
+            member = is_lattice_member(s, context)
+            assert lattice.has_member(s) == member
+            invariant = all(is_invariant(s, p) for p in context.atoms)
+            if rank1:
+                assert invariant == member
+            else:
+                assert invariant or not member
+            seen.add((rank1, invariant, member))
+    # rank-1 members and non-members; rank > 1 invariant non-members
+    assert {(True, True, True), (True, False, False), (False, True, False)} <= seen
 
 
 def test_shared_members(qubit, cabello):

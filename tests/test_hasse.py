@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from suplat.contexts import Context, Structure
 from suplat.hasse import (
     HasseGraph,
     MissingValuationError,
@@ -15,6 +18,8 @@ from suplat.hasse import (
 )
 from suplat.subspaces import Subspace
 from suplat.valuation import Mode, TruthValue, evaluate_structure
+
+from helpers import random_state, random_structure
 
 
 def test_transitive_reduction_chain():
@@ -47,6 +52,31 @@ def test_reduction_closure_equals_containment(qubit, cabello):
             for j in range(count):
                 strict = i != j and members[i].is_subspace_of(members[j])
                 assert reach[i][j] == strict
+
+
+def test_support_order_matches_containment_oracle(qubit, cabello):
+    # build_graph orders members by atom supports; transitive_reduction
+    # tests containment directly.  Both must give the same covers.
+    rng = random.Random(20181004)
+    structures = [qubit, cabello] + [random_structure(rng, rng.randint(2, 4)) for _ in range(30)]
+    seen = set()
+    for structure in structures:
+        contexts = structure.contexts
+        ranges = [{p.range for p in c.atoms} for c in contexts]
+        seen.add(f"C^{structure.ambient_dim}")
+        seen.add(f"max rank {max(p.rank for c in contexts for p in c.atoms)}")
+        shares = any(a & b for i, a in enumerate(ranges) for b in ranges[i + 1:])
+        seen.add("shared atoms" if shares else "no shared atoms")
+        report = evaluate_structure(structure, random_state(rng, structure.ambient_dim), Mode.HILBERT)
+        scopes = {c.name: (structure.find_lattice(c.name),) for c in contexts}
+        scopes["all"] = structure.lattices
+        for scope, lattices in scopes.items():
+            graph = build_graph(structure, report, scope)
+            members = [node.subspace for node in graph.nodes]
+            distinct = {m for lat in lattices for m in lat.members}
+            assert members == sorted(distinct, key=lambda m: m.sort_key())
+            assert list(graph.edges) == transitive_reduction(members)
+    assert {"C^2", "C^3", "C^4", "max rank 1", "max rank 2", "shared atoms", "no shared atoms"} <= seen
 
 
 def test_boolean_lattice_edge_counts(qubit, cabello):
@@ -106,6 +136,15 @@ def test_whole_structure_qubit_shape(qubit):
     assert len(graph.edges) == 12
     bottom = [n for n in graph.nodes if n.subspace.is_zero()][0]
     assert len(bottom.memberships) == 3
+
+
+def test_merged_nodes_are_named_after_their_first_lattice(qubit):
+    renamed = Structure([Context("a:z", qubit.contexts[0].atoms), *qubit.contexts[1:]])
+    report = evaluate_structure(renamed, ["1", "0"], Mode.INVARIANT)
+    graph = build_graph(renamed, report, "all")
+    named = [(n.node_id, n.label) for n in graph.nodes if n.memberships[0].startswith("a:z:")]
+    assert named == [("a:z.0", "0"), ("a:z.2", "2"), ("a:z.1", "1"), ("a:z.1+2", "1+2")]
+    assert graph.nodes[0].memberships == ("a:z:0", "Sigma_x:0", "Sigma_y:0")
 
 
 def test_unknown_scope(qubit):

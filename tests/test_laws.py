@@ -17,6 +17,7 @@ from suplat.operators import projector_onto, range_of, validate_projector
 from suplat.subspaces import Subspace
 
 from helpers import (
+    gram_schmidt,
     random_invertible,
     random_matrix,
     random_nonzero_scalar,
@@ -73,23 +74,9 @@ def test_validate_projector_matches_definition():
     assert len(outcomes) == 3  # accepted, not Hermitian, not idempotent all occur
 
 
-def _orthogonal_basis(rng: random.Random, n: int) -> list[list[GaussianRational]]:
-    """Exact Gram-Schmidt over the Hermitian inner product."""
-    basis: list[list[GaussianRational]] = []
-    for v in random_invertible(rng, n, span=2).row_list():
-        u = list(v)
-        for b in basis:
-            coeff = sum((x.conjugate() * y for x, y in zip(b, v)), GaussianRational(0)) / sum(
-                (x.conjugate() * x for x in b), GaussianRational(0)
-            )
-            u = [x - coeff * y for x, y in zip(u, b)]
-        basis.append(u)
-    return basis
-
-
 def _partition_atoms(rng: random.Random, n: int, prefix: str) -> list:
     """Projectors onto the blocks of a random partition (2+ blocks) of an orthogonal basis."""
-    vectors = _orthogonal_basis(rng, n)
+    vectors = gram_schmidt(random_invertible(rng, n, span=2).row_list())
     rng.shuffle(vectors)
     cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
     blocks = [vectors[a:b] for a, b in zip([0] + cuts, cuts + [n])]
