@@ -7,17 +7,17 @@ it is vacuous when no atom is false.  A context whose atoms are all
 false is not judged further but flagged, since nothing forces a true
 atom onto it.
 
-The coloring search looks for assignments of 1/0 to atom ranges, keyed
-by the canonical range subspace so that atoms shared between contexts
-are automatically forced to agree, with exactly one true atom per
-context.
+The coloring search looks for assignments of 1/0 to atom ranges with
+exactly one true atom per context.  It numbers the distinct canonical
+range subspaces once, so atoms shared between contexts get one number
+and are forced to agree; the search itself runs on those numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .contexts import Structure
 from .subspaces import Subspace
@@ -156,11 +156,19 @@ class KsAssignment:
     """One bivalent coloring: exactly one true atom range per context.
 
     ``chosen`` holds the 0-based index of the true atom per context, in
-    structure order; ``values`` maps each distinct atom range to 1 or 0.
+    structure order.  ``ranges`` lists the distinct atom ranges in order
+    of first appearance (one tuple shared by every solution of a search)
+    and ``bits`` the 1 or 0 of each.
     """
 
     chosen: tuple[int, ...]
-    values: Mapping[Subspace, int]
+    ranges: tuple[Subspace, ...]
+    bits: tuple[int, ...]
+
+    @property
+    def values(self) -> dict[Subspace, int]:
+        """Each distinct atom range mapped to 1 or 0, in ``ranges`` order."""
+        return dict(zip(self.ranges, self.bits))
 
 
 def ks_search(structure: Structure) -> list[KsAssignment]:
@@ -168,40 +176,79 @@ def ks_search(structure: Structure) -> list[KsAssignment]:
 
     Contexts are processed in structure order and atoms in context order,
     so the result list is stable; counts are independent of either order.
+    The distinct atom ranges are numbered once; the search then works on
+    one array of range values (-1 while unset) and undoes, on backtrack,
+    the entries the abandoned choice set.  It keeps its own stack, so the
+    number of contexts is not bounded by the recursion limit.
     """
-    range_lists = [[atom.range for atom in ctx.atoms] for ctx in structure.contexts]
+    index: dict[Subspace, int] = {}
+    contexts = [
+        [index.setdefault(atom.range, len(index)) for atom in ctx.atoms] for ctx in structure.contexts
+    ]
+    ranges = tuple(index)
+    value = [-1] * len(ranges)
+    depth = len(contexts)
+    chosen = [-1] * depth
+    set_by = [[] for _ in range(depth)]  # ranges that the choice at each depth set
     solutions: list[KsAssignment] = []
-
-    def descend(ci: int, assignment: dict[Subspace, int], chosen: tuple[int, ...]) -> None:
-        if ci == len(range_lists):
-            solutions.append(KsAssignment(chosen, dict(assignment)))
-            return
-        ranges = range_lists[ci]
-        for ai in range(len(ranges)):
-            trial = dict(assignment)
-            ok = True
-            for aj, rng in enumerate(ranges):
-                want = 1 if aj == ai else 0
-                if trial.setdefault(rng, want) != want:
-                    ok = False
-                    break
-            if ok:
-                descend(ci + 1, trial, chosen + (ai,))
-
-    descend(0, {}, ())
+    ci = 0
+    while ci >= 0:
+        if ci == depth:
+            solutions.append(KsAssignment(tuple(chosen), ranges, tuple(value)))
+            ci -= 1
+            continue
+        newly = set_by[ci]
+        for r in newly:
+            value[r] = -1
+        newly.clear()
+        numbers = contexts[ci]
+        ai = chosen[ci] + 1
+        while ai < len(numbers) and not _pick(numbers, ai, value, newly):
+            ai += 1
+        if ai < len(numbers):
+            chosen[ci] = ai
+            ci += 1
+        else:
+            chosen[ci] = -1
+            ci -= 1
     return solutions
+
+
+def _pick(numbers: list[int], ai: int, value: list[int], newly: list[int]) -> bool:
+    """Make atom ``ai`` of a context true and its other atoms false.
+
+    Unset ranges are set and recorded in ``newly``.  On a conflict with a
+    range already set, the ones just set are unset again and the pick fails.
+    """
+    for aj, r in enumerate(numbers):
+        want = 1 if aj == ai else 0
+        if value[r] == -1:
+            value[r] = want
+            newly.append(r)
+        elif value[r] != want:
+            for s in newly:
+                value[s] = -1
+            newly.clear()
+            return False
+    return True
+
+
+def _atom_labels(structure: Structure) -> list[list[str]]:
+    """``name:i`` for each atom of each context, with 1-based ``i``."""
+    return [[f"{ctx.name}:{i + 1}" for i in range(len(ctx.atoms))] for ctx in structure.contexts]
 
 
 def ks_assignment_line(structure: Structure, assignment: KsAssignment) -> str:
     """Render a coloring as ``S1:1 S2:1`` with 1-based atom indices."""
-    return " ".join(
-        f"{ctx.name}:{index + 1}" for ctx, index in zip(structure.contexts, assignment.chosen)
-    )
+    return " ".join([names[i] for names, i in zip(_atom_labels(structure), assignment.chosen)])
 
 
 def ks_to_text(structure: Structure, solutions: Sequence[KsAssignment]) -> str:
+    """``solutions: N``, then one :func:`ks_assignment_line` per coloring;
+    the labels are built once for all of them."""
+    labels = _atom_labels(structure)
     lines = [f"solutions: {len(solutions)}"]
-    lines.extend(ks_assignment_line(structure, sol) for sol in solutions)
+    lines.extend(" ".join([names[i] for names, i in zip(labels, sol.chosen)]) for sol in solutions)
     return "\n".join(lines) + "\n"
 
 

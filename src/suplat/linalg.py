@@ -125,7 +125,11 @@ class GaussianRational:
         return self.real == w.real and self.imag == w.imag
 
     def __hash__(self) -> int:
-        return hash((self.real, self.imag))
+        # hash(-1) == hash(-2) in CPython, so hashing the parts as they are
+        # makes span{(1,-1,0)} and span{(1,-2,0)} collide; doubled numerators
+        # are never -1.
+        re, im = self.real, self.imag
+        return hash((2 * re.numerator, re.denominator, 2 * im.numerator, im.denominator))
 
     def sort_key(self) -> tuple[Fraction, Fraction]:
         """Deterministic total order used only for canonical sorting."""

@@ -101,28 +101,40 @@ def random_structure(rng: random.Random, n: int) -> Structure:
     return Structure(contexts)
 
 
-def brute_force_coloring_count(structure: Structure) -> int:
-    """Independent coloring oracle: try every choice tuple, keep consistent ones.
+def atom_range_lists(structure: Structure) -> list[list[Subspace]]:
+    """Each context's atom ranges, recomputed by row reduction."""
+    return [[range_of(a) for a in ctx.atoms] for ctx in structure.contexts]
+
+
+def forced_coloring(range_lists, choice) -> dict | None:
+    """The 1/0 value of each atom range that a choice tuple forces, keyed in
+    first-seen order, or None when two contexts disagree on a shared range."""
+    values = {}
+    for ranges, chosen in zip(range_lists, choice):
+        for i, r in enumerate(ranges):
+            want = 1 if i == chosen else 0
+            if values.setdefault(r, want) != want:
+                return None
+    return values
+
+
+def brute_force_colorings(structure: Structure) -> list[tuple[int, ...]]:
+    """Independent coloring oracle: every consistent choice tuple, in
+    ``itertools.product`` order.
 
     Deliberately has nothing in common with the search implementation
     beyond the atom-range subspaces themselves.
     """
-    range_lists = [[range_of(a) for a in ctx.atoms] for ctx in structure.contexts]
-    count = 0
-    for choice in product(*[range(len(rs)) for rs in range_lists]):
-        values = {}
-        consistent = True
-        for ranges, chosen in zip(range_lists, choice):
-            for i, r in enumerate(ranges):
-                want = 1 if i == chosen else 0
-                if values.setdefault(r, want) != want:
-                    consistent = False
-                    break
-            if not consistent:
-                break
-        if consistent:
-            count += 1
-    return count
+    range_lists = atom_range_lists(structure)
+    return [
+        choice
+        for choice in product(*[range(len(rs)) for rs in range_lists])
+        if forced_coloring(range_lists, choice) is not None
+    ]
+
+
+def brute_force_coloring_count(structure: Structure) -> int:
+    return len(brute_force_colorings(structure))
 
 
 def reference_projector_law(m: ExactMatrix):

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import random
+from math import prod
+
 import pytest
 
-from helpers import brute_force_coloring_count
+from helpers import (
+    atom_range_lists,
+    brute_force_coloring_count,
+    brute_force_colorings,
+    forced_coloring,
+    random_structure,
+)
 
 from suplat.admissibility import (
     MissingAtomEntryError,
@@ -21,6 +30,7 @@ from suplat.admissibility import (
 from suplat.contexts import Structure, validate_context
 from suplat.linalg import ExactMatrix
 from suplat.operators import validate_projector
+from suplat.subspaces import Subspace
 from suplat.valuation import Mode, TruthValue, evaluate_structure
 
 T, F, G = TruthValue.TRUE, TruthValue.FALSE, TruthValue.GAP
@@ -179,3 +189,42 @@ def test_ks_text_output(cabello):
     assert len(lines) == 41
     # deterministic: regenerating gives identical bytes
     assert ks_to_text(cabello, ks_search(cabello)) == text
+
+
+def test_ks_search_matches_brute_force_in_order(qubit, cabello):
+    # same choice tuples in itertools.product order, and each coloring
+    # maps the same atom ranges to the same bits in first-seen order
+    rng = random.Random(20181006)
+    structures = [qubit, cabello]
+    for _ in range(30):
+        structure = random_structure(rng, rng.randint(2, 4))
+        # random_structure puts shared atoms first; shuffled copies also
+        # meet conflicts after a context's first atom
+        shuffled = [validate_context(c.name, rng.sample(c.atoms, len(c.atoms))) for c in structure.contexts]
+        structures += [structure, Structure(shuffled)]
+    pruned = 0
+    for structure in structures:
+        expected = brute_force_colorings(structure)
+        solutions = ks_search(structure)
+        assert [s.chosen for s in solutions] == expected
+        range_lists = atom_range_lists(structure)
+        for sol in solutions:
+            assert sol.ranges is solutions[0].ranges
+            assert list(sol.values.items()) == list(forced_coloring(range_lists, sol.chosen).items())
+        pruned += len(expected) < prod(len(ctx.atoms) for ctx in structure.contexts)
+    assert pruned >= 20
+
+
+def test_ks_search_compares_no_subspaces_after_numbering(cabello, monkeypatch):
+    # numbering the distinct atom ranges may compare each atom's range
+    # once; the search itself must run on the numbers alone
+    calls = []
+    original = Subspace.__eq__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Subspace, "__eq__", counting)
+    assert len(ks_search(cabello)) == 40
+    assert len(calls) <= sum(len(ctx.atoms) for ctx in cabello.contexts)

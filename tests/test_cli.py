@@ -133,6 +133,23 @@ def test_validate_and_ks_search_build_no_lattice(capsys, tmp_path, monkeypatch):
     assert out.startswith("solutions: 40\n")
 
 
+def test_ks_search_runs_past_the_recursion_limit(capsys, tmp_path):
+    # one context per search level: 1500 levels exceed the default limit
+    z = [
+        {"name": "z+", "matrix": [["1", "0"], ["0", "0"]]},
+        {"name": "z-", "matrix": [["0", "0"], ["0", "1"]]},
+    ]
+    contexts = [{"name": f"Sigma_z{i}", "projectors": z} for i in range(1500)]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"dimension": 2, "contexts": contexts}))
+    code, out, err = run(capsys, "ks-search", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "solutions: 2"
+    assert lines[1] == " ".join(f"Sigma_z{i}:1" for i in range(1500))
+    assert lines[2] == " ".join(f"Sigma_z{i}:2" for i in range(1500))
+
+
 def test_validate_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(tmp_path / "absent.json"))
     assert code == 1

@@ -148,3 +148,9 @@ def test_as_scalar_coercions():
     assert as_scalar(Fraction(1, 3)) == GaussianRational(Fraction(1, 3))
     assert as_scalar("1-i") == GaussianRational(1, -1)
     assert as_scalar(GaussianRational(2, 5)) == GaussianRational(2, 5)
+
+
+def test_hash_agrees_with_equality_and_separates_minus_one_and_two():
+    assert hash(GaussianRational(Fraction(2, 4), -3)) == hash(GaussianRational(Fraction(1, 2), -3))
+    assert hash(GaussianRational(-1)) != hash(GaussianRational(-2))
+    assert hash(GaussianRational(0, -1)) != hash(GaussianRational(0, -2))

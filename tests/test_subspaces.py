@@ -164,3 +164,14 @@ def test_basis_is_exact_rref():
     assert reduced == s.basis
     assert rank == s.dim
     assert s.basis == ExactMatrix.from_rows([["0", "1", "0", "-1/3"], ["0", "0", "1", "1/3"]])
+
+
+def test_hash_keeps_minus_one_and_minus_two_apart():
+    # CPython hashes -1 and -2 alike; a scalar hash built on that makes
+    # these two lines collide and fall through to entrywise comparison
+    assert hash(span(["1", "-1", "0"])) != hash(span(["1", "-2", "0"]))
+
+
+def test_builtin_members_hash_apart(qubit, cabello):
+    distinct = {m for structure in (qubit, cabello) for lat in structure.lattices for m in lat.members}
+    assert len({hash(m) for m in distinct}) == len(distinct)
