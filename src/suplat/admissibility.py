@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .contexts import Structure
 from .subspaces import Subspace
-from .valuation import TruthValue, ValuationReport
+from .valuation import Mode, TruthValue, ValuationReport, atom_values
 
 
 class RuleStatus(Enum):
@@ -86,6 +86,17 @@ class AdmissibilityReport:
         return all(c.rule2 is not RuleStatus.VIOLATED for c in self.per_context)
 
 
+def _judge(context: str, values: Sequence[TruthValue]) -> ContextAdmissibility:
+    return ContextAdmissibility(
+        context=context,
+        true_count=sum(1 for v in values if v is TruthValue.TRUE),
+        false_count=sum(1 for v in values if v is TruthValue.FALSE),
+        gap_count=sum(1 for v in values if v is TruthValue.GAP),
+        rule1=rule1_status(values),
+        rule2=rule2_status(values),
+    )
+
+
 def check_admissibility(structure: Structure, report: ValuationReport) -> AdmissibilityReport:
     """Judge both rules for every context of the structure.
 
@@ -102,17 +113,18 @@ def check_admissibility(structure: Structure, report: ValuationReport) -> Admiss
                 raise MissingAtomEntryError(
                     f"no valuation entry for atom {atom.name!r} of context {ctx.name!r}"
                 ) from None
-        rows.append(
-            ContextAdmissibility(
-                context=ctx.name,
-                true_count=sum(1 for v in values if v is TruthValue.TRUE),
-                false_count=sum(1 for v in values if v is TruthValue.FALSE),
-                gap_count=sum(1 for v in values if v is TruthValue.GAP),
-                rule1=rule1_status(values),
-                rule2=rule2_status(values),
-            )
-        )
+        rows.append(_judge(ctx.name, values))
     return AdmissibilityReport(tuple(rows))
+
+
+def admissibility_at(structure: Structure, state, mode: Mode) -> AdmissibilityReport:
+    """Judge both rules at a state from the atom values alone.
+
+    Gives what :func:`check_admissibility` gives on the state's valuation
+    report, without building a lattice.
+    """
+    values = atom_values(structure, state, mode)
+    return AdmissibilityReport(tuple(_judge(c.name, v) for c, v in zip(structure.contexts, values)))
 
 
 def admissibility_to_text(report: AdmissibilityReport) -> str:

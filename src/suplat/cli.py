@@ -13,9 +13,9 @@ import json
 import sys
 
 from .admissibility import (
+    admissibility_at,
     admissibility_to_dict,
     admissibility_to_text,
-    check_admissibility,
     ks_search,
     ks_to_dict,
     ks_to_text,
@@ -43,6 +43,8 @@ def load_structure(path: str) -> Structure:
         except (json.JSONDecodeError, RecursionError) as err:
             # RecursionError: nesting deeper than the decoder's recursion limit.
             raise ValueError(f"{path}: not valid JSON: {err}") from err
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: not valid UTF-8: {err}") from err
     return structure_from_dict(data)
 
 
@@ -167,8 +169,7 @@ def _run_eval(args: argparse.Namespace) -> int:
 
 def _run_admissibility(args: argparse.Namespace) -> int:
     structure = _structure_from_args(args)
-    valuation = evaluate_structure(structure, _parse_state(args.state), Mode(args.mode))
-    report = check_admissibility(structure, valuation)
+    report = admissibility_at(structure, _parse_state(args.state), Mode(args.mode))
     if args.format == STRUCTURED:
         print(json.dumps(admissibility_to_dict(report), indent=2))
     else:

@@ -62,10 +62,32 @@ class Context:
     def dimension(self) -> int:
         return self.atoms[0].dimension
 
+    @cached_property
+    def _range_duals(self) -> tuple:
+        """Per atom, the (column, conjugate) of each nonzero entry of each range basis row."""
+        return tuple(
+            tuple(tuple((j, e.conjugate()) for j, e in enumerate(row) if e) for row in p.range.basis_vectors())
+            for p in self.atoms
+        )
+
     def support(self, s: Subspace) -> int:
-        """Mask of the atoms whose projectors do not annihilate the subspace."""
+        """Mask of the atoms whose projectors do not annihilate the subspace.
+
+        ``P b = 0`` iff b is orthogonal to the range of P, so each basis
+        vector of s is tested against the atom's range basis with
+        Hermitian inner products instead of a matrix-vector product.
+        """
         basis = s.basis_vectors()
-        return sum(1 << i for i, p in enumerate(self.atoms) if any(any(p.matrix.apply(b)) for b in basis))
+        return sum(
+            1 << i for i, duals in enumerate(self._range_duals)
+            if not all(_orthogonal(dual, b) for dual in duals for b in basis)
+        )
+
+
+def _orthogonal(dual, vector) -> bool:
+    """True iff the vector is orthogonal to a range row given as ``_range_duals`` entries."""
+    terms = [c * vector[j] for j, c in dual if vector[j]]
+    return not terms or not sum(terms[1:], terms[0])
 
 
 def validate_context(name: str, projectors) -> Context:
@@ -237,14 +259,25 @@ def normalize_state(structure: Structure, state) -> tuple:
     return v
 
 
+def state_supports(structure: Structure, v) -> list[int]:
+    """Each context's support of the normalized state's ray.
+
+    ``v`` is the orthogonal sum of its projections ``P_i v``, so it lies in
+    the member named by mask m iff its support is a subset of m.
+    """
+    ray = Subspace.span_of([v], structure.ambient_dim)
+    return [c.support(ray) for c in structure.contexts]
+
+
+def allocates(support: int) -> bool:
+    """True iff a state with this (nonzero) support lies in one atom range."""
+    return support & (support - 1) == 0
+
+
 def allocated_lattices(structure: Structure, state) -> list[InvariantLattice]:
     """Lattices whose context has an atom range containing the state."""
-    v = normalize_state(structure, state)
-    return [
-        lat
-        for lat in structure.lattices
-        if any(r.contains_vector(v) for r in lat.atom_ranges)
-    ]
+    supports = state_supports(structure, normalize_state(structure, state))
+    return [lat for lat, support in zip(structure.lattices, supports) if allocates(support)]
 
 
 def structure_to_dict(structure: Structure) -> dict:

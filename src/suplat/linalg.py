@@ -119,10 +119,11 @@ class GaussianRational:
         return bool(self.real) or bool(self.imag)
 
     def __eq__(self, other: object) -> bool:
-        w = self._coerce(other)
-        if w is None:
+        # Plain ints and Fractions are not coerced: they hash differently, so
+        # equal objects would not hash equal.  Arithmetic still coerces them.
+        if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.real == w.real and self.imag == w.imag
+        return self.real == other.real and self.imag == other.imag
 
     def __hash__(self) -> int:
         # hash(-1) == hash(-2) in CPython, so hashing the parts as they are

@@ -6,6 +6,13 @@ invariant mode a nontrivial subspace gets a truth value only if it is a
 member of a lattice allocated by the state (one whose context has an atom
 range containing the state); all other members render as the gap "0/0".
 In Hilbert-sublattice mode every member is bivalent by containment.
+
+Both are read off the state's support in each context: the mask of atoms
+whose projectors do not annihilate it, computed once per call.  The state
+is the orthogonal sum of its projections onto the atoms, so a context is
+allocated iff the support is a single atom, and the state lies in the
+member named by mask m iff the support is a subset of m.  Allocation and
+:func:`evaluate_structure` make no containment test.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .contexts import Structure, allocated_lattices, normalize_state
+from .contexts import Context, Structure, allocates, is_lattice_member, normalize_state, state_supports
 from .linalg import DimensionMismatchError, GaussianRational, format_scalar
 from .subspaces import Subspace
 
@@ -52,43 +59,55 @@ class ValuationReport:
     notes: tuple[str, ...] = ()
 
 
-def _value_of(member: Subspace, state, mode: Mode, certified: set[Subspace]) -> TruthValue:
-    if member.is_zero():
+def _value_of(mask: int, full: int, support: int, bivalent: bool) -> TruthValue:
+    """Value of the member named by ``mask``, where ``full`` names the whole
+    space and ``support`` is the state's support, all in one context."""
+    if not mask:
         return TruthValue.FALSE
-    if member.is_full():
+    if mask == full:
         return TruthValue.TRUE
-    if mode is Mode.HILBERT or member in certified:
-        return TruthValue.TRUE if member.contains_vector(state) else TruthValue.FALSE
-    return TruthValue.GAP
+    if not bivalent:
+        return TruthValue.GAP
+    return TruthValue.TRUE if support & ~mask == 0 else TruthValue.FALSE
+
+
+def _allocated_contexts(structure: Structure, supports: list[int]) -> list[Context]:
+    return [c for c, support in zip(structure.contexts, supports) if allocates(support)]
 
 
 def evaluate(structure: Structure, state, subspace: Subspace, mode: Mode) -> TruthValue:
-    """Truth value of a single subspace proposition at the state."""
+    """Truth value of a single subspace proposition at the state.
+
+    In invariant mode a nontrivial subspace is certified by the membership
+    rule against each allocated context, so no lattice is built.  It need
+    not be a lattice member, so containment is a row reduction.
+    """
     v = normalize_state(structure, state)
     if subspace.ambient_dim != structure.ambient_dim:
         raise DimensionMismatchError(
             f"subspace of C^{subspace.ambient_dim} in a structure on C^{structure.ambient_dim}"
         )
-    certified: set[Subspace] = set()
-    if mode is Mode.INVARIANT and not subspace.is_zero() and not subspace.is_full():
-        for lat in allocated_lattices(structure, v):
-            certified.update(lat.members)
-    return _value_of(subspace, v, mode, certified)
+    if mode is Mode.INVARIANT and 0 < subspace.dim < subspace.ambient_dim and not any(
+        is_lattice_member(subspace, c) for c in _allocated_contexts(structure, state_supports(structure, v))
+    ):
+        return TruthValue.GAP
+    return TruthValue.TRUE if subspace.contains_vector(v) else TruthValue.FALSE
 
 
 def evaluate_structure(structure: Structure, state, mode: Mode) -> ValuationReport:
     """Evaluate every member of every lattice of the structure at the state."""
     v = normalize_state(structure, state)
-    allocated = allocated_lattices(structure, v)
-    certified: set[Subspace] = set()
-    for lat in allocated:
-        certified.update(lat.members)
+    supports = state_supports(structure, v)
+    allocated = [lat for lat, support in zip(structure.lattices, supports) if allocates(support)]
     values: dict[Subspace, TruthValue] = {}
     entries: dict[str, TruthValue] = {}
-    for lat in structure.lattices:
-        for member in lat.members:
+    for lat, support in zip(structure.lattices, supports):
+        full = (1 << len(lat.atom_ranges)) - 1
+        own = mode is Mode.HILBERT or allocates(support)
+        for member, mask in zip(lat.members, lat.masks):
             if member not in values:
-                values[member] = _value_of(member, v, mode, certified)
+                bivalent = own or any(a.has_member(member) for a in allocated)
+                values[member] = _value_of(mask, full, support, bivalent)
             entries[f"{lat.name}.{lat.label(member)}"] = values[member]
     notes: tuple[str, ...] = ()
     if mode is Mode.HILBERT and not any(
@@ -103,6 +122,27 @@ def evaluate_structure(structure: Structure, state, mode: Mode) -> ValuationRepo
         entries=entries,
         notes=notes,
     )
+
+
+def atom_values(structure: Structure, state, mode: Mode) -> list[list[TruthValue]]:
+    """Each context's atom values at the state, in structure and atom order.
+
+    The same rule as :func:`evaluate_structure`, with no lattice built: an
+    atom range is certified iff its own context is allocated or it is a
+    member of an allocated context's lattice.
+    """
+    v = normalize_state(structure, state)
+    supports = state_supports(structure, v)
+    allocated = _allocated_contexts(structure, supports)
+    rows = []
+    for ctx, support in zip(structure.contexts, supports):
+        full = (1 << len(ctx.atoms)) - 1
+        own = mode is Mode.HILBERT or allocates(support)
+        rows.append([
+            _value_of(1 << i, full, support, own or any(is_lattice_member(a.range, c) for c in allocated))
+            for i, a in enumerate(ctx.atoms)
+        ])
+    return rows
 
 
 def format_state(state) -> str:

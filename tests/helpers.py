@@ -6,10 +6,18 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from suplat.contexts import Context, IncompleteSumError, NotOrthogonalError, Structure, validate_context
+from suplat.contexts import (
+    Context,
+    IncompleteSumError,
+    NotOrthogonalError,
+    Structure,
+    normalize_state,
+    validate_context,
+)
 from suplat.linalg import ExactMatrix, GaussianRational
 from suplat.operators import NotHermitianError, NotIdempotentError, projector_onto, range_of, validate_projector
 from suplat.subspaces import Subspace
+from suplat.valuation import Mode, TruthValue, ValuationReport
 
 
 def random_fraction(rng: random.Random, span: int = 4) -> Fraction:
@@ -170,3 +178,39 @@ def reference_context_error(name: str, atoms):
     if total != ExactMatrix.identity(atoms[0].dimension):
         return IncompleteSumError, f"context {name!r}: atoms do not sum to the identity"
     return None
+
+
+def reference_value(member: Subspace, v, mode: Mode, certified: set[Subspace]) -> TruthValue:
+    if member.is_zero():
+        return TruthValue.FALSE
+    if member.is_full():
+        return TruthValue.TRUE
+    if mode is Mode.HILBERT or member in certified:
+        return TruthValue.TRUE if member.contains_vector(v) else TruthValue.FALSE
+    return TruthValue.GAP
+
+
+def reference_report(structure: Structure, state, mode: Mode) -> ValuationReport:
+    """Valuation oracle by row reduction, with no support mask.
+
+    A lattice is allocated when one of its atom ranges contains the state,
+    a member is certified when it is in the set of every allocated
+    lattice's members, and a bivalent member is true when it contains the
+    state.  Atom ranges are recomputed from the projector matrices.
+    """
+    v = normalize_state(structure, state)
+    allocated = [
+        lat for lat in structure.lattices if any(range_of(a).contains_vector(v) for a in lat.context.atoms)
+    ]
+    certified = {m for lat in allocated for m in lat.members}
+    values: dict = {}
+    entries = {}
+    for lat in structure.lattices:
+        for member in lat.members:
+            if member not in values:
+                values[member] = reference_value(member, v, mode, certified)
+            entries[f"{lat.name}.{lat.label(member)}"] = values[member]
+    notes = ()
+    if mode is Mode.HILBERT and not any(val is TruthValue.TRUE for m, val in values.items() if not m.is_full()):
+        notes = ("state lies in no nontrivial member; containment renders them all false",)
+    return ValuationReport(v, mode, tuple(lat.name for lat in allocated), values, entries, notes)

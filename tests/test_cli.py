@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,13 @@ from suplat.cli import build_parser, load_structure, main
 from suplat.contexts import structure_to_dict
 from suplat.datasets import builtin_structure
 from suplat.subspaces import Subspace
+from suplat.valuation import Mode, report_to_text
+
+from helpers import reference_report
+
+
+GOLDEN = Path(__file__).parent / "golden"
+BUILTIN_STATES = (("pauli-qubit", "qubit_state10", "1,0"), ("cabello-3", "cabello_state0001", "0,0,0,1"))
 
 
 def run(capsys, *argv):
@@ -150,6 +158,16 @@ def test_ks_search_runs_past_the_recursion_limit(capsys, tmp_path):
     assert lines[2] == " ".join(f"Sigma_z{i}:2" for i in range(1500))
 
 
+def test_validate_rejects_non_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dimension": 2, "contexts": "\xff"}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+
+
 def test_validate_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(tmp_path / "absent.json"))
     assert code == 1
@@ -278,6 +296,44 @@ def test_admissibility_structured(capsys):
     by_name = {row["context"]: row for row in payload["contexts"]}
     assert by_name["Sigma_x"]["true"] == 1
     assert by_name["Sigma_z"]["no_true_atom"] is True
+
+
+def test_admissibility_builds_no_lattice(capsys, tmp_path, monkeypatch):
+    # built-ins are cached with their lattices, so load fresh copies from files
+    paths = {}
+    for name, _, _ in BUILTIN_STATES:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(structure_to_dict(builtin_structure(name))))
+
+    def refuse(context):
+        raise AssertionError(f"lattice of {context.name} built")
+
+    monkeypatch.setattr(contexts, "InvariantLattice", refuse)
+    for name, stem, state in BUILTIN_STATES:
+        for mode in ("invariant", "hilbert"):
+            code, out, err = run(capsys, "admissibility", str(paths[name]), "--state", state, "--mode", mode)
+            assert (code, err) == (0, "")
+            assert out == (GOLDEN / f"{stem}_admissibility_{mode}.txt").read_text(encoding="utf-8")
+
+
+def test_eval_makes_no_containment_row_reduction(capsys, monkeypatch):
+    expected = {
+        (name, mode): report_to_text(reference_report(builtin_structure(name), state.split(","), Mode(mode)))
+        for name, _, state in BUILTIN_STATES
+        for mode in ("invariant", "hilbert")
+    }
+
+    def refuse(self, vector):
+        raise AssertionError("contains_vector called")
+
+    monkeypatch.setattr(Subspace, "contains_vector", refuse)
+    for name, stem, state in BUILTIN_STATES:
+        for mode in ("invariant", "hilbert"):
+            code, out, err = run(capsys, "eval", "--dataset", name, "--state", state, "--mode", mode)
+            assert (code, err) == (0, "")
+            assert out == expected[name, mode]
+            if name == "pauli-qubit":
+                assert out == (GOLDEN / f"{stem}_{mode}.txt").read_text(encoding="utf-8")
 
 
 def test_ks_search_text_deterministic(capsys):

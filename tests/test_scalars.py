@@ -154,3 +154,16 @@ def test_hash_agrees_with_equality_and_separates_minus_one_and_two():
     assert hash(GaussianRational(Fraction(2, 4), -3)) == hash(GaussianRational(Fraction(1, 2), -3))
     assert hash(GaussianRational(-1)) != hash(GaussianRational(-2))
     assert hash(GaussianRational(0, -1)) != hash(GaussianRational(0, -2))
+
+
+def test_only_scalars_compare_equal_so_equal_objects_hash_equal():
+    # arithmetic coerces ints and Fractions, equality does not
+    for plain in (3, Fraction(3), Fraction(-1, 2), 0):
+        z = GaussianRational(plain)
+        assert z != plain and plain != z
+        assert z == as_scalar(plain) and hash(z) == hash(as_scalar(plain))
+    assert {3: "int"}.get(GaussianRational(3)) is None
+    assert {GaussianRational(3): "scalar"}.get(3) is None
+    assert GaussianRational(1) + 2 == GaussianRational(3)
+    assert 2 * GaussianRational(0, 1) == GaussianRational(0, 2)
+    assert hash(GaussianRational(-1)) != hash(GaussianRational(-2))

@@ -6,7 +6,10 @@ import random
 
 import pytest
 
-from suplat.contexts import ZeroStateError
+from suplat import contexts
+from suplat.admissibility import admissibility_at, check_admissibility
+from suplat.contexts import ZeroStateError, allocated_lattices, structure_from_dict, structure_to_dict
+from suplat.datasets import builtin_structure
 from suplat.linalg import DimensionMismatchError, GaussianRational
 from suplat.operators import kernel_of, range_of
 from suplat.subspaces import Subspace
@@ -19,7 +22,7 @@ from suplat.valuation import (
     report_to_text,
 )
 
-from helpers import random_state
+from helpers import random_scalar, random_state, random_structure, reference_report
 
 E4 = ["0", "0", "0", "1"]
 
@@ -174,3 +177,61 @@ def test_states_with_complex_parts(qubit):
     assert report.entries["Sigma_y.1"] is TruthValue.TRUE
     assert report.entries["Sigma_y.2"] is TruthValue.FALSE
     assert report.entries["Sigma_z.1"] is TruthValue.GAP
+
+
+def _differential_states(rng, structure):
+    """Atom rays, sums of two rays, and random (complex) vectors."""
+    rays = [b for ctx in structure.contexts for a in ctx.atoms for b in a.range.basis_vectors()]
+    states = rng.sample(rays, 2)
+    for u, w in (rng.sample(rays, 2) for _ in range(2)):
+        states.append(tuple(x + y for x, y in zip(u, w)))
+    states.append(random_state(rng, structure.ambient_dim))
+    states.append(tuple(random_scalar(rng) for _ in range(structure.ambient_dim)))
+    return [s for s in states if any(s)]
+
+
+def test_support_valuation_matches_row_reduction_oracle(qubit, cabello):
+    # rank-1 and rank-2 atoms, shared and unshared, in both modes
+    rng = random.Random(20140309)
+    structures = [qubit, cabello] + [random_structure(rng, rng.randint(2, 4)) for _ in range(16)]
+    cross_certified = 0
+    for structure in structures:
+        for state in _differential_states(rng, structure):
+            for mode in Mode:
+                expected = reference_report(structure, state, mode)
+                report = evaluate_structure(structure, state, mode)
+                assert report_to_text(report) == report_to_text(expected)
+                assert report.values == expected.values
+                assert [lat.name for lat in allocated_lattices(structure, state)] == list(expected.allocated)
+                for member, value in expected.values.items():
+                    assert evaluate(structure, state, member, mode) is value
+                assert admissibility_at(structure, state, mode) == check_admissibility(structure, expected)
+                if mode is Mode.INVARIANT:
+                    # bivalent nontrivial members of an unallocated lattice,
+                    # certified through another lattice
+                    cross_certified += sum(
+                        expected.entries[f"{lat.name}.{lat.label(m)}"] is not TruthValue.GAP
+                        for lat in structure.lattices if lat.name not in expected.allocated
+                        for m in lat.members if not m.is_zero() and not m.is_full()
+                    )
+    assert cross_certified >= 5
+
+
+def test_evaluate_builds_no_lattice(monkeypatch):
+    structure = structure_from_dict(structure_to_dict(builtin_structure("cabello-3")))
+
+    def refuse(context):
+        raise AssertionError(f"lattice of {context.name} built")
+
+    monkeypatch.setattr(contexts, "InvariantLattice", refuse)
+    s1, s2, s6 = structure.contexts
+    k64 = kernel_of(s6.atoms[3])
+    cases = [
+        (range_of(s1.atoms[0]), TruthValue.TRUE, TruthValue.TRUE),
+        (range_of(s2.atoms[1]), TruthValue.FALSE, TruthValue.FALSE),
+        (range_of(s6.atoms[1]), TruthValue.GAP, TruthValue.FALSE),
+        (k64, TruthValue.GAP, TruthValue.TRUE),
+    ]
+    for subspace, invariant, hilbert in cases:
+        assert evaluate(structure, E4, subspace, Mode.INVARIANT) is invariant
+        assert evaluate(structure, E4, subspace, Mode.HILBERT) is hilbert
