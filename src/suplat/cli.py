@@ -55,8 +55,13 @@ def _structure_from_args(args: argparse.Namespace) -> Structure:
 
 
 def _parse_state(text: str) -> tuple:
-    parts = text.split(",")
-    return tuple(parse_scalar(part.strip()) for part in parts)
+    state = []
+    for number, part in enumerate(text.split(","), start=1):
+        try:
+            state.append(parse_scalar(part.strip()))
+        except ValueError as err:
+            raise ValueError(f"--state component {number}: {err}") from err
+    return tuple(state)
 
 
 def _add_source_arguments(parser: argparse.ArgumentParser) -> None:

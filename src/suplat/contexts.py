@@ -180,11 +180,6 @@ class InvariantLattice:
         return [self.label(m) for m in self.members]
 
 
-def invariant_lattice(context: Context) -> InvariantLattice:
-    """Enumerate the subset-sum lattice of the context."""
-    return InvariantLattice(context)
-
-
 def is_lattice_member(s: Subspace, context: Context) -> bool:
     """True iff the subspace is a member of the context's atom-sum lattice.
 

@@ -1,114 +1,67 @@
-"""Built-in example structures.
+"""Built-in example structures, each a table of named rays.
 
-``pauli-qubit``: the three spin contexts of a qubit, each splitting C^2
-into a pair of orthogonal rays.
+Every atom is the rank-1 projector onto its ray, built exactly by
+:func:`projector_onto`, and :func:`validate_context` checks each context,
+so a mistyped ray fails at load time.
 
-``cabello-3``: three intertwined four-atom contexts in C^4 drawn from the
-eighteen-vector Kochen-Specker family; the first two share their first
-atom, the third is unconnected to either at the atom level.
+``pauli-qubit``: the z, x and y spin contexts of a qubit.
+
+``cabello-3``: bases 1, 2 and 6 of the eighteen-ray Kochen-Specker set of
+Cabello, Estebaranz and García-Alcaine (Phys. Lett. A 212, 183, 1996).
+S1 and S2 share their first atom; S6 shares no atom with either.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .contexts import Context, Structure, validate_context
-from .linalg import ExactMatrix
-from .operators import validate_projector
+from .contexts import Structure, validate_context
+from .operators import projector_onto
+from .subspaces import Subspace
 
 PAULI_QUBIT = "pauli-qubit"
 CABELLO_3 = "cabello-3"
+
+# dataset -> ((context, ((atom, ray), ...)), ...); ray entries are ints or scalar literals
+_TABLES = {
+    PAULI_QUBIT: (
+        ("Sigma_z", (("z+", (1, 0)), ("z-", (0, 1)))),
+        ("Sigma_x", (("x+", (1, 1)), ("x-", (1, -1)))),
+        ("Sigma_y", (("y+", (1, "i")), ("y-", (1, "-i")))),
+    ),
+    CABELLO_3: (
+        ("S1", (("P1", (0, 0, 0, 1)), ("P2", (0, 0, 1, 0)), ("P3", (1, 1, 0, 0)), ("P4", (1, -1, 0, 0)))),
+        ("S2", (("P1", (0, 0, 0, 1)), ("P2", (0, 1, 0, 0)), ("P3", (1, 0, 1, 0)), ("P4", (1, 0, -1, 0)))),
+        ("S6", (("P1", (1, -1, -1, 1)), ("P2", (1, 1, 1, 1)), ("P3", (1, 0, 0, -1)), ("P4", (0, 1, -1, 0)))),
+    ),
+}
 
 
 class UnknownDatasetError(ValueError):
     pass
 
 
-def _context(name: str, atoms: list[tuple[str, list[list[str]]]]) -> Context:
-    return validate_context(
-        name,
-        [validate_projector(ExactMatrix.from_rows(rows), name=atom_name) for atom_name, rows in atoms],
-    )
-
-
-@lru_cache(maxsize=None)
-def _pauli_qubit() -> Structure:
-    sigma_z = _context(
-        "Sigma_z",
-        [
-            ("z+", [["1", "0"], ["0", "0"]]),
-            ("z-", [["0", "0"], ["0", "1"]]),
-        ],
-    )
-    sigma_x = _context(
-        "Sigma_x",
-        [
-            ("x+", [["1/2", "1/2"], ["1/2", "1/2"]]),
-            ("x-", [["1/2", "-1/2"], ["-1/2", "1/2"]]),
-        ],
-    )
-    sigma_y = _context(
-        "Sigma_y",
-        [
-            ("y+", [["1/2", "-1/2i"], ["1/2i", "1/2"]]),
-            ("y-", [["1/2", "1/2i"], ["-1/2i", "1/2"]]),
-        ],
-    )
-    return Structure([sigma_z, sigma_x, sigma_y])
-
-
-@lru_cache(maxsize=None)
-def _cabello_3() -> Structure:
-    s1 = _context(
-        "S1",
-        [
-            ("P1", [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "1"]]),
-            ("P2", [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "0"]]),
-            ("P3", [["1/2", "1/2", "0", "0"], ["1/2", "1/2", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]),
-            ("P4", [["1/2", "-1/2", "0", "0"], ["-1/2", "1/2", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]),
-        ],
-    )
-    s2 = _context(
-        "S2",
-        [
-            ("P1", [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "1"]]),
-            ("P2", [["0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]),
-            ("P3", [["1/2", "0", "1/2", "0"], ["0", "0", "0", "0"], ["1/2", "0", "1/2", "0"], ["0", "0", "0", "0"]]),
-            ("P4", [["1/2", "0", "-1/2", "0"], ["0", "0", "0", "0"], ["-1/2", "0", "1/2", "0"], ["0", "0", "0", "0"]]),
-        ],
-    )
-    s6 = _context(
-        "S6",
-        [
-            ("P1", [["1/4", "-1/4", "-1/4", "1/4"], ["-1/4", "1/4", "1/4", "-1/4"], ["-1/4", "1/4", "1/4", "-1/4"], ["1/4", "-1/4", "-1/4", "1/4"]]),
-            ("P2", [["1/4", "1/4", "1/4", "1/4"], ["1/4", "1/4", "1/4", "1/4"], ["1/4", "1/4", "1/4", "1/4"], ["1/4", "1/4", "1/4", "1/4"]]),
-            ("P3", [["1/2", "0", "0", "-1/2"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["-1/2", "0", "0", "1/2"]]),
-            ("P4", [["0", "0", "0", "0"], ["0", "1/2", "-1/2", "0"], ["0", "-1/2", "1/2", "0"], ["0", "0", "0", "0"]]),
-        ],
-    )
-    return Structure([s1, s2, s6])
-
-
-_BUILDERS = {
-    PAULI_QUBIT: _pauli_qubit,
-    CABELLO_3: _cabello_3,
-}
-
-
 def dataset_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
+    return tuple(_TABLES)
 
 
+@lru_cache(maxsize=None)
 def builtin_structure(name: str) -> Structure:
-    """Return a built-in structure by name.
+    """Return a built-in structure by name, built once per process.
 
     Raises:
         UnknownDatasetError: the name is not one of :func:`dataset_names`.
     """
     try:
-        builder = _BUILDERS[name]
+        table = _TABLES[name]
     except KeyError:
         raise UnknownDatasetError(
-            f"unknown dataset {name!r}; available: {', '.join(_BUILDERS)}"
+            f"unknown dataset {name!r}; available: {', '.join(_TABLES)}"
         ) from None
-    return builder()
+    return Structure([
+        validate_context(
+            context,
+            [projector_onto(Subspace.span_of([ray], len(ray)), name=atom) for atom, ray in atoms],
+        )
+        for context, atoms in table
+    ])

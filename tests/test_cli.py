@@ -51,6 +51,13 @@ def test_datasets_export_round_trips(capsys, tmp_path):
     assert structure_to_dict(loaded) == structure_to_dict(builtin_structure("cabello-3"))
 
 
+@pytest.mark.parametrize("name", ["pauli-qubit", "cabello-3"])
+def test_datasets_export_matches_golden(capsys, name):
+    code, out, err = run(capsys, "datasets", "export", name)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}_export.json").read_text(encoding="utf-8")
+
+
 def test_datasets_export_needs_name(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["datasets", "export"])
@@ -239,7 +246,12 @@ def test_eval_rejects_bad_state(capsys):
         capsys, "eval", "--dataset", "pauli-qubit", "--state", "1,oops", "--mode", "invariant"
     )
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith("error: --state component 2:")
+    code, out, err = run(
+        capsys, "eval", "--dataset", "pauli-qubit", "--state", "1,,0", "--mode", "invariant"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --state component 2: expected imaginary unit 'i' (position 0 in '')\n"
 
 
 def test_eval_rejects_zero_state(capsys):

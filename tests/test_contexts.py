@@ -10,13 +10,13 @@ from suplat.contexts import (
     ContextError,
     DuplicateAtomNameError,
     IncompleteSumError,
+    InvariantLattice,
     NotOrthogonalError,
     Structure,
     StructureError,
     TrivialAtomError,
     ZeroStateError,
     allocated_lattices,
-    invariant_lattice,
     is_lattice_member,
     shared_members,
     validate_context,
@@ -98,7 +98,7 @@ def test_invariant_lattice_rank2_atoms():
     bottom = validate_projector(ExactMatrix.from_rows(
         [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
     ), name="34")
-    lattice = invariant_lattice(validate_context("split", [top, bottom]))
+    lattice = InvariantLattice(validate_context("split", [top, bottom]))
     assert len(lattice.members) == 4
     # lexicographic basis order puts span{e3,e4} before span{e1,e2}
     assert lattice.labels() == ["0", "2", "1", "1+2"]
@@ -154,12 +154,12 @@ def test_membership_rule_is_the_atom_sum_lattice():
     split = validate_context("split", [named(diag(1, 1, 0), "12"), named(diag(0, 0, 1), "3")])
     assert all(is_invariant(e1, p) for p in split.atoms)
     assert not is_lattice_member(e1, split)
-    assert not invariant_lattice(split).has_member(e1)
+    assert not InvariantLattice(split).has_member(e1)
     rng = random.Random(20180906)
     seen = set()
     for case in range(30):
         context = random_context(rng, rng.randint(2, 4), f"C{case}")
-        lattice = invariant_lattice(context)
+        lattice = InvariantLattice(context)
         rank1 = all(p.rank == 1 for p in context.atoms)
         candidates = list(lattice.members) + [random_subspace(rng, context.dimension) for _ in range(4)]
         for member in rng.sample(lattice.members[1:], 3):  # spans of vectors inside members
