@@ -8,9 +8,10 @@ false is not judged further but flagged, since nothing forces a true
 atom onto it.
 
 The coloring search looks for assignments of 1/0 to atom ranges with
-exactly one true atom per context.  It numbers the distinct canonical
-range subspaces once, so atoms shared between contexts get one number
-and are forced to agree; the search itself runs on those numbers.
+exactly one true atom per context, and names each by the index of the
+true atom in every context.  It numbers the distinct canonical range
+subspaces once, so atoms shared between contexts get one number and are
+forced to agree; the search itself runs on those numbers.
 """
 
 from __future__ import annotations
@@ -163,31 +164,14 @@ def admissibility_to_dict(report: AdmissibilityReport) -> dict:
     }
 
 
-@dataclass(frozen=True, eq=False)
-class KsAssignment:
-    """One bivalent coloring: exactly one true atom range per context.
-
-    ``chosen`` holds the 0-based index of the true atom per context, in
-    structure order.  ``ranges`` lists the distinct atom ranges in order
-    of first appearance (one tuple shared by every solution of a search)
-    and ``bits`` the 1 or 0 of each.
-    """
-
-    chosen: tuple[int, ...]
-    ranges: tuple[Subspace, ...]
-    bits: tuple[int, ...]
-
-    @property
-    def values(self) -> dict[Subspace, int]:
-        """Each distinct atom range mapped to 1 or 0, in ``ranges`` order."""
-        return dict(zip(self.ranges, self.bits))
-
-
-def ks_search(structure: Structure) -> list[KsAssignment]:
+def ks_search(structure: Structure) -> list[tuple[int, ...]]:
     """All colorings, found by depth-first search in deterministic order.
 
-    Contexts are processed in structure order and atoms in context order,
-    so the result list is stable; counts are independent of either order.
+    Each coloring is the tuple of the 0-based index of the true atom in
+    each context, in structure order; the other atoms are false, and an
+    atom range shared between contexts gets one value.  Contexts are
+    processed in structure order and atoms in context order, so the
+    result list is stable; counts are independent of either order.
     The distinct atom ranges are numbered once; the search then works on
     one array of range values (-1 while unset) and undoes, on backtrack,
     the entries the abandoned choice set.  It keeps its own stack, so the
@@ -197,16 +181,15 @@ def ks_search(structure: Structure) -> list[KsAssignment]:
     contexts = [
         [index.setdefault(atom.range, len(index)) for atom in ctx.atoms] for ctx in structure.contexts
     ]
-    ranges = tuple(index)
-    value = [-1] * len(ranges)
+    value = [-1] * len(index)
     depth = len(contexts)
     chosen = [-1] * depth
     set_by = [[] for _ in range(depth)]  # ranges that the choice at each depth set
-    solutions: list[KsAssignment] = []
+    solutions: list[tuple[int, ...]] = []
     ci = 0
     while ci >= 0:
         if ci == depth:
-            solutions.append(KsAssignment(tuple(chosen), ranges, tuple(value)))
+            solutions.append(tuple(chosen))
             ci -= 1
             continue
         newly = set_by[ci]
@@ -245,30 +228,20 @@ def _pick(numbers: list[int], ai: int, value: list[int], newly: list[int]) -> bo
     return True
 
 
-def _atom_labels(structure: Structure) -> list[list[str]]:
-    """``name:i`` for each atom of each context, with 1-based ``i``."""
-    return [[f"{ctx.name}:{i + 1}" for i in range(len(ctx.atoms))] for ctx in structure.contexts]
-
-
-def ks_assignment_line(structure: Structure, assignment: KsAssignment) -> str:
-    """Render a coloring as ``S1:1 S2:1`` with 1-based atom indices."""
-    return " ".join([names[i] for names, i in zip(_atom_labels(structure), assignment.chosen)])
-
-
-def ks_to_text(structure: Structure, solutions: Sequence[KsAssignment]) -> str:
-    """``solutions: N``, then one :func:`ks_assignment_line` per coloring;
-    the labels are built once for all of them."""
-    labels = _atom_labels(structure)
+def ks_to_text(structure: Structure, solutions: Sequence[tuple[int, ...]]) -> str:
+    """``solutions: N``, then one line such as ``S1:1 S2:1`` per coloring,
+    with 1-based atom indices; the labels are built once for all of them."""
+    labels = [[f"{ctx.name}:{i + 1}" for i in range(len(ctx.atoms))] for ctx in structure.contexts]
     lines = [f"solutions: {len(solutions)}"]
-    lines.extend(" ".join([names[i] for names, i in zip(labels, sol.chosen)]) for sol in solutions)
+    lines.extend(" ".join([names[i] for names, i in zip(labels, chosen)]) for chosen in solutions)
     return "\n".join(lines) + "\n"
 
 
-def ks_to_dict(structure: Structure, solutions: Sequence[KsAssignment]) -> dict:
+def ks_to_dict(structure: Structure, solutions: Sequence[tuple[int, ...]]) -> dict:
     return {
         "count": len(solutions),
         "solutions": [
-            {ctx.name: index + 1 for ctx, index in zip(structure.contexts, sol.chosen)}
-            for sol in solutions
+            {ctx.name: index + 1 for ctx, index in zip(structure.contexts, chosen)}
+            for chosen in solutions
         ],
     }

@@ -119,8 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_hasse.add_argument("-o", "--output", help="write DOT here instead of stdout")
 
     p_data = sub.add_parser("datasets", help="list or export built-in datasets")
-    p_data.add_argument("action", choices=["list", "export"])
-    p_data.add_argument("name", nargs="?", help="dataset name (export only)")
+    data_sub = p_data.add_subparsers(dest="action", required=True)
+    data_sub.add_parser("list", help="print the built-in dataset names")
+    p_export = data_sub.add_parser("export", help="print a built-in dataset as structure JSON")
+    p_export.add_argument("name", help="dataset name")
 
     return parser
 
@@ -205,13 +207,11 @@ def _run_hasse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_datasets(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _run_datasets(args: argparse.Namespace) -> int:
     if args.action == "list":
         for name in dataset_names():
             print(name)
         return 0
-    if args.name is None:
-        parser.error("datasets export needs a dataset name")
     structure = builtin_structure(args.name)
     print(json.dumps(structure_to_dict(structure), indent=2))
     return 0
@@ -224,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return _run_validate(args)
         if args.command == "datasets":
-            return _run_datasets(parser, args)
+            return _run_datasets(args)
         _require_source(parser, args)
         handler = {
             "lattice": _run_lattice,

@@ -178,6 +178,8 @@ def parse_scalar(text: str) -> GaussianRational:
         ScalarSyntaxError: malformed literal, with the failing position.
         ZeroDenominatorError: a rational written with denominator zero.
     """
+    if not text:
+        raise ScalarSyntaxError(text, 0, "empty literal")
     real = Fraction(0)
     rat, pos = _read_rational(text, 0)
     if rat is None:

@@ -10,7 +10,6 @@ single echelon reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import (
     DimensionMismatchError,

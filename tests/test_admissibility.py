@@ -21,7 +21,6 @@ from suplat.admissibility import (
     admissibility_to_dict,
     admissibility_to_text,
     check_admissibility,
-    ks_assignment_line,
     ks_search,
     ks_to_text,
     rule1_status,
@@ -128,8 +127,8 @@ def test_ks_search_single_context(qubit):
     single = Structure([qubit.contexts[0]])
     solutions = ks_search(single)
     assert len(solutions) == 2
-    assert [s.chosen for s in solutions] == [(0,), (1,)]
-    assert ks_assignment_line(single, solutions[0]) == "Sigma_z:1"
+    assert solutions == [(0,), (1,)]
+    assert ks_to_text(single, solutions) == "solutions: 2\nSigma_z:1\nSigma_z:2\n"
 
 
 def test_ks_search_shared_atom_counts(cabello):
@@ -138,7 +137,7 @@ def test_ks_search_shared_atom_counts(cabello):
     assert len(solutions) == brute_force_coloring_count(pair) == 10
     # whenever one context picks the shared first atom the other must too
     for sol in solutions:
-        assert (sol.chosen[0] == 0) == (sol.chosen[1] == 0)
+        assert (sol[0] == 0) == (sol[1] == 0)
     full = ks_search(cabello)
     assert len(full) == brute_force_coloring_count(cabello) == 40
 
@@ -167,15 +166,17 @@ def test_ks_search_prunes_conflicts():
     assert len(solutions) == brute_force_coloring_count(structure) == 6
     for sol in solutions:
         # shared atoms a1, a2 are the first two in both contexts
-        first_shared = sol.chosen[0] if sol.chosen[0] < 2 else None
-        second_shared = sol.chosen[1] if sol.chosen[1] < 2 else None
+        first_shared = sol[0] if sol[0] < 2 else None
+        second_shared = sol[1] if sol[1] < 2 else None
         assert first_shared == second_shared
 
 
 def test_ks_solutions_are_admissible(cabello):
+    range_lists = atom_range_lists(cabello)
     for sol in ks_search(cabello):
+        bits = forced_coloring(range_lists, sol)
         for lat in cabello.lattices:
-            values = [T if sol.values[r] == 1 else F for r in lat.atom_ranges]
+            values = [T if bits[r] == 1 else F for r in lat.atom_ranges]
             assert rule1_status(values) is RuleStatus.SATISFIED
             assert rule2_status(values) in (RuleStatus.SATISFIED, RuleStatus.VACUOUS)
 
@@ -192,8 +193,7 @@ def test_ks_text_output(cabello):
 
 
 def test_ks_search_matches_brute_force_in_order(qubit, cabello):
-    # same choice tuples in itertools.product order, and each coloring
-    # maps the same atom ranges to the same bits in first-seen order
+    # the same choice tuples, in itertools.product order
     rng = random.Random(20181006)
     structures = [qubit, cabello]
     for _ in range(30):
@@ -205,12 +205,7 @@ def test_ks_search_matches_brute_force_in_order(qubit, cabello):
     pruned = 0
     for structure in structures:
         expected = brute_force_colorings(structure)
-        solutions = ks_search(structure)
-        assert [s.chosen for s in solutions] == expected
-        range_lists = atom_range_lists(structure)
-        for sol in solutions:
-            assert sol.ranges is solutions[0].ranges
-            assert list(sol.values.items()) == list(forced_coloring(range_lists, sol.chosen).items())
+        assert ks_search(structure) == expected
         pruned += len(expected) < prod(len(ctx.atoms) for ctx in structure.contexts)
     assert pruned >= 20
 

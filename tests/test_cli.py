@@ -64,6 +64,13 @@ def test_datasets_export_needs_name(capsys):
     assert exc.value.code == 2
 
 
+def test_datasets_list_takes_no_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["datasets", "list", "cabello-3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_dataset_fails_cleanly(capsys):
     code, out, err = run(capsys, "lattice", "--dataset", "nonesuch")
     assert code == 1
@@ -99,6 +106,16 @@ def test_validate_locates_bad_literal(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 1
     assert "contexts[0].projectors[1].matrix[1][0]" in err
+
+
+def test_validate_names_empty_literal(capsys, tmp_path):
+    data = structure_to_dict(builtin_structure("pauli-qubit"))
+    data["contexts"][0]["projectors"][0]["matrix"][0][1] = ""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: contexts[0].projectors[0].matrix[0][1]: empty literal (position 0 in '')\n"
 
 
 def test_validate_rejects_non_json(capsys, tmp_path):
@@ -251,7 +268,7 @@ def test_eval_rejects_bad_state(capsys):
         capsys, "eval", "--dataset", "pauli-qubit", "--state", "1,,0", "--mode", "invariant"
     )
     assert (code, out) == (1, "")
-    assert err == "error: --state component 2: expected imaginary unit 'i' (position 0 in '')\n"
+    assert err == "error: --state component 2: empty literal (position 0 in '')\n"
 
 
 def test_eval_rejects_zero_state(capsys):
@@ -357,6 +374,14 @@ def test_ks_search_text_deterministic(capsys):
     assert lines[1] == "S1:1 S2:1 S6:1"
     code, second, _ = run(capsys, "ks-search", "--dataset", "cabello-3")
     assert first == second
+
+
+@pytest.mark.parametrize("name", ["pauli-qubit", "cabello-3"])
+@pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("structured", "json")])
+def test_ks_search_matches_golden(capsys, name, fmt, suffix):
+    code, out, err = run(capsys, "ks-search", "--dataset", name, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}_ks_search.{suffix}").read_text(encoding="utf-8")
 
 
 def test_ks_search_structured(capsys):
