@@ -10,8 +10,9 @@ atom onto it.
 The coloring search looks for assignments of 1/0 to atom ranges with
 exactly one true atom per context, and names each by the index of the
 true atom in every context.  It numbers the distinct canonical range
-subspaces once, so atoms shared between contexts get one number and are
-forced to agree; the search itself runs on those numbers.
+subspaces once, so atoms shared between contexts get one bit and are
+forced to agree; the search itself runs on two masks of those bits per
+depth, the ranges set true and the ranges set false.
 """
 
 from __future__ import annotations
@@ -172,19 +173,24 @@ def ks_search(structure: Structure) -> list[tuple[int, ...]]:
     atom range shared between contexts gets one value.  Contexts are
     processed in structure order and atoms in context order, so the
     result list is stable; counts are independent of either order.
-    The distinct atom ranges are numbered once; the search then works on
-    one array of range values (-1 while unset) and undoes, on backtrack,
-    the entries the abandoned choice set.  It keeps its own stack, so the
-    number of contexts is not bounded by the recursion limit.
+    The distinct atom ranges are numbered once and each atom becomes the
+    bit of its range.  The state at depth ``ci`` is two masks: the ranges
+    set true and those set false by the choices in the contexts before
+    ``ci``.  Atom bit ``b`` of a context with mask ``m`` can be chosen iff
+    ``b`` is not false and no other bit of ``m`` is true; the next depth
+    then holds ``true | b`` and ``false | m ^ b``, so backtracking restores
+    nothing.  The search keeps its own stack, so the number of contexts is
+    not bounded by the recursion limit.
     """
     index: dict[Subspace, int] = {}
     contexts = [
-        [index.setdefault(atom.range, len(index)) for atom in ctx.atoms] for ctx in structure.contexts
+        [1 << index.setdefault(atom.range, len(index)) for atom in ctx.atoms] for ctx in structure.contexts
     ]
-    value = [-1] * len(index)
+    masks = [sum(bits) for bits in contexts]  # the context laws make a context's bits distinct
     depth = len(contexts)
     chosen = [-1] * depth
-    set_by = [[] for _ in range(depth)]  # ranges that the choice at each depth set
+    true = [0] * (depth + 1)
+    false = [0] * (depth + 1)
     solutions: list[tuple[int, ...]] = []
     ci = 0
     while ci >= 0:
@@ -192,40 +198,19 @@ def ks_search(structure: Structure) -> list[tuple[int, ...]]:
             solutions.append(tuple(chosen))
             ci -= 1
             continue
-        newly = set_by[ci]
-        for r in newly:
-            value[r] = -1
-        newly.clear()
-        numbers = contexts[ci]
+        bits, mask, t, f = contexts[ci], masks[ci], true[ci], false[ci]
         ai = chosen[ci] + 1
-        while ai < len(numbers) and not _pick(numbers, ai, value, newly):
+        while ai < len(bits) and (bits[ai] & f or (mask ^ bits[ai]) & t):
             ai += 1
-        if ai < len(numbers):
+        if ai < len(bits):
             chosen[ci] = ai
+            true[ci + 1] = t | bits[ai]
+            false[ci + 1] = f | (mask ^ bits[ai])
             ci += 1
         else:
             chosen[ci] = -1
             ci -= 1
     return solutions
-
-
-def _pick(numbers: list[int], ai: int, value: list[int], newly: list[int]) -> bool:
-    """Make atom ``ai`` of a context true and its other atoms false.
-
-    Unset ranges are set and recorded in ``newly``.  On a conflict with a
-    range already set, the ones just set are unset again and the pick fails.
-    """
-    for aj, r in enumerate(numbers):
-        want = 1 if aj == ai else 0
-        if value[r] == -1:
-            value[r] = want
-            newly.append(r)
-        elif value[r] != want:
-            for s in newly:
-                value[s] = -1
-            newly.clear()
-            return False
-    return True
 
 
 def ks_to_text(structure: Structure, solutions: Sequence[tuple[int, ...]]) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .admissibility import (
     admissibility_at,
@@ -127,6 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses; parsing leaves no state in it."""
+    return build_parser()
+
+
 def _require_source(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if (args.file is None) == (args.dataset is None):
         parser.error("provide exactly one structure source: a file or --dataset")
@@ -141,12 +148,13 @@ def _run_validate(args: argparse.Namespace) -> int:
 
 def _run_lattice(args: argparse.Namespace) -> int:
     structure = _structure_from_args(args)
-    lattices = structure.lattices
     if args.context is not None:
-        found = structure.find_lattice(args.context)
-        if found is None:
+        # Only the named context's lattice is enumerated.
+        found = [c for c in structure.contexts if c.name == args.context]
+        if not found:
             raise ValueError(f"unknown context {args.context!r}")
-        lattices = (found,)
+        structure = Structure(found)
+    lattices = structure.lattices
     if args.format == STRUCTURED:
         payload = {
             lat.name: [
@@ -218,7 +226,7 @@ def _run_datasets(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":

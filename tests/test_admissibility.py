@@ -28,7 +28,7 @@ from suplat.admissibility import (
 )
 from suplat.contexts import Structure, validate_context
 from suplat.linalg import ExactMatrix
-from suplat.operators import validate_projector
+from suplat.operators import projector_onto, validate_projector
 from suplat.subspaces import Subspace
 from suplat.valuation import Mode, TruthValue, evaluate_structure
 
@@ -223,3 +223,35 @@ def test_ks_search_compares_no_subspaces_after_numbering(cabello, monkeypatch):
     monkeypatch.setattr(Subspace, "__eq__", counting)
     assert len(ks_search(cabello)) == 40
     assert len(calls) <= sum(len(ctx.atoms) for ctx in cabello.contexts)
+
+
+# The eighteen rays of Cabello, Estebaranz and Garcia-Alcaine (Phys. Lett. A
+# 212, 183, 1996) as nine orthogonal bases of C^4; each ray lies in two bases.
+CABELLO_18 = (
+    ((0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0), (1, -1, 0, 0)),
+    ((0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0)),
+    ((1, -1, 1, -1), (1, -1, -1, 1), (1, 1, 0, 0), (0, 0, 1, 1)),
+    ((1, -1, 1, -1), (1, 1, 1, 1), (1, 0, -1, 0), (0, 1, 0, -1)),
+    ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 1), (1, 0, 0, -1)),
+    ((1, -1, -1, 1), (1, 1, 1, 1), (1, 0, 0, -1), (0, 1, -1, 0)),
+    ((1, 1, -1, 1), (1, 1, 1, -1), (1, -1, 0, 0), (0, 0, 1, 1)),
+    ((1, 1, -1, 1), (-1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 0, -1)),
+    ((1, 1, 1, -1), (-1, 1, 1, 1), (1, 0, 0, 1), (0, 1, -1, 0)),
+)
+
+
+def test_ks_search_finds_no_coloring_of_cabello_18(cabello):
+    contexts = [
+        validate_context(
+            f"C{i + 1}",
+            [projector_onto(Subspace.span_of([ray], 4), name=f"P{j + 1}") for j, ray in enumerate(basis)],
+        )
+        for i, basis in enumerate(CABELLO_18)
+    ]
+    # a coloring would make nine atoms true, one per basis, yet count each true ray twice
+    assert ks_search(Structure(contexts)) == []
+    for dropped in range(len(contexts)):
+        assert len(ks_search(Structure(contexts[:dropped] + contexts[dropped + 1 :]))) == 26
+    assert [[a.matrix for a in contexts[i].atoms] for i in (0, 1, 5)] == [
+        [a.matrix for a in c.atoms] for c in cabello.contexts
+    ]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from suplat import contexts
+from suplat import cli, contexts
 from suplat.cli import build_parser, load_structure, main
 from suplat.contexts import structure_to_dict
 from suplat.datasets import builtin_structure
@@ -221,6 +221,28 @@ def test_lattice_unknown_context(capsys):
     code, _, err = run(capsys, "lattice", "--dataset", "pauli-qubit", "--context", "Sigma_w")
     assert code == 1
     assert "unknown context 'Sigma_w'" in err
+
+
+def test_lattice_context_builds_only_that_lattice(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "cabello.json"
+    path.write_text(json.dumps(structure_to_dict(builtin_structure("cabello-3"))))
+    _, full_text, _ = run(capsys, "lattice", str(path))
+    _, full_json, _ = run(capsys, "lattice", str(path), "--format", "structured")
+    original = contexts.InvariantLattice
+
+    def only_s6(context):
+        assert context.name == "S6", f"lattice of {context.name} built"
+        return original(context)
+
+    monkeypatch.setattr(contexts, "InvariantLattice", only_s6)
+    code, out, err = run(capsys, "lattice", str(path), "--context", "S6")
+    assert (code, err) == (0, "")
+    assert out == full_text[full_text.index("lattice S6:"):]
+    code, out, err = run(capsys, "lattice", str(path), "--context", "S6", "--format", "structured")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"S6": json.loads(full_json)["S6"]}
+    code, out, err = run(capsys, "lattice", str(path), "--context", "S9")
+    assert (code, out, err) == (1, "", "error: unknown context 'S9'\n")
 
 
 def test_eval_text(capsys, qubit_file):
@@ -526,3 +548,33 @@ def test_command_required(capsys):
 
 def test_parser_prog_name():
     assert build_parser().prog == "suplat"
+    assert build_parser() is not build_parser()
+
+
+def test_main_builds_one_parser_and_leaks_no_option(capsys, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    code, out, err = run(capsys, "ks-search", "--dataset", "pauli-qubit", "--format", "structured")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "pauli-qubit_ks_search.json").read_text(encoding="utf-8")
+    code, out, err = run(capsys, "admissibility", "--dataset", "pauli-qubit", "--state", "1,0", "--mode", "hilbert")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "qubit_state10_admissibility_hilbert.txt").read_text(encoding="utf-8")
+    code, out, err = run(capsys, "ks-search", "--dataset", "cabello-3")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "cabello-3_ks_search.txt").read_text(encoding="utf-8")
+    # --state and --mode of the admissibility call must not carry over
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--dataset", "pauli-qubit"])
+    assert exc.value.code == 2
+    assert "--state" in capsys.readouterr().err
+    code, out, err = run(capsys, "eval", "--dataset", "pauli-qubit", "--state", "1,0", "--mode", "invariant")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "qubit_state10_invariant.txt").read_text(encoding="utf-8")
+    assert len(built) == 1
