@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .linalg import DimensionMismatchError, ExactMatrix, as_scalar, format_scalar, parse_scalar
 from .operators import Projector, validate_projector
-from .subspaces import Subspace
+from .subspaces import Subspace, _sort_order
 
 
 class ContextError(ValueError):
@@ -152,7 +152,7 @@ class InvariantLattice:
         for mask in range(1, 1 << len(self.atom_ranges)):
             top = mask.bit_length() - 1
             sums.append(sums[mask ^ (1 << top)].join(self.atom_ranges[top]))
-        self.masks: tuple[int, ...] = tuple(sorted(range(len(sums)), key=lambda m: sums[m].sort_key()))
+        self.masks: tuple[int, ...] = tuple(_sort_order(sums))
         self.members: tuple[Subspace, ...] = tuple(sums[m] for m in self.masks)
         self._index = {m: i for i, m in enumerate(self.members)}
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .contexts import Structure
-from .subspaces import Subspace
+from .subspaces import Subspace, _sort_order
 from .valuation import TruthValue, ValuationReport
 
 WHOLE_STRUCTURE_SCOPE = "all"
@@ -97,7 +97,8 @@ def build_graph(structure: Structure, report: ValuationReport, scope: str) -> Ha
         for member, mask in zip(lat.members, lat.masks):
             first.setdefault(member, (lat, mask))
     nodes, supports = [], []
-    for member in sorted(first, key=lambda m: m.sort_key()):
+    unsorted = list(first)
+    for member in [unsorted[i] for i in _sort_order(unsorted)]:
         try:
             truth = report.values[member]
         except KeyError:

@@ -1,15 +1,17 @@
 """Exact arithmetic over the Gaussian rationals, plus dense exact matrices.
 
-Scalars are complex numbers whose real and imaginary parts are
-arbitrary-precision rationals.  Everything downstream (echelon forms,
-ranks, null spaces) is computed exactly, so canonical forms are unique
-and equality is structural.  No tolerances anywhere.
+A scalar is a Gaussian rational ``(a + b*i) / d`` held as three
+arbitrary-precision ints in lowest terms.  Everything downstream (echelon
+forms, ranks, null spaces) is computed exactly, so canonical forms are
+unique and equality is structural.  No tolerances anywhere.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 
 
 class ScalarError(ValueError):
@@ -38,19 +40,32 @@ class SingularMatrixError(ValueError):
 
 
 class GaussianRational:
-    """Immutable complex scalar ``real + imag*i`` with Fraction parts.
+    """Immutable complex scalar ``(a + b*i) / d`` held as three ints.
 
-    Fraction keeps both parts in lowest terms with positive denominators,
-    so equal scalars always have identical representations.
+    The triple is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so equal
+    scalars always have identical representations.  Each of ``+ - * /``
+    and ``inverse`` costs a few int products and one ``math.gcd``;
+    negation and conjugation need none.  ``real`` and ``imag`` are
+    read-only Fraction views for callers that want the parts.
     """
 
-    __slots__ = ("real", "imag")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, real: int | Fraction = 0, imag: int | Fraction = 0) -> None:
-        if isinstance(real, float) or isinstance(imag, float):
-            raise TypeError("floating point parts are not exact; use int or Fraction")
-        self.real = Fraction(real)
-        self.imag = Fraction(imag)
+        if not isinstance(real, Rational) or not isinstance(imag, Rational):
+            raise TypeError("parts must be int or Fraction; floating point parts are not exact")
+        q, s = real.denominator, imag.denominator
+        a, b, d = real.numerator * s, imag.numerator * q, q * s
+        g = gcd(a, b, d)
+        self._a, self._b, self._d = a // g, b // g, d // g
+
+    @property
+    def real(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def imag(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def _coerce(value: object) -> GaussianRational | None:
@@ -61,18 +76,34 @@ class GaussianRational:
         return None
 
     def __add__(self, other: object) -> GaussianRational:
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return GaussianRational(self.real + w.real, self.imag + w.imag)
+        if type(other) is not GaussianRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        c, e, f = other._a, other._b, other._d
+        if not (c or e):
+            return self
+        a, b, d = self._a, self._b, self._d
+        if not (a or b):
+            return other
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> GaussianRational:
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return GaussianRational(self.real - w.real, self.imag - w.imag)
+        if type(other) is not GaussianRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        c, e, f = other._a, other._b, other._d
+        if not (c or e):
+            return self
+        a, b, d = self._a, self._b, self._d
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other: object) -> GaussianRational:
         w = self._coerce(other)
@@ -81,21 +112,29 @@ class GaussianRational:
         return w - self
 
     def __mul__(self, other: object) -> GaussianRational:
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return GaussianRational(
-            self.real * w.real - self.imag * w.imag,
-            self.real * w.imag + self.imag * w.real,
-        )
+        if type(other) is not GaussianRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._a, self._b
+        c, e = other._a, other._b
+        if not (a or b) or not (c or e):
+            return _ZERO
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> GaussianRational:
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return self * w.inverse()
+        if type(other) is not GaussianRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        c, e, f = other._a, other._b, other._d
+        if not (c or e):
+            raise ZeroDivisionError("division by the zero scalar")
+        a, b = self._a, self._b
+        return _reduced(f * (a * c + b * e), f * (b * c - a * e), self._d * (c * c + e * e))
 
     def __rtruediv__(self, other: object) -> GaussianRational:
         w = self._coerce(other)
@@ -104,36 +143,36 @@ class GaussianRational:
         return w * self.inverse()
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.real, -self.imag)
+        return _triple(-self._a, -self._b, self._d)
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.real, -self.imag)
+        return _triple(self._a, -self._b, self._d)
 
     def inverse(self) -> GaussianRational:
-        norm = self.real * self.real + self.imag * self.imag
-        if norm == 0:
+        # d / (a + bi) = d (a - bi) / (a^2 + b^2)
+        a, b, d = self._a, self._b, self._d
+        if not (a or b):
             raise ZeroDivisionError("zero scalar has no inverse")
-        return GaussianRational(self.real / norm, -self.imag / norm)
+        return _reduced(d * a, -d * b, a * a + b * b)
 
     def __bool__(self) -> bool:
-        return bool(self.real) or bool(self.imag)
+        return bool(self._a or self._b)
 
     def __eq__(self, other: object) -> bool:
         # Plain ints and Fractions are not coerced: they hash differently, so
         # equal objects would not hash equal.  Arithmetic still coerces them.
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.real == other.real and self.imag == other.imag
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        # hash(-1) == hash(-2) in CPython, so hashing the parts as they are
-        # makes span{(1,-1,0)} and span{(1,-2,0)} collide; doubled numerators
-        # are never -1.
-        re, im = self.real, self.imag
-        return hash((2 * re.numerator, re.denominator, 2 * im.numerator, im.denominator))
+        # hash(-1) == hash(-2) in CPython, so hashing the numerators as they
+        # are makes span{(1,-1,0)} and span{(1,-2,0)} collide; doubled
+        # numerators are never -1.
+        return hash((2 * self._a, 2 * self._b, self._d))
 
     def sort_key(self) -> tuple[Fraction, Fraction]:
-        """Deterministic total order used only for canonical sorting."""
+        """Deterministic total order: real part, then imaginary part."""
         return (self.real, self.imag)
 
     def __str__(self) -> str:
@@ -143,36 +182,57 @@ class GaussianRational:
         return f"GaussianRational({self.real}, {self.imag})"
 
 
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar ``(a + b*i) / d`` from a triple that is already canonical."""
+    z = _new(GaussianRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar ``(a + b*i) / d`` for ``d > 0``, brought to lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    z = _new(GaussianRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
-def _read_rational(text: str, pos: int) -> tuple[Fraction | None, int]:
+def _read_rational(text: str, pos: int) -> tuple[int, int, int] | None:
+    """Numerator, denominator and end of a rational at ``pos``, or None."""
     m = _RATIONAL_RE.match(text, pos)
     if m is None:
-        return None, pos
-    if m.group(2) is not None:
-        den = int(m.group(2))
-        if den == 0:
-            raise ZeroDenominatorError(text, m.start(2), "zero denominator")
-        return Fraction(int(m.group(1)), den), m.end()
-    return Fraction(int(m.group(1))), m.end()
+        return None
+    if m.group(2) is None:
+        return int(m.group(1)), 1, m.end()
+    den = int(m.group(2))
+    if den == 0:
+        raise ZeroDenominatorError(text, m.start(2), "zero denominator")
+    return int(m.group(1)), den, m.end()
 
 
-def _read_imag_tail(text: str, pos: int) -> tuple[Fraction, int]:
+def _read_imag_tail(text: str, pos: int) -> tuple[int, int, int]:
     # imaginary part: optional rational coefficient, then the unit "i"
-    coeff, p = _read_rational(text, pos)
-    if coeff is None:
-        coeff = Fraction(1)
+    rat = _read_rational(text, pos)
+    num, den, p = (1, 1, pos) if rat is None else rat
     if p >= len(text) or text[p] != "i":
         raise ScalarSyntaxError(text, p, "expected imaginary unit 'i'")
-    return coeff, p + 1
+    return num, den, p + 1
 
 
 def parse_scalar(text: str) -> GaussianRational:
     """Parse a literal like ``-1``, ``2/3``, ``i``, ``-1/2i`` or ``1/2-1/2i``.
 
     Accepts any grammatical form (for example unreduced ``2/4``); the
-    canonical renderer is :func:`format_scalar`.
+    canonical renderer is :func:`format_scalar`.  One sign joins the real
+    and imaginary parts, so ``1+-2i`` is malformed rather than ``1-2i``.
 
     Raises:
         ScalarSyntaxError: malformed literal, with the failing position.
@@ -180,48 +240,68 @@ def parse_scalar(text: str) -> GaussianRational:
     """
     if not text:
         raise ScalarSyntaxError(text, 0, "empty literal")
-    real = Fraction(0)
-    rat, pos = _read_rational(text, 0)
+    # real part p/q, imaginary part r/s
+    p, q, r, s = 0, 1, 0, 1
+    rat = _read_rational(text, 0)
     if rat is None:
         if text.startswith("-i"):
-            imag, pos = Fraction(-1), 2
+            r, pos = -1, 2
         else:
-            imag, pos = _read_imag_tail(text, 0)
-    elif pos < len(text) and text[pos] == "i":
-        imag, pos = rat, pos + 1
-    elif pos < len(text) and text[pos] in "+-":
-        real = rat
-        sign = -1 if text[pos] == "-" else 1
-        coeff, pos = _read_imag_tail(text, pos + 1)
-        imag = sign * coeff
+            r, s, pos = _read_imag_tail(text, 0)
     else:
-        imag = Fraction(0)
-        real = rat
+        num, den, pos = rat
+        after = text[pos : pos + 1]
+        if after == "i":
+            r, s, pos = num, den, pos + 1
+        else:
+            p, q = num, den
+            if after in ("+", "-"):
+                if text[pos + 1 : pos + 2] in ("+", "-"):
+                    raise ScalarSyntaxError(text, pos + 1, "sign after sign")
+                r, s, pos = _read_imag_tail(text, pos + 1)
+                if after == "-":
+                    r = -r
     if pos != len(text):
         raise ScalarSyntaxError(text, pos, "unexpected trailing characters")
-    return GaussianRational(real, imag)
+    return _reduced(p * s, r * q, q * s)
 
 
-def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _format_rational(num: int, den: int) -> str:
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 def format_scalar(value: GaussianRational) -> str:
     """Render the unique canonical literal; inverse of :func:`parse_scalar`."""
-    if value.imag == 0:
-        return format_rational(value.real)
-    if value.imag == 1:
+    a, b, d = value._a, value._b, value._d
+    if b == 0:
+        return _format_rational(a, d)
+    if b == d:
         imag = "i"
-    elif value.imag == -1:
+    elif b == -d:
         imag = "-i"
     else:
-        imag = format_rational(value.imag) + "i"
-    if value.real == 0:
+        imag = _format_rational(b, d) + "i"
+    if a == 0:
         return imag
-    sep = "" if value.imag < 0 else "+"
-    return format_rational(value.real) + sep + imag
+    sep = "" if b < 0 else "+"
+    return _format_rational(a, d) + sep + imag
+
+
+def _integer_entry_keys(matrices) -> list[tuple[int, ...]]:
+    """Each matrix's entries as the ints ``a*L/d, b*L/d``, row by row.
+
+    ``L`` is the lcm of every denominator in the set.  Scaling by one
+    positive L keeps the order of real parts and of imaginary parts, so
+    among matrices of one shape these keys sort as the entries'
+    ``sort_key`` tuples do, with no Fraction built or compared.
+    """
+    dens = {e._d for m in matrices for e in m.entries}
+    common = lcm(*dens)
+    scale = {d: common // d for d in dens}
+    return [tuple([x for e in m.entries for x in (e._a * scale[e._d], e._b * scale[e._d])]) for m in matrices]
 
 
 def as_scalar(value: object) -> GaussianRational:
@@ -237,6 +317,7 @@ def as_scalar(value: object) -> GaussianRational:
 
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
+_SCALAR_TYPE = {GaussianRational}
 
 
 class ExactMatrix:
@@ -247,7 +328,10 @@ class ExactMatrix:
     def __init__(self, rows: int, cols: int, entries) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        flat = tuple(as_scalar(e) for e in entries)
+        flat = tuple(entries)
+        # Checking types in C is cheaper than calling as_scalar on each entry.
+        if not set(map(type, flat)) <= _SCALAR_TYPE:
+            flat = tuple(map(as_scalar, flat))
         if len(flat) != rows * cols:
             raise DimensionMismatchError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(flat)}"

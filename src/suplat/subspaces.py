@@ -10,11 +10,13 @@ single echelon reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .linalg import (
     DimensionMismatchError,
     ExactMatrix,
     GaussianRational,
+    _integer_entry_keys,
     as_scalar,
     format_scalar,
 )
@@ -119,7 +121,11 @@ class Subspace:
         return self.orthocomplement().join(other.orthocomplement()).orthocomplement()
 
     def sort_key(self):
-        """Deterministic ordering: dimension first, then basis entries."""
+        """Deterministic ordering: dimension first, then basis entries.
+
+        Lattices and Hasse nodes get the same order from the integer keys
+        of :func:`_sort_order`.
+        """
         return (
             self.dim,
             tuple(e.sort_key() for e in self.basis.entries),
@@ -132,3 +138,9 @@ class Subspace:
             "(" + ", ".join(format_scalar(e) for e in row) + ")" for row in self.basis.row_list()
         )
         return "span{" + rows + "}"
+
+
+def _sort_order(subspaces: Sequence[Subspace]) -> list[int]:
+    """Indices that sort the subspaces as :meth:`Subspace.sort_key` does."""
+    keys = _integer_entry_keys([s.basis for s in subspaces])
+    return sorted(range(len(keys)), key=lambda i: (subspaces[i].dim, keys[i]))

@@ -20,6 +20,78 @@ from suplat.subspaces import Subspace
 from suplat.valuation import Mode, TruthValue, ValuationReport
 
 
+class ReferenceScalar:
+    """The Fraction-pair Gaussian rational the integer kernel replaced: the
+    oracle for its arithmetic, equality, hash contract and literals."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int | Fraction = 0, imag: int | Fraction = 0) -> None:
+        self.real = Fraction(real)
+        self.imag = Fraction(imag)
+
+    def __add__(self, w: ReferenceScalar) -> ReferenceScalar:
+        return ReferenceScalar(self.real + w.real, self.imag + w.imag)
+
+    def __sub__(self, w: ReferenceScalar) -> ReferenceScalar:
+        return ReferenceScalar(self.real - w.real, self.imag - w.imag)
+
+    def __mul__(self, w: ReferenceScalar) -> ReferenceScalar:
+        return ReferenceScalar(
+            self.real * w.real - self.imag * w.imag,
+            self.real * w.imag + self.imag * w.real,
+        )
+
+    def __truediv__(self, w: ReferenceScalar) -> ReferenceScalar:
+        return self * w.inverse()
+
+    def __neg__(self) -> ReferenceScalar:
+        return ReferenceScalar(-self.real, -self.imag)
+
+    def conjugate(self) -> ReferenceScalar:
+        return ReferenceScalar(self.real, -self.imag)
+
+    def inverse(self) -> ReferenceScalar:
+        norm = self.real * self.real + self.imag * self.imag
+        if norm == 0:
+            raise ZeroDivisionError("zero scalar has no inverse")
+        return ReferenceScalar(self.real / norm, -self.imag / norm)
+
+    def __bool__(self) -> bool:
+        return bool(self.real) or bool(self.imag)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReferenceScalar):
+            return NotImplemented
+        return self.real == other.real and self.imag == other.imag
+
+    def __hash__(self) -> int:
+        re, im = self.real, self.imag
+        return hash((2 * re.numerator, re.denominator, 2 * im.numerator, im.denominator))
+
+
+def _reference_rational(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def reference_format(value: ReferenceScalar) -> str:
+    """The canonical literal, rendered from the Fraction parts."""
+    if value.imag == 0:
+        return _reference_rational(value.real)
+    if value.imag == 1:
+        imag = "i"
+    elif value.imag == -1:
+        imag = "-i"
+    else:
+        imag = _reference_rational(value.imag) + "i"
+    if value.real == 0:
+        return imag
+    sep = "" if value.imag < 0 else "+"
+    return _reference_rational(value.real) + sep + imag
+
+
 def random_fraction(rng: random.Random, span: int = 4) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 

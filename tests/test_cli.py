@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fractions
 import json
 import re
 from pathlib import Path
@@ -116,6 +117,28 @@ def test_validate_names_empty_literal(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(path))
     assert (code, out) == (1, "")
     assert err == "error: contexts[0].projectors[0].matrix[0][1]: empty literal (position 0 in '')\n"
+
+
+@pytest.mark.parametrize("literal", ["1/2+-1/2i", "1/2--1/2i", "1/2+-i"])
+def test_validate_rejects_sign_after_sign(capsys, tmp_path, literal):
+    data = structure_to_dict(builtin_structure("pauli-qubit"))
+    data["contexts"][2]["projectors"][0]["matrix"][0][1] = literal
+    path = tmp_path / "signs.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: contexts[2].projectors[0].matrix[0][1]: sign after sign (position 4 in {literal!r})\n"
+
+
+@pytest.mark.parametrize("component", ["1+-2i", "1--2i", "1+-i"])
+@pytest.mark.parametrize("command", ["eval", "admissibility", "hasse"])
+def test_state_rejects_sign_after_sign(capsys, command, component):
+    extra = ["--scope", "all"] if command == "hasse" else []
+    code, out, err = run(
+        capsys, command, "--dataset", "pauli-qubit", "--state", f"0,{component}", "--mode", "invariant", *extra
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: --state component 2: sign after sign (position 2 in {component!r})\n"
 
 
 def test_validate_rejects_non_json(capsys, tmp_path):
@@ -433,6 +456,50 @@ def test_hasse_stdout(capsys):
     assert out.startswith('digraph "Sigma_z" {')
     assert out.endswith("}\n")
     assert out.count("->") == 4
+
+
+# rotated-4.json is structure_to_dict(random_structure(random.Random(3), 4)):
+# contexts A, B, C on C^4 with dense complex entries over mixed denominators,
+# two atoms shared by A and B, and a rank-2 atom in C.
+ROTATED = str(GOLDEN / "rotated-4.json")
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["lattice", ROTATED], "rotated-4_lattice.txt"),
+        (["lattice", ROTATED, "--format", "structured"], "rotated-4_lattice.json"),
+        (["hasse", ROTATED, "--state", "1,-2+2i,-1/2+2i,1/2+i", "--mode", "invariant", "--scope", "all"],
+         "rotated-4_hasse_all.dot"),
+    ],
+    ids=["lattice-text", "lattice-structured", "hasse-all"],
+)
+def test_rotated_structure_matches_golden(capsys, argv, golden):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_lattice_and_eval_construct_no_fraction(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "cabello.json"
+    path.write_text(json.dumps(structure_to_dict(builtin_structure("cabello-3"))))
+    made = []
+    original = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    # Every Fraction(...) call goes through __new__; src builds none.
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    assert fractions.Fraction(1, 2) and made == [(1, 2)]
+    made.clear()
+    for argv in (["lattice", str(path)], ["lattice", str(path), "--format", "structured"],
+                 ["eval", str(path), "--state", "0,0,0,1", "--mode", "invariant"],
+                 ["eval", str(path), "--state", "1,1/2,-i,0", "--mode", "hilbert", "--format", "structured"]):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+    assert made == []
 
 
 def test_hasse_output_file(capsys, tmp_path):

@@ -25,7 +25,7 @@ from suplat.linalg import DimensionMismatchError, ExactMatrix
 from suplat.operators import is_invariant, kernel_of, range_of, validate_projector
 from suplat.subspaces import Subspace
 
-from helpers import random_context, random_matrix, random_subspace
+from helpers import random_context, random_matrix, random_structure, random_subspace
 
 
 def diag(*entries):
@@ -102,6 +102,19 @@ def test_invariant_lattice_rank2_atoms():
     assert len(lattice.members) == 4
     # lexicographic basis order puts span{e3,e4} before span{e1,e2}
     assert lattice.labels() == ["0", "2", "1", "1+2"]
+
+
+def test_lattice_members_in_sort_key_order():
+    # the lattice sorts on integer keys; Subspace.sort_key is the Fraction oracle
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(12):
+        structure = random_structure(rng, rng.randint(2, 4))
+        for lattice in structure.lattices:
+            seen.update(f"rank {p.rank}" for p in lattice.context.atoms)
+            members = list(lattice.members)
+            assert members == sorted(members, key=lambda m: m.sort_key())
+    assert {"rank 1", "rank 2"} <= seen
 
 
 def test_lattice_closed_under_operations(qubit, cabello):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,7 +17,7 @@ from suplat.linalg import (
     parse_scalar,
 )
 
-from helpers import random_nonzero_scalar, random_scalar
+from helpers import ReferenceScalar, random_nonzero_scalar, random_scalar, reference_format
 
 
 @pytest.mark.parametrize(
@@ -100,6 +101,18 @@ def test_syntax_errors_report_position(text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text,position",
+    [("1+-2i", 2), ("1--2i", 2), ("1+-i", 2), ("1--i", 2), ("1-+2i", 2), ("1++i", 2), ("1/2+-1/2i", 4)],
+)
+def test_second_sign_is_a_syntax_error(text, position):
+    # "1+-2i" once read as 1-2i and "1--2i" as 1+2i
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar(text)
+    assert err.value.position == position
+    assert str(err.value) == f"sign after sign (position {position} in {text!r})"
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDenominatorError) as err:
         parse_scalar("1/0")
@@ -167,3 +180,57 @@ def test_only_scalars_compare_equal_so_equal_objects_hash_equal():
     assert GaussianRational(1) + 2 == GaussianRational(3)
     assert 2 * GaussianRational(0, 1) == GaussianRational(0, 2)
     assert hash(GaussianRational(-1)) != hash(GaussianRational(-2))
+
+
+def _reference_pool(rng: random.Random) -> list[ReferenceScalar]:
+    """Zero, the four units, and random scalars with small, mixed and ~10^30 parts."""
+    big = 10**30
+
+    def part(kind: str) -> Fraction:
+        if kind == "small":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if kind == "huge":
+            return Fraction(rng.choice((-1, 1)) * (big + rng.randint(-999, 999)), rng.choice((1, 7, big - rng.randint(1, 999))))
+        return Fraction(rng.randint(-big, big), rng.randint(1, big))
+
+    pool = [ReferenceScalar(0), ReferenceScalar(1), ReferenceScalar(-1), ReferenceScalar(0, 1), ReferenceScalar(0, -1)]
+    for _ in range(30):
+        pool.append(ReferenceScalar(part(rng.choice(("small", "huge", "wide"))), part(rng.choice(("small", "huge", "wide")))))
+    pool += [ReferenceScalar(z.real) for z in pool[5:10]] + [ReferenceScalar(0, z.imag) for z in pool[10:15]]
+    return pool
+
+
+def _agrees(z: GaussianRational, ref: ReferenceScalar) -> None:
+    """z is canonical, equals the reference, and hashes and prints as it should."""
+    assert z._d > 0 and gcd(z._a, z._b, z._d) == 1
+    assert (z.real, z.imag) == (ref.real, ref.imag)
+    rebuilt = GaussianRational(ref.real, ref.imag)
+    assert z == rebuilt and hash(z) == hash(rebuilt)
+    text = format_scalar(z)
+    assert text == reference_format(ref)
+    assert parse_scalar(text) == z
+
+
+def test_integer_kernel_matches_fraction_pair_reference():
+    rng = random.Random(20181004)
+    refs = _reference_pool(rng)
+    ours = [GaussianRational(r.real, r.imag) for r in refs]
+    for z, r in zip(ours, refs):
+        _agrees(z, r)
+        _agrees(-z, -r)
+        _agrees(z.conjugate(), r.conjugate())
+        if r:
+            _agrees(z.inverse(), r.inverse())
+        plain = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        _agrees(z + plain, r + ReferenceScalar(plain))
+        _agrees(plain - z, ReferenceScalar(plain) - r)
+        _agrees(z * 3, r * ReferenceScalar(3))
+    for x, rx in zip(ours, refs):
+        for y, ry in zip(ours, refs):
+            _agrees(x + y, rx + ry)
+            _agrees(x - y, rx - ry)
+            _agrees(x * y, rx * ry)
+            if ry:
+                _agrees(x / y, rx / ry)
+            assert (x == y) == (rx == ry)
+            assert x != y or hash(x) == hash(y)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from suplat.linalg import DimensionMismatchError, ExactMatrix
-from suplat.subspaces import Subspace
+from suplat.subspaces import Subspace, _sort_order
 
 from helpers import random_invertible, random_state, random_subspace
 
@@ -150,6 +150,23 @@ def test_sort_key_orders_by_dimension_first():
     ordered = sorted(items, key=lambda s: s.sort_key())
     assert [s.dim for s in ordered] == [0, 1, 1, 2]
     assert ordered[1] == span(["0", "1"])
+
+
+def test_integer_sort_order_matches_sort_key():
+    rng = random.Random(1996)
+    kinds = set()
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        # spans up to 9 mix denominators; repeats check that ties keep input order
+        items = [random_subspace(rng, n, span=rng.choice((1, 2, 9))) for _ in range(rng.randint(0, 12))]
+        items += rng.sample(items, min(2, len(items)))
+        kinds.update(f"dim {s.dim}" for s in items)
+        kinds.update("complex" for s in items for e in s.basis.entries if e.imag)
+        kinds.update("fraction" for s in items for e in s.basis.entries if e.real.denominator > 1)
+        expected = sorted(range(len(items)), key=lambda i: items[i].sort_key())
+        assert _sort_order(items) == expected
+    assert {"dim 1", "dim 2", "complex", "fraction"} <= kinds
+    assert _sort_order([]) == []
 
 
 def test_str_rendering():
