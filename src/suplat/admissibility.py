@@ -35,10 +35,6 @@ class RuleStatus(Enum):
         return self.value
 
 
-class MissingAtomEntryError(ValueError):
-    """The valuation report lacks an entry for some atom of the structure."""
-
-
 def rule1_status(values: Sequence[TruthValue]) -> RuleStatus:
     trues = sum(1 for v in values if v is TruthValue.TRUE)
     gaps = sum(1 for v in values if v is TruthValue.GAP)
@@ -99,24 +95,15 @@ def _judge(context: str, values: Sequence[TruthValue]) -> ContextAdmissibility:
     )
 
 
-def check_admissibility(structure: Structure, report: ValuationReport) -> AdmissibilityReport:
-    """Judge both rules for every context of the structure.
+def check_admissibility(report: ValuationReport) -> AdmissibilityReport:
+    """Judge both rules for every context of the report's structure.
 
-    Atom truth values are looked up by canonical range subspace in the
-    report; a miss means the report belongs to a different structure.
+    Atom i of a context is read from the report as ``<context>.<i>``.
     """
-    rows = []
-    for ctx in structure.contexts:
-        values = []
-        for atom in ctx.atoms:
-            try:
-                values.append(report.values[atom.range])
-            except KeyError:
-                raise MissingAtomEntryError(
-                    f"no valuation entry for atom {atom.name!r} of context {ctx.name!r}"
-                ) from None
-        rows.append(_judge(ctx.name, values))
-    return AdmissibilityReport(tuple(rows))
+    return AdmissibilityReport(tuple(
+        _judge(ctx.name, [report.entries[f"{ctx.name}.{i}"] for i in range(1, len(ctx.atoms) + 1)])
+        for ctx in report.structure.contexts
+    ))
 
 
 def admissibility_at(structure: Structure, state, mode: Mode) -> AdmissibilityReport:

@@ -158,8 +158,8 @@ def _run_lattice(args: argparse.Namespace) -> int:
     if args.format == STRUCTURED:
         payload = {
             lat.name: [
-                {"label": lat.label(m), "dim": m.dim, "basis": m.basis_literals()}
-                for m in lat.members
+                {"label": label, "dim": m.dim, "basis": m.basis_literals()}
+                for m, label in zip(lat.members, lat.labels())
             ]
             for lat in lattices
         }
@@ -167,8 +167,8 @@ def _run_lattice(args: argparse.Namespace) -> int:
         return 0
     for lat in lattices:
         print(f"lattice {lat.name}: {len(lat.members)} members")
-        for member in lat.members:
-            print(f"  {lat.label(member)} = {member}")
+        for member, label in zip(lat.members, lat.labels()):
+            print(f"  {label} = {member}")
     return 0
 
 
@@ -206,7 +206,7 @@ def _run_hasse(args: argparse.Namespace) -> int:
     structure = _structure_from_args(args)
     report = evaluate_structure(structure, _parse_state(args.state), Mode(args.mode))
     # Render fully before touching the output file so failures leave nothing behind.
-    dot = emit_dot(structure, report, args.scope)
+    dot = emit_dot(report, args.scope)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(dot)

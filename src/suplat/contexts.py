@@ -154,7 +154,11 @@ class InvariantLattice:
             sums.append(sums[mask ^ (1 << top)].join(self.atom_ranges[top]))
         self.masks: tuple[int, ...] = tuple(_sort_order(sums))
         self.members: tuple[Subspace, ...] = tuple(sums[m] for m in self.masks)
-        self._index = {m: i for i, m in enumerate(self.members)}
+
+    @cached_property
+    def _index(self) -> dict[Subspace, int]:
+        """Position of each member, hashed on the first lookup by subspace."""
+        return {m: i for i, m in enumerate(self.members)}
 
     @property
     def name(self) -> str:
@@ -171,13 +175,16 @@ class InvariantLattice:
 
     def label(self, member: Subspace) -> str:
         """Atom-set label of a member: \"0\" for the zero subspace, else \"1+2+3\"."""
-        mask = self.masks[self._index[member]]
-        if not mask:
-            return "0"
-        return "+".join(str(i + 1) for i in range(len(self.atom_ranges)) if mask >> i & 1)
+        return _mask_label(self.masks[self._index[member]])
 
     def labels(self) -> list[str]:
-        return [self.label(m) for m in self.members]
+        """Every member's label, in member order."""
+        return [_mask_label(m) for m in self.masks]
+
+
+def _mask_label(mask: int) -> str:
+    """Label of the member named by an atom mask, with 1-based atom numbers."""
+    return "+".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1) or "0"
 
 
 def is_lattice_member(s: Subspace, context: Context) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .contexts import Structure
+from .contexts import _mask_label
 from .subspaces import Subspace, _sort_order
 from .valuation import TruthValue, ValuationReport
 
@@ -30,10 +30,6 @@ WHOLE_STRUCTURE_SCOPE = "all"
 
 class UnknownScopeError(ValueError):
     """The scope names no context of the structure."""
-
-
-class MissingValuationError(ValueError):
-    """The report has no value for a member in scope."""
 
 
 @dataclass(frozen=True)
@@ -75,8 +71,9 @@ def transitive_reduction(members: Sequence[Subspace]) -> list[tuple[int, int]]:
     ])
 
 
-def build_graph(structure: Structure, report: ValuationReport, scope: str) -> HasseGraph:
+def build_graph(report: ValuationReport, scope: str) -> HasseGraph:
     """Assemble the node and edge lists for one lattice or the whole structure."""
+    structure = report.structure
     if scope == WHOLE_STRUCTURE_SCOPE:
         lattices = structure.lattices
     else:
@@ -99,13 +96,6 @@ def build_graph(structure: Structure, report: ValuationReport, scope: str) -> Ha
     nodes, supports = [], []
     unsorted = list(first)
     for member in [unsorted[i] for i in _sort_order(unsorted)]:
-        try:
-            truth = report.values[member]
-        except KeyError:
-            raise MissingValuationError(
-                "the valuation report has no entry for a member in scope; "
-                "it was produced for a different structure"
-            ) from None
         lat, mask = first[member]
         support = 0
         for i in range(len(lat.atom_ranges)):
@@ -113,13 +103,13 @@ def build_graph(structure: Structure, report: ValuationReport, scope: str) -> Ha
                 support |= atom_supports[lat, i]
         supports.append(support)
         memberships = tuple(f"{o.name}:{o.label(member)}" for o in structure.lattices if o.has_member(member))
-        label = lat.label(member)
+        label = _mask_label(mask)
         nodes.append(
             HasseNode(
                 node_id=f"{lat.name}.{label}",
                 subspace=member,
                 label=label,
-                truth=truth,
+                truth=report.entries[f"{lat.name}.{label}"],
                 shared=len(memberships) >= 2 and not member.is_zero() and not member.is_full(),
                 memberships=memberships,
             )
@@ -168,14 +158,14 @@ def render_dot(graph: HasseGraph, name: str, cluster: str | None = None,
     return "\n".join(lines) + "\n"
 
 
-def emit_dot(structure: Structure, report: ValuationReport, scope: str) -> str:
+def emit_dot(report: ValuationReport, scope: str) -> str:
     """DOT rendering of one context's lattice or of the merged structure.
 
     Per-context scope wraps the nodes in a labelled cluster; the whole
     structure scope merges shared subspaces into single nodes and
     annotates each node with its per-lattice names in a tooltip.
     """
-    graph = build_graph(structure, report, scope)
+    graph = build_graph(report, scope)
     if scope == WHOLE_STRUCTURE_SCOPE:
         return render_dot(graph, "structure", annotate_memberships=True)
     return render_dot(graph, scope, cluster=scope)

@@ -12,16 +12,26 @@ whose projectors do not annihilate it, computed once per call.  The state
 is the orthogonal sum of its projections onto the atoms, so a context is
 allocated iff the support is a single atom, and the state lies in the
 member named by mask m iff the support is a subset of m.  Allocation and
-:func:`evaluate_structure` make no containment test.
+:func:`evaluate_structure` make no containment test, and a report keys
+its values by member name, not by subspace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
-from .contexts import Context, Structure, allocates, is_lattice_member, normalize_state, state_supports
+from .contexts import (
+    Context,
+    Structure,
+    _mask_label,
+    allocates,
+    is_lattice_member,
+    normalize_state,
+    state_supports,
+)
 from .linalg import DimensionMismatchError, GaussianRational, format_scalar
 from .subspaces import Subspace
 
@@ -44,19 +54,27 @@ class TruthValue(Enum):
 class ValuationReport:
     """Truth values of every lattice member of a structure at one state.
 
-    ``values`` maps each distinct member subspace to its truth value;
-    ``entries`` names every member of every lattice as
+    ``entries`` names every member of every lattice of ``structure`` as
     ``<context>.<atom-set>`` (for example ``S1.1+2+3``) in deterministic
     order.  A subspace shared between lattices appears under each of its
     names with the same value.
     """
 
+    structure: Structure = field(repr=False)
     state: tuple[GaussianRational, ...]
     mode: Mode
     allocated: tuple[str, ...]
-    values: Mapping[Subspace, TruthValue]
     entries: Mapping[str, TruthValue]
     notes: tuple[str, ...] = ()
+
+    @cached_property
+    def values(self) -> Mapping[Subspace, TruthValue]:
+        """Each distinct member subspace's truth value, built on first read."""
+        values: dict[Subspace, TruthValue] = {}
+        for lat in self.structure.lattices:
+            for member, label in zip(lat.members, lat.labels()):
+                values.setdefault(member, self.entries[f"{lat.name}.{label}"])
+        return values
 
 
 def _value_of(mask: int, full: int, support: int, bivalent: bool) -> TruthValue:
@@ -99,26 +117,24 @@ def evaluate_structure(structure: Structure, state, mode: Mode) -> ValuationRepo
     v = normalize_state(structure, state)
     supports = state_supports(structure, v)
     allocated = [lat for lat, support in zip(structure.lattices, supports) if allocates(support)]
-    values: dict[Subspace, TruthValue] = {}
     entries: dict[str, TruthValue] = {}
     for lat, support in zip(structure.lattices, supports):
         full = (1 << len(lat.atom_ranges)) - 1
         own = mode is Mode.HILBERT or allocates(support)
         for member, mask in zip(lat.members, lat.masks):
-            if member not in values:
-                bivalent = own or any(a.has_member(member) for a in allocated)
-                values[member] = _value_of(mask, full, support, bivalent)
-            entries[f"{lat.name}.{lat.label(member)}"] = values[member]
+            bivalent = own or any(a.has_member(member) for a in allocated)
+            entries[f"{lat.name}.{_mask_label(mask)}"] = _value_of(mask, full, support, bivalent)
     notes: tuple[str, ...] = ()
-    if mode is Mode.HILBERT and not any(
-        val is TruthValue.TRUE for m, val in values.items() if not m.is_full()
+    # A proper member holding the state exists iff some support is not full.
+    if mode is Mode.HILBERT and all(
+        support == (1 << len(c.atoms)) - 1 for c, support in zip(structure.contexts, supports)
     ):
         notes = ("state lies in no nontrivial member; containment renders them all false",)
     return ValuationReport(
+        structure=structure,
         state=v,
         mode=mode,
         allocated=tuple(lat.name for lat in allocated),
-        values=values,
         entries=entries,
         notes=notes,
     )

@@ -262,13 +262,15 @@ def reference_value(member: Subspace, v, mode: Mode, certified: set[Subspace]) -
     return TruthValue.GAP
 
 
-def reference_report(structure: Structure, state, mode: Mode) -> ValuationReport:
+def reference_report(structure: Structure, state, mode: Mode) -> tuple[ValuationReport, dict]:
     """Valuation oracle by row reduction, with no support mask.
 
     A lattice is allocated when one of its atom ranges contains the state,
     a member is certified when it is in the set of every allocated
     lattice's members, and a bivalent member is true when it contains the
     state.  Atom ranges are recomputed from the projector matrices.
+    Returns the report and the oracle's own map from each distinct member
+    subspace to its value.
     """
     v = normalize_state(structure, state)
     allocated = [
@@ -285,4 +287,4 @@ def reference_report(structure: Structure, state, mode: Mode) -> ValuationReport
     notes = ()
     if mode is Mode.HILBERT and not any(val is TruthValue.TRUE for m, val in values.items() if not m.is_full()):
         notes = ("state lies in no nontrivial member; containment renders them all false",)
-    return ValuationReport(v, mode, tuple(lat.name for lat in allocated), values, entries, notes)
+    return ValuationReport(structure, v, mode, tuple(lat.name for lat in allocated), entries, notes), values

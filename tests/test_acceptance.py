@@ -179,12 +179,12 @@ def test_criterion_07c_rotated_kernel_true_at_axis_state(cabello):
 
 
 def test_criterion_08_admissibility_rules(qubit, cabello):
-    judged = check_admissibility(cabello, evaluate_structure(cabello, E4, Mode.INVARIANT))
+    judged = check_admissibility(evaluate_structure(cabello, E4, Mode.INVARIANT))
     by_name = {row.context: row for row in judged.per_context}
     assert by_name["S1"].rule1 is RuleStatus.SATISFIED
     assert by_name["S2"].rule1 is RuleStatus.SATISFIED
     assert by_name["S6"].rule1 is RuleStatus.VACUOUS
-    sublattice = check_admissibility(qubit, evaluate_structure(qubit, ["1", "0"], Mode.HILBERT))
+    sublattice = check_admissibility(evaluate_structure(qubit, ["1", "0"], Mode.HILBERT))
     assert all(row.rule2 is RuleStatus.SATISFIED for row in sublattice.per_context)
 
 
@@ -247,19 +247,19 @@ def _closure_matches_containment(members, edges):
 def test_criterion_11_hasse_edges_closure_stability(qubit, cabello):
     report_q = evaluate_structure(qubit, ["1", "0"], Mode.INVARIANT)
     for lattice in qubit.lattices:
-        graph = build_graph(qubit, report_q, lattice.name)
+        graph = build_graph(report_q, lattice.name)
         assert len(graph.edges) == 4
         assert _closure_matches_containment(lattice.members, graph.edges)
     report_c = evaluate_structure(cabello, E4, Mode.INVARIANT)
     for lattice in cabello.lattices:
-        graph = build_graph(cabello, report_c, lattice.name)
+        graph = build_graph(report_c, lattice.name)
         assert len(graph.edges) == 32
         assert _closure_matches_containment(lattice.members, graph.edges)
     # byte stability, with the structure rebuilt from scratch
     rebuilt = structure_from_dict(structure_to_dict(cabello))
     report_r = evaluate_structure(rebuilt, E4, Mode.INVARIANT)
     for scope in ("S1", "S2", "S6", "all"):
-        assert emit_dot(cabello, report_c, scope) == emit_dot(rebuilt, report_r, scope)
+        assert emit_dot(report_c, scope) == emit_dot(report_r, scope)
 
 
 def test_criterion_12_property_suites(qubit, cabello):

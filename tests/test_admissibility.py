@@ -16,7 +16,6 @@ from helpers import (
 )
 
 from suplat.admissibility import (
-    MissingAtomEntryError,
     RuleStatus,
     admissibility_to_dict,
     admissibility_to_text,
@@ -68,7 +67,7 @@ def test_rule2_statuses(values, expected):
 
 def test_qubit_invariant_admissibility(qubit):
     valuation = evaluate_structure(qubit, ["1", "0"], Mode.INVARIANT)
-    report = check_admissibility(qubit, valuation)
+    report = check_admissibility(valuation)
     by_name = {row.context: row for row in report.per_context}
     assert by_name["Sigma_z"].rule1 is RuleStatus.SATISFIED
     assert by_name["Sigma_z"].rule2 is RuleStatus.SATISFIED
@@ -83,7 +82,7 @@ def test_qubit_invariant_admissibility(qubit):
 
 def test_qubit_hilbert_admissibility(qubit):
     valuation = evaluate_structure(qubit, ["1", "0"], Mode.HILBERT)
-    report = check_admissibility(qubit, valuation)
+    report = check_admissibility(valuation)
     for row in report.per_context:
         assert row.rule2 is RuleStatus.SATISFIED
     by_name = {row.context: row for row in report.per_context}
@@ -95,7 +94,7 @@ def test_qubit_hilbert_admissibility(qubit):
 
 def test_cabello_invariant_admissibility(cabello):
     valuation = evaluate_structure(cabello, ["0", "0", "0", "1"], Mode.INVARIANT)
-    report = check_admissibility(cabello, valuation)
+    report = check_admissibility(valuation)
     by_name = {row.context: row for row in report.per_context}
     for name in ("S1", "S2"):
         assert by_name[name].rule1 is RuleStatus.SATISFIED
@@ -106,15 +105,9 @@ def test_cabello_invariant_admissibility(cabello):
     assert by_name["S6"].gap_count == 4
 
 
-def test_missing_atom_entry(qubit, cabello):
-    valuation = evaluate_structure(qubit, ["1", "0"], Mode.INVARIANT)
-    with pytest.raises(MissingAtomEntryError):
-        check_admissibility(cabello, valuation)
-
-
 def test_admissibility_rendering(qubit):
     valuation = evaluate_structure(qubit, ["1", "0"], Mode.HILBERT)
-    report = check_admissibility(qubit, valuation)
+    report = check_admissibility(valuation)
     text = admissibility_to_text(report)
     assert "context Sigma_x: true=0 false=2 gap=0 rule1=vacuous rule2=satisfied note=no-true-atom" in text
     assert text.rstrip().endswith("overall: rule1=ok rule2=ok")

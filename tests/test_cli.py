@@ -13,6 +13,7 @@ from suplat import cli, contexts
 from suplat.cli import build_parser, load_structure, main
 from suplat.contexts import structure_to_dict
 from suplat.datasets import builtin_structure
+from suplat.linalg import ExactMatrix
 from suplat.subspaces import Subspace
 from suplat.valuation import Mode, report_to_text
 
@@ -392,7 +393,7 @@ def test_admissibility_builds_no_lattice(capsys, tmp_path, monkeypatch):
 
 def test_eval_makes_no_containment_row_reduction(capsys, monkeypatch):
     expected = {
-        (name, mode): report_to_text(reference_report(builtin_structure(name), state.split(","), Mode(mode)))
+        (name, mode): report_to_text(reference_report(builtin_structure(name), state.split(","), Mode(mode))[0])
         for name, _, state in BUILTIN_STATES
         for mode in ("invariant", "hilbert")
     }
@@ -645,3 +646,49 @@ def test_main_builds_one_parser_and_leaks_no_option(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert out == (GOLDEN / "qubit_state10_invariant.txt").read_text(encoding="utf-8")
     assert len(built) == 1
+
+
+def test_eval_and_lattice_hash_no_member(capsys, monkeypatch, tmp_path):
+    # Labels come from atom masks and values from supports, so no member
+    # subspace is hashed on these paths.
+    diag = {
+        "dimension": 5,
+        "contexts": [{
+            "name": "D",
+            "projectors": [
+                {"name": f"e{i}", "matrix": [["1" if r == c == i else "0" for c in range(5)] for r in range(5)]}
+                for i in range(5)
+            ],
+        }],
+    }
+    diag_path = tmp_path / "diag5.json"
+    diag_path.write_text(json.dumps(diag))
+    cabello_path = tmp_path / "cabello.json"
+    cabello_path.write_text(json.dumps(structure_to_dict(builtin_structure("cabello-3"))))
+    calls = []
+    original = ExactMatrix.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ExactMatrix, "__hash__", counting)
+    for argv in (
+        ["eval", str(diag_path), "--state", "1,0,0,0,0", "--mode", "invariant"],
+        ["eval", str(diag_path), "--state", "1,1,0,0,0", "--mode", "invariant"],
+        ["lattice", str(diag_path)],
+        ["eval", str(cabello_path), "--state", "0,0,0,1", "--mode", "hilbert"],
+    ):
+        calls.clear()
+        code, _, err = run(capsys, *argv)
+        assert (code, err, len(calls)) == (0, "", 0), argv
+
+
+def test_readme_eval_example_matches_output(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    command = "$ suplat eval --dataset pauli-qubit --state 1,0 --mode invariant\n"
+    block = readme[readme.index(command) + len(command):]
+    expected = block[:block.index("```")]
+    code, out, err = run(capsys, *command.split()[2:])
+    assert (code, err) == (0, "")
+    assert out == expected

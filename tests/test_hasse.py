@@ -9,7 +9,6 @@ import pytest
 from suplat.contexts import Context, Structure
 from suplat.hasse import (
     HasseGraph,
-    MissingValuationError,
     UnknownScopeError,
     build_graph,
     emit_dot,
@@ -71,7 +70,7 @@ def test_support_order_matches_containment_oracle(qubit, cabello):
         scopes = {c.name: (structure.find_lattice(c.name),) for c in contexts}
         scopes["all"] = structure.lattices
         for scope, lattices in scopes.items():
-            graph = build_graph(structure, report, scope)
+            graph = build_graph(report, scope)
             members = [node.subspace for node in graph.nodes]
             distinct = {m for lat in lattices for m in lat.members}
             assert members == sorted(distinct, key=lambda m: m.sort_key())
@@ -82,18 +81,18 @@ def test_support_order_matches_containment_oracle(qubit, cabello):
 def test_boolean_lattice_edge_counts(qubit, cabello):
     # k atoms give k * 2^(k-1) covering pairs
     report_q = evaluate_structure(qubit, ["1", "0"], Mode.INVARIANT)
-    assert len(build_graph(qubit, report_q, "Sigma_z").edges) == 4
+    assert len(build_graph(report_q, "Sigma_z").edges) == 4
     report_c = evaluate_structure(cabello, ["0", "0", "0", "1"], Mode.INVARIANT)
     for scope in ("S1", "S2", "S6"):
-        assert len(build_graph(cabello, report_c, scope).edges) == 32
+        assert len(build_graph(report_c, scope).edges) == 32
 
 
 def test_node_styles_match_truth_values(qubit):
     report = evaluate_structure(qubit, ["1", "0"], Mode.INVARIANT)
-    dot = emit_dot(qubit, report, "Sigma_z")
+    dot = emit_dot(report, "Sigma_z")
     assert '"Sigma_z.1" [label="1" shape=box style=filled fillcolor=black fontcolor=white];' in dot
     assert '"Sigma_z.2" [label="2" shape=circle style=filled fillcolor=black fontcolor=white];' in dot
-    x_dot = emit_dot(qubit, report, "Sigma_x")
+    x_dot = emit_dot(report, "Sigma_x")
     assert '"Sigma_x.1" [label="1" shape=circle style=solid];' in x_dot
     assert '"Sigma_x.2" [label="2" shape=circle style=solid];' in x_dot
     assert 'subgraph "cluster_Sigma_x"' in x_dot
@@ -102,20 +101,20 @@ def test_node_styles_match_truth_values(qubit):
 
 def test_shared_members_get_grey_border(cabello):
     report = evaluate_structure(cabello, ["0", "0", "0", "1"], Mode.INVARIANT)
-    s1_dot = emit_dot(cabello, report, "S1")
+    s1_dot = emit_dot(report, "S1")
     # the atom shared with the second context, and its complement
     assert '"S1.1" [label="1" shape=box style=filled fillcolor=black fontcolor=white color=grey penwidth=3];' in s1_dot
     assert '"S1.2+3+4" [label="2+3+4" shape=circle style=filled fillcolor=black fontcolor=white color=grey penwidth=3];' in s1_dot
     # unshared members carry no grey styling
     assert s1_dot.count("penwidth=3") == 2
     # the third lattice shares nothing nontrivial with the others
-    s6_dot = emit_dot(cabello, report, "S6")
+    s6_dot = emit_dot(report, "S6")
     assert "penwidth=3" not in s6_dot
 
 
 def test_whole_structure_scope_merges_shared_nodes(cabello):
     report = evaluate_structure(cabello, ["0", "0", "0", "1"], Mode.INVARIANT)
-    graph = build_graph(cabello, report, "all")
+    graph = build_graph(report, "all")
     # 3 * 16 members, minus the trivial pair shared three ways (4 dups)
     # and the two subspaces shared between the first two lattices
     assert len(graph.nodes) == 42
@@ -123,14 +122,14 @@ def test_whole_structure_scope_merges_shared_nodes(cabello):
     assert len(shared_nodes) == 2
     for node in shared_nodes:
         assert len(node.memberships) == 2
-    dot = emit_dot(cabello, report, "all")
+    dot = emit_dot(report, "all")
     assert 'tooltip="S1:1 S2:1"' in dot
     assert "subgraph" not in dot
 
 
 def test_whole_structure_qubit_shape(qubit):
     report = evaluate_structure(qubit, ["1", "0"], Mode.HILBERT)
-    graph = build_graph(qubit, report, "all")
+    graph = build_graph(report, "all")
     # six rays between the shared bottom and top
     assert len(graph.nodes) == 8
     assert len(graph.edges) == 12
@@ -141,7 +140,7 @@ def test_whole_structure_qubit_shape(qubit):
 def test_merged_nodes_are_named_after_their_first_lattice(qubit):
     renamed = Structure([Context("a:z", qubit.contexts[0].atoms), *qubit.contexts[1:]])
     report = evaluate_structure(renamed, ["1", "0"], Mode.INVARIANT)
-    graph = build_graph(renamed, report, "all")
+    graph = build_graph(report, "all")
     named = [(n.node_id, n.label) for n in graph.nodes if n.memberships[0].startswith("a:z:")]
     assert named == [("a:z.0", "0"), ("a:z.2", "2"), ("a:z.1", "1"), ("a:z.1+2", "1+2")]
     assert graph.nodes[0].memberships == ("a:z:0", "Sigma_x:0", "Sigma_y:0")
@@ -150,22 +149,14 @@ def test_merged_nodes_are_named_after_their_first_lattice(qubit):
 def test_unknown_scope(qubit):
     report = evaluate_structure(qubit, ["1", "0"], Mode.INVARIANT)
     with pytest.raises(UnknownScopeError):
-        emit_dot(qubit, report, "Sigma_w")
-
-
-def test_missing_valuation(qubit, cabello):
-    report = evaluate_structure(qubit, ["1", "0"], Mode.INVARIANT)
-    with pytest.raises(MissingValuationError):
-        emit_dot(cabello, report, "S1")
+        emit_dot(report, "Sigma_w")
 
 
 def test_dot_byte_stability(cabello):
     report = evaluate_structure(cabello, ["0", "0", "0", "1"], Mode.INVARIANT)
     for scope in ("S1", "all"):
-        first = emit_dot(cabello, report, scope)
-        second = emit_dot(
-            cabello, evaluate_structure(cabello, ["0", "0", "0", "1"], Mode.INVARIANT), scope
-        )
+        first = emit_dot(report, scope)
+        second = emit_dot(evaluate_structure(cabello, ["0", "0", "0", "1"], Mode.INVARIANT), scope)
         assert first == second
 
 
@@ -176,7 +167,7 @@ def test_empty_graph_renders():
 
 def test_edges_point_upward(cabello):
     report = evaluate_structure(cabello, ["0", "0", "0", "1"], Mode.INVARIANT)
-    graph = build_graph(cabello, report, "S2")
+    graph = build_graph(report, "S2")
     for i, j in graph.edges:
         assert graph.nodes[i].subspace.dim < graph.nodes[j].subspace.dim
         assert graph.nodes[i].subspace.is_subspace_of(graph.nodes[j].subspace)

@@ -112,6 +112,24 @@ def test_hilbert_mode_flags_all_false_states(qubit):
     assert in_range.notes == ()
 
 
+@pytest.mark.parametrize(
+    ("name", "state", "noted"),
+    [
+        ("pauli-qubit", "1,2", True),
+        ("pauli-qubit", "1,0", False),
+        ("cabello-3", "1,2,3,5", True),
+        # S6's first atom annihilates the state, so S6.2+3+4 holds it
+        ("cabello-3", "1,2,3,4", False),
+    ],
+)
+def test_hilbert_note_iff_no_proper_member_holds_the_state(name, state, noted):
+    report = evaluate_structure(builtin_structure(name), state.split(","), Mode.HILBERT)
+    assert bool(report.notes) is noted
+    assert any(v is TruthValue.TRUE for m, v in report.values.items() if not m.is_full()) is not noted
+    if name == "cabello-3" and not noted:
+        assert report.entries["S6.2+3+4"] is TruthValue.TRUE
+
+
 def test_excluded_middle_everywhere(qubit, cabello):
     rng = random.Random(888)
     for structure in (qubit, cabello):
@@ -198,14 +216,14 @@ def test_support_valuation_matches_row_reduction_oracle(qubit, cabello):
     for structure in structures:
         for state in _differential_states(rng, structure):
             for mode in Mode:
-                expected = reference_report(structure, state, mode)
+                expected, expected_values = reference_report(structure, state, mode)
                 report = evaluate_structure(structure, state, mode)
                 assert report_to_text(report) == report_to_text(expected)
-                assert report.values == expected.values
+                assert report.values == expected_values
                 assert [lat.name for lat in allocated_lattices(structure, state)] == list(expected.allocated)
-                for member, value in expected.values.items():
+                for member, value in expected_values.items():
                     assert evaluate(structure, state, member, mode) is value
-                assert admissibility_at(structure, state, mode) == check_admissibility(structure, expected)
+                assert admissibility_at(structure, state, mode) == check_admissibility(expected)
                 if mode is Mode.INVARIANT:
                     # bivalent nontrivial members of an unallocated lattice,
                     # certified through another lattice
