@@ -11,11 +11,11 @@ With rank-1 atoms the members are exactly the invariant subspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .linalg import DimensionMismatchError, ExactMatrix, as_scalar, format_scalar, parse_scalar
-from .operators import Projector, validate_projector
+from .operators import Projector, ProjectorError, validate_projector
 from .subspaces import Subspace, _sort_order
 
 
@@ -308,11 +308,17 @@ def structure_to_dict(structure: Structure) -> dict:
 def structure_from_dict(data) -> Structure:
     """Parse and fully validate a structure description.
 
+    Each distinct literal is parsed once and each distinct atom matrix
+    (keyed by its literal rows) is validated once; a repeated atom shares
+    the first occurrence's matrix and range under its own name.  The shape
+    and type checks still run on every occurrence.
+
     Raises:
         StructureFormatError: wrong JSON shape or a bad scalar literal,
             with the location of the offending element.
-        ProjectorError, ContextError, StructureError: the parsed matrices
-            violate a projector, context or structure law.
+        ProjectorError: the first occurrence of a matrix breaking a
+            projector law, with its location.
+        ContextError, StructureError: a context or structure law fails.
     """
     if not isinstance(data, dict):
         raise StructureFormatError("top level must be an object")
@@ -325,6 +331,8 @@ def structure_from_dict(data) -> Structure:
         raise StructureFormatError("'dimension' must be a positive integer")
     if not isinstance(raw_contexts, list) or not raw_contexts:
         raise StructureFormatError("'contexts' must be a nonempty list")
+    scalars = {}  # literal -> parsed scalar
+    projectors = {}  # literal rows -> validated projector
     contexts = []
     for ci, raw_ctx in enumerate(raw_contexts):
         where = f"contexts[{ci}]"
@@ -347,29 +355,35 @@ def structure_from_dict(data) -> Structure:
             raw_matrix = raw_proj.get("matrix")
             if not isinstance(raw_matrix, list) or not raw_matrix:
                 raise StructureFormatError(f"{pwhere}: 'matrix' must be a nonempty list of rows")
-            rows = []
             for ri, raw_row in enumerate(raw_matrix):
                 if not isinstance(raw_row, list) or len(raw_row) != dimension:
                     raise StructureFormatError(
                         f"{pwhere}.matrix[{ri}]: expected a row of {dimension} scalar literals"
                     )
-                row = []
                 for si, lit in enumerate(raw_row):
                     if not isinstance(lit, str):
                         raise StructureFormatError(
                             f"{pwhere}.matrix[{ri}][{si}]: entries must be scalar literal strings"
                         )
-                    try:
-                        row.append(parse_scalar(lit))
-                    except ValueError as err:
-                        raise StructureFormatError(
-                            f"{pwhere}.matrix[{ri}][{si}]: {err}"
-                        ) from err
-                rows.append(row)
-            if len(rows) != dimension:
+                    if lit not in scalars:
+                        try:
+                            scalars[lit] = parse_scalar(lit)
+                        except ValueError as err:
+                            raise StructureFormatError(
+                                f"{pwhere}.matrix[{ri}][{si}]: {err}"
+                            ) from err
+            if len(raw_matrix) != dimension:
                 raise StructureFormatError(
-                    f"{pwhere}.matrix: expected {dimension} rows, got {len(rows)}"
+                    f"{pwhere}.matrix: expected {dimension} rows, got {len(raw_matrix)}"
                 )
-            atoms.append(validate_projector(ExactMatrix.from_rows(rows), name=pname))
+            key = tuple(map(tuple, raw_matrix))
+            known = projectors.get(key)
+            if known is None:
+                matrix = ExactMatrix(dimension, dimension, [scalars[lit] for row in key for lit in row])
+                try:
+                    known = projectors[key] = validate_projector(matrix, name=pname)
+                except ProjectorError as err:
+                    raise type(err)(f"{pwhere}: {err}") from err
+            atoms.append(known if known.name == pname else replace(known, name=pname))
         contexts.append(validate_context(cname, atoms))
     return Structure(contexts)

@@ -67,9 +67,9 @@ def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
     """
     if not matrix.is_square():
         raise NotSquareError(f"projector {name!r}: matrix is {matrix.rows}x{matrix.cols}, not square")
-    if matrix.adjoint() != matrix:
+    n, e = matrix.rows, matrix.entries
+    if any(e[i * n + j] != e[j * n + i].conjugate() for i in range(n) for j in range(i, n)):
         raise NotHermitianError(f"projector {name!r}: matrix is not equal to its adjoint")
-    n = matrix.rows
     image = Subspace.span_of((matrix.column(j) for j in range(n)), n)
     if any(matrix.apply(b) != b for b in image.basis_vectors()):
         raise NotIdempotentError(f"projector {name!r}: matrix squared differs from the matrix")

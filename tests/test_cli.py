@@ -110,6 +110,34 @@ def test_validate_locates_bad_literal(capsys, tmp_path):
     assert "contexts[0].projectors[1].matrix[1][0]" in err
 
 
+def test_validate_locates_first_of_repeated_bad_literals(capsys, tmp_path):
+    # Each distinct literal is parsed once, so the error names its first location.
+    data = structure_to_dict(builtin_structure("cabello-3"))
+    data["contexts"][0]["projectors"][1]["matrix"][1][0] = "0.5"
+    data["contexts"][2]["projectors"][3]["matrix"][0][2] = "0.5"
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: contexts[0].projectors[1].matrix[1][0]:"
+        " unexpected trailing characters (position 1 in '0.5')\n"
+    )
+
+
+def test_validate_locates_damaged_shared_atom(capsys, tmp_path):
+    # S1 and S2 share their first atom; only S2's copy is scaled, so the
+    # error names S2's occurrence although S1's copy loads first.
+    data = structure_to_dict(builtin_structure("cabello-3"))
+    atom = data["contexts"][1]["projectors"][0]
+    atom["matrix"] = [["2" if lit == "1" else lit for lit in row] for row in atom["matrix"]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: contexts[1].projectors[0]: projector 'P1': matrix squared differs from the matrix\n"
+
+
 def test_validate_names_empty_literal(capsys, tmp_path):
     data = structure_to_dict(builtin_structure("pauli-qubit"))
     data["contexts"][0]["projectors"][0]["matrix"][0][1] = ""

@@ -1,11 +1,13 @@
-"""Context validation, lattice enumeration, sharing, allocation."""
+"""Context validation, structure loading, lattice enumeration, sharing, allocation."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from suplat import contexts
 from suplat.contexts import (
     ContextError,
     DuplicateAtomNameError,
@@ -19,10 +21,13 @@ from suplat.contexts import (
     allocated_lattices,
     is_lattice_member,
     shared_members,
+    structure_from_dict,
+    structure_to_dict,
     validate_context,
 )
+from suplat.datasets import builtin_structure
 from suplat.linalg import DimensionMismatchError, ExactMatrix
-from suplat.operators import is_invariant, kernel_of, range_of, validate_projector
+from suplat.operators import ProjectorError, is_invariant, kernel_of, range_of, validate_projector
 from suplat.subspaces import Subspace
 
 from helpers import random_context, random_matrix, random_structure, random_subspace
@@ -225,3 +230,101 @@ def test_allocated_lattices(qubit, cabello):
         allocated_lattices(qubit, ["0", "0"])
     with pytest.raises(DimensionMismatchError):
         allocated_lattices(qubit, ["1", "0", "0"])
+
+
+def _cabello_dict():
+    return structure_to_dict(builtin_structure("cabello-3"))
+
+
+def _repeated_context():
+    # S1 again under a second name: every atom of it is a repeat.
+    data = _cabello_dict()
+    data["contexts"].append(dict(data["contexts"][0], name="S1-again"))
+    return data
+
+
+def _respelled_duplicate():
+    # S2's copy of the shared atom written with unreduced literals: the same
+    # matrix under other literals, so a distinct key validated on its own.
+    data = _cabello_dict()
+    atom = data["contexts"][1]["projectors"][0]
+    atom["matrix"] = [[f"{lit}/1" for lit in row] for row in atom["matrix"]]
+    return data
+
+
+def _damaged_duplicate():
+    # S2's copy of the shared atom scaled by 2, so it is no longer a projector.
+    data = _cabello_dict()
+    atom = data["contexts"][1]["projectors"][0]
+    atom["matrix"] = [["2" if lit == "1" else lit for lit in row] for row in atom["matrix"]]
+    return data
+
+
+def _reference_load_error(data):
+    """The first atom, in file order, that an independent validation rejects."""
+    for ci, ctx in enumerate(data["contexts"]):
+        for pi, proj in enumerate(ctx["projectors"]):
+            try:
+                validate_projector(ExactMatrix.from_rows(proj["matrix"]), name=proj["name"])
+            except ProjectorError as err:
+                return type(err), f"contexts[{ci}].projectors[{pi}]: {err}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "make", [_cabello_dict, _repeated_context, _respelled_duplicate, _damaged_duplicate]
+)
+def test_load_matches_independent_validation(make):
+    data = make()
+    expected = _reference_load_error(data)
+    if expected is not None:
+        with pytest.raises(expected[0]) as exc:
+            structure_from_dict(data)
+        assert type(exc.value) is expected[0]
+        assert str(exc.value) == expected[1]
+        return
+    structure = structure_from_dict(data)
+    assert [c.name for c in structure.contexts] == [c["name"] for c in data["contexts"]]
+    for ctx, raw in zip(structure.contexts, data["contexts"]):
+        assert [p.name for p in ctx.atoms] == [p["name"] for p in raw["projectors"]]
+        for atom, raw_atom in zip(ctx.atoms, raw["projectors"]):
+            oracle = validate_projector(ExactMatrix.from_rows(raw_atom["matrix"]), name=raw_atom["name"])
+            assert (atom.matrix, atom.range) == (oracle.matrix, oracle.range)
+    # Export and reload is byte-identical, as `datasets export` prints it.
+    text = json.dumps(structure_to_dict(structure), indent=2)
+    assert json.dumps(structure_to_dict(structure_from_dict(json.loads(text))), indent=2) == text
+
+
+def test_load_shares_repeated_atoms():
+    structure = structure_from_dict(_repeated_context())
+    s1, s2, _, again = structure.contexts
+    # The shared atom and the repeated context hold one range per matrix.
+    assert s2.atoms[0].range is s1.atoms[0].range
+    assert all(a.matrix is b.matrix and a.range is b.range for a, b in zip(s1.atoms, again.atoms))
+
+
+def test_load_parses_each_literal_and_checks_each_matrix_once(monkeypatch):
+    data = _repeated_context()
+    data["contexts"][3]["projectors"] = [
+        dict(p, name=f"{p['name']}'") for p in data["contexts"][3]["projectors"]
+    ]
+    literals = [lit for c in data["contexts"] for p in c["projectors"] for row in p["matrix"] for lit in row]
+    matrices = [tuple(map(tuple, p["matrix"])) for c in data["contexts"] for p in c["projectors"]]
+    parsed, checked = [], []
+
+    def counting(calls, original):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(contexts, "parse_scalar", counting(parsed, contexts.parse_scalar))
+    monkeypatch.setattr(contexts, "validate_projector", counting(checked, contexts.validate_projector))
+    structure = structure_from_dict(data)
+    assert len(literals) == 4 * 16 * 4
+    assert sorted(parsed) == sorted(set(literals))
+    assert len(matrices) == 16 and len(checked) == len(set(matrices)) == 11
+    assert [[p.name for p in c.atoms] for c in structure.contexts] == [
+        [p["name"] for p in c["projectors"]] for c in data["contexts"]
+    ]
+

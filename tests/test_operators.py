@@ -50,6 +50,12 @@ def test_validate_rejects_bad_matrices():
     with pytest.raises(NotHermitianError):
         # Hermitian needs conjugation, not just symmetry
         validate_projector(ExactMatrix.from_rows([["1", "i"], ["i", "0"]]))
+    with pytest.raises(NotHermitianError):
+        # a non-real diagonal entry
+        validate_projector(ExactMatrix.from_rows([["1", "0"], ["0", "i"]]))
+    with pytest.raises(NotHermitianError):
+        # nonzero below the diagonal only
+        validate_projector(ExactMatrix.from_rows([["1", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]]))
     with pytest.raises(NotIdempotentError):
         validate_projector(ExactMatrix.from_rows([["1", "1"], ["1", "1"]]))
 
