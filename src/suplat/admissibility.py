@@ -11,8 +11,9 @@ The coloring search looks for assignments of 1/0 to atom ranges with
 exactly one true atom per context, and names each by the index of the
 true atom in every context.  It numbers the distinct canonical range
 subspaces once, so atoms shared between contexts get one bit and are
-forced to agree; the search itself runs on two masks of those bits per
-depth, the ranges set true and the ranges set false.
+forced to agree; the search itself pops frames from one stack, each
+holding a depth, two masks of those bits (the ranges set true and the
+ranges set false) and the atom chosen one depth up.
 """
 
 from __future__ import annotations
@@ -35,25 +36,21 @@ class RuleStatus(Enum):
         return self.value
 
 
-def rule1_status(values: Sequence[TruthValue]) -> RuleStatus:
-    trues = sum(1 for v in values if v is TruthValue.TRUE)
-    gaps = sum(1 for v in values if v is TruthValue.GAP)
-    if trues == 0:
+def _rule_status(trigger: bool, values: Sequence[TruthValue]) -> RuleStatus:
+    """Vacuous without its trigger, else violated by a gap or a second true atom."""
+    if not trigger:
         return RuleStatus.VACUOUS
-    if gaps > 0 or trues > 1:
+    if TruthValue.GAP in values or values.count(TruthValue.TRUE) > 1:
         return RuleStatus.VIOLATED
     return RuleStatus.SATISFIED
+
+
+def rule1_status(values: Sequence[TruthValue]) -> RuleStatus:
+    return _rule_status(TruthValue.TRUE in values, values)
 
 
 def rule2_status(values: Sequence[TruthValue]) -> RuleStatus:
-    falses = sum(1 for v in values if v is TruthValue.FALSE)
-    trues = sum(1 for v in values if v is TruthValue.TRUE)
-    gaps = sum(1 for v in values if v is TruthValue.GAP)
-    if falses == 0:
-        return RuleStatus.VACUOUS
-    if gaps > 0 or trues > 1:
-        return RuleStatus.VIOLATED
-    return RuleStatus.SATISFIED
+    return _rule_status(TruthValue.FALSE in values, values)
 
 
 @dataclass(frozen=True)
@@ -87,9 +84,9 @@ class AdmissibilityReport:
 def _judge(context: str, values: Sequence[TruthValue]) -> ContextAdmissibility:
     return ContextAdmissibility(
         context=context,
-        true_count=sum(1 for v in values if v is TruthValue.TRUE),
-        false_count=sum(1 for v in values if v is TruthValue.FALSE),
-        gap_count=sum(1 for v in values if v is TruthValue.GAP),
+        true_count=values.count(TruthValue.TRUE),
+        false_count=values.count(TruthValue.FALSE),
+        gap_count=values.count(TruthValue.GAP),
         rule1=rule1_status(values),
         rule2=rule2_status(values),
     )
@@ -161,13 +158,16 @@ def ks_search(structure: Structure) -> list[tuple[int, ...]]:
     processed in structure order and atoms in context order, so the
     result list is stable; counts are independent of either order.
     The distinct atom ranges are numbered once and each atom becomes the
-    bit of its range.  The state at depth ``ci`` is two masks: the ranges
-    set true and those set false by the choices in the contexts before
-    ``ci``.  Atom bit ``b`` of a context with mask ``m`` can be chosen iff
-    ``b`` is not false and no other bit of ``m`` is true; the next depth
-    then holds ``true | b`` and ``false | m ^ b``, so backtracking restores
-    nothing.  The search keeps its own stack, so the number of contexts is
-    not bounded by the recursion limit.
+    bit of its range.  The search pops frames from one stack; a frame is
+    a depth ``d``, the masks of ranges set true and set false by the
+    choices in the contexts before ``d``, and the atom chosen at ``d - 1``,
+    which it writes into ``chosen``.  Frames pop depth-first, so ``chosen``
+    then holds exactly the frame's ancestors' choices.  Atom bit ``b`` of
+    a context with mask ``m`` can be chosen iff ``b`` is not false and no
+    other bit of ``m`` is true; its frame holds ``true | b`` and
+    ``false | m ^ b``.  A frame pushes its admissible atoms in reverse, so
+    they pop in atom order.  No recursion is used, so the number of
+    contexts is not bounded by the recursion limit.
     """
     index: dict[Subspace, int] = {}
     contexts = [
@@ -175,28 +175,20 @@ def ks_search(structure: Structure) -> list[tuple[int, ...]]:
     ]
     masks = [sum(bits) for bits in contexts]  # the context laws make a context's bits distinct
     depth = len(contexts)
-    chosen = [-1] * depth
-    true = [0] * (depth + 1)
-    false = [0] * (depth + 1)
+    chosen = [0] * depth
     solutions: list[tuple[int, ...]] = []
-    ci = 0
-    while ci >= 0:
-        if ci == depth:
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        d, t, f, ai = stack.pop()
+        chosen[d - 1] = ai  # the root writes chosen[-1], which every full-depth frame rewrites
+        if d == depth:
             solutions.append(tuple(chosen))
-            ci -= 1
             continue
-        bits, mask, t, f = contexts[ci], masks[ci], true[ci], false[ci]
-        ai = chosen[ci] + 1
-        while ai < len(bits) and (bits[ai] & f or (mask ^ bits[ai]) & t):
-            ai += 1
-        if ai < len(bits):
-            chosen[ci] = ai
-            true[ci + 1] = t | bits[ai]
-            false[ci + 1] = f | (mask ^ bits[ai])
-            ci += 1
-        else:
-            chosen[ci] = -1
-            ci -= 1
+        bits, mask = contexts[d], masks[d]
+        for ai in reversed(range(len(bits))):
+            b = bits[ai]
+            if not (b & f or (mask ^ b) & t):
+                stack.append((d + 1, t | b, f | (mask ^ b), ai))
     return solutions
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from dataclasses import replace
 from math import prod
 
 import pytest
@@ -122,6 +124,13 @@ def test_ks_search_single_context(qubit):
     assert len(solutions) == 2
     assert solutions == [(0,), (1,)]
     assert ks_to_text(single, solutions) == "solutions: 2\nSigma_z:1\nSigma_z:2\n"
+
+
+def test_ks_search_runs_past_the_recursion_limit(qubit):
+    # every copy shares Sigma_z's two atoms, so one choice fixes all the rest
+    n = sys.getrecursionlimit() + 1
+    copies = Structure([replace(qubit.contexts[0], name=f"Sigma_z{i}") for i in range(n)])
+    assert ks_search(copies) == [(0,) * n, (1,) * n]
 
 
 def test_ks_search_shared_atom_counts(cabello):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from suplat import cli, contexts
+from suplat.admissibility import ks_search, ks_to_text
 from suplat.cli import build_parser, load_structure, main
 from suplat.contexts import structure_to_dict
 from suplat.datasets import builtin_structure
@@ -720,3 +721,16 @@ def test_readme_eval_example_matches_output(capsys):
     code, out, err = run(capsys, *command.split()[2:])
     assert (code, err) == (0, "")
     assert out == expected
+
+
+def test_readme_library_example_matches_its_comments(capsys, cabello):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library use"):]
+    block = section[section.index("```python\n") + len("```python\n"):]
+    block = block[:block.index("```")]
+    exec(compile(block, "README.md", "exec"), {})
+    expected = [line.split("#")[1].strip() for line in block.splitlines() if "print(" in line]
+    assert expected == ["0", "40"]
+    assert capsys.readouterr().out.splitlines() == expected
+    assert "`S1:1 S2:1 S6:1`" in section
+    assert ks_to_text(cabello, ks_search(cabello)).splitlines()[1] == "S1:1 S2:1 S6:1"
