@@ -13,7 +13,11 @@ true atom in every context.  It numbers the distinct canonical range
 subspaces once, so atoms shared between contexts get one bit and are
 forced to agree; the search itself pops frames from one stack, each
 holding a depth, two masks of those bits (the ranges set true and the
-ranges set false) and the atom chosen one depth up.
+ranges set false) and the atom chosen one depth up.  A frontier state is
+keyed by its depth and the bits of both masks that later contexts read;
+it is expanded once, and a later visit copies the colorings its first
+visit found, each under the new prefix.  The text output writes each
+coloring as the texts of its two halves, each built once and reused.
 """
 
 from __future__ import annotations
@@ -168,6 +172,15 @@ def ks_search(structure: Structure) -> list[tuple[int, ...]]:
     ``false | m ^ b``.  A frame pushes its admissible atoms in reverse, so
     they pop in atom order.  No recursion is used, so the number of
     contexts is not bounded by the recursion limit.
+
+    Each frontier state is expanded once.  The search below depth ``d``
+    reads only the bits of ``live[d]``, the ranges of contexts ``d..``, so
+    the state is keyed by ``(d, true & live[d], false & live[d])``, and
+    two prefixes with one key have the same completions in the same order.
+    The first visit pushes a close frame under its children, which records
+    the span of ``solutions`` the subtree appended; a later visit appends
+    its own prefix joined to each coloring of that span from depth ``d``
+    on.  A dead state has an empty span, so a later visit ends at once.
     """
     index: dict[Subspace, int] = {}
     contexts = [
@@ -175,15 +188,30 @@ def ks_search(structure: Structure) -> list[tuple[int, ...]]:
     ]
     masks = [sum(bits) for bits in contexts]  # the context laws make a context's bits distinct
     depth = len(contexts)
+    live = [0] * (depth + 1)
+    for d in reversed(range(depth)):
+        live[d] = live[d + 1] | masks[d]
     chosen = [0] * depth
     solutions: list[tuple[int, ...]] = []
+    spans: dict[tuple[int, int, int], range] = {}
     stack = [(0, 0, 0, 0)]
     while stack:
         d, t, f, ai = stack.pop()
+        if d < 0:  # a close frame: t is the state's key, f the start of its span
+            spans[t] = range(f, len(solutions))
+            continue
         chosen[d - 1] = ai  # the root writes chosen[-1], which every full-depth frame rewrites
         if d == depth:
             solutions.append(tuple(chosen))
             continue
+        lv = live[d]
+        key = (d, t & lv, f & lv)
+        span = spans.get(key)
+        if span is not None:
+            head = tuple(chosen[:d])
+            solutions.extend([head + solutions[i][d:] for i in span])
+            continue
+        stack.append((-1, key, len(solutions), 0))
         bits, mask = contexts[d], masks[d]
         for ai in reversed(range(len(bits))):
             b = bits[ai]
@@ -194,10 +222,31 @@ def ks_search(structure: Structure) -> list[tuple[int, ...]]:
 
 def ks_to_text(structure: Structure, solutions: Sequence[tuple[int, ...]]) -> str:
     """``solutions: N``, then one line such as ``S1:1 S2:1`` per coloring,
-    with 1-based atom indices; the labels are built once for all of them."""
+    with 1-based atom indices.
+
+    A line is the text of the coloring's first half of contexts followed
+    by the text of its second half.  The first half's text is built again
+    only when it differs from the previous coloring's, which is rare along
+    the search order; the second half's text is built once per distinct
+    tuple and cached for this call.
+    """
     labels = [[f"{ctx.name}:{i + 1}" for i in range(len(ctx.atoms))] for ctx in structure.contexts]
+    half = len(labels) // 2
+    head_labels = [[f"{name} " for name in names] for names in labels[:half]]
+    tail_labels = labels[half:]
+    tail_texts: dict[tuple[int, ...], str] = {}
     lines = [f"solutions: {len(solutions)}"]
-    lines.extend(" ".join([names[i] for names, i in zip(labels, chosen)]) for chosen in solutions)
+    head, head_text = None, ""
+    for chosen in solutions:
+        first = chosen[:half]
+        if first != head:
+            head = first
+            head_text = "".join([names[i] for names, i in zip(head_labels, head)])
+        tail = chosen[half:]
+        tail_text = tail_texts.get(tail)
+        if tail_text is None:
+            tail_text = tail_texts[tail] = " ".join([names[i] for names, i in zip(tail_labels, tail)])
+        lines.append(head_text + tail_text)
     return "\n".join(lines) + "\n"
 
 

@@ -217,6 +217,15 @@ def brute_force_coloring_count(structure: Structure) -> int:
     return len(brute_force_colorings(structure))
 
 
+def reference_ks_text(structure: Structure, solutions) -> str:
+    """The coloring text built one label per context for every coloring:
+    the oracle for ``ks_to_text``."""
+    lines = [f"solutions: {len(solutions)}"]
+    for chosen in solutions:
+        lines.append(" ".join(f"{ctx.name}:{i + 1}" for ctx, i in zip(structure.contexts, chosen)))
+    return "\n".join(lines) + "\n"
+
+
 def reference_projector_law(m: ExactMatrix):
     """Projector-law oracle written straight from the definition.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from dataclasses import replace
 from math import prod
 
@@ -15,6 +16,7 @@ from helpers import (
     brute_force_colorings,
     forced_coloring,
     random_structure,
+    reference_ks_text,
 )
 
 from suplat.admissibility import (
@@ -242,14 +244,19 @@ CABELLO_18 = (
 )
 
 
-def test_ks_search_finds_no_coloring_of_cabello_18(cabello):
-    contexts = [
+def _ray_contexts(bases, prefix: str = "C") -> list:
+    """One context of C^4 per basis of rays, named ``<prefix>1``, ``<prefix>2``, ..."""
+    return [
         validate_context(
-            f"C{i + 1}",
+            f"{prefix}{i + 1}",
             [projector_onto(Subspace.span_of([ray], 4), name=f"P{j + 1}") for j, ray in enumerate(basis)],
         )
-        for i, basis in enumerate(CABELLO_18)
+        for i, basis in enumerate(bases)
     ]
+
+
+def test_ks_search_finds_no_coloring_of_cabello_18(cabello):
+    contexts = _ray_contexts(CABELLO_18)
     # a coloring would make nine atoms true, one per basis, yet count each true ray twice
     assert ks_search(Structure(contexts)) == []
     for dropped in range(len(contexts)):
@@ -257,3 +264,48 @@ def test_ks_search_finds_no_coloring_of_cabello_18(cabello):
     assert [[a.matrix for a in contexts[i].atoms] for i in (0, 1, 5)] == [
         [a.matrix for a in c.atoms] for c in cabello.contexts
     ]
+
+
+def test_ks_search_matches_brute_force_where_prefixes_meet(qubit, cabello):
+    # after Sigma_x, both of its choices leave the same masks on the later
+    # contexts' bits, so the second choice reuses the first one's colorings
+    x, z = qubit.contexts[1], qubit.contexts[0]
+    assert x.name == "Sigma_x" and z.name == "Sigma_z"
+    structures = [Structure([x, z, replace(z, name="Sigma_z2")])]
+    # eight of cabello-18's bases (26 colorings): prefixes meet in few states
+    structures.append(Structure(_ray_contexts(CABELLO_18)[1:]))
+    rng = random.Random(31)
+    for _ in range(12):
+        source = rng.choice([qubit, cabello])
+        picks = rng.choices(source.contexts, k=rng.randint(2, 4))
+        structures.append(Structure([
+            validate_context(f"{c.name}_{i}", rng.sample(c.atoms, len(c.atoms))) for i, c in enumerate(picks)
+        ]))
+    for structure in structures:
+        assert ks_search(structure) == brute_force_colorings(structure)
+
+
+def test_ks_search_expands_each_frontier_state_once():
+    # seven bases share no ray with each other or with cabello-18, so all
+    # 4^7 prefixes reach one state before C1; searching cabello-18's dead
+    # subtree once per prefix takes seconds, once in all well under one
+    independent = [((1, a, 0, 0), (a, -1, 0, 0), (0, 0, 1, a), (0, 0, a, -1)) for a in range(2, 9)]
+    structure = Structure(_ray_contexts(independent, "B") + _ray_contexts(CABELLO_18))
+    start = time.perf_counter()
+    assert ks_search(structure) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ks_text_matches_per_coloring_join(qubit, cabello):
+    rng = random.Random(57)
+    single = Structure([cabello.contexts[0]])  # its first half has no context
+    for structure in (qubit, cabello, single):
+        assert ks_to_text(structure, []) == reference_ks_text(structure, []) == "solutions: 0\n"
+        sizes = [len(ctx.atoms) for ctx in structure.contexts]
+        for _ in range(20):
+            solutions = [tuple(rng.randrange(k) for k in sizes) for _ in range(rng.randint(1, 12))]
+            solutions += rng.choices(solutions, k=rng.randint(1, 12))
+            rng.shuffle(solutions)
+            assert ks_to_text(structure, solutions) == reference_ks_text(structure, solutions)
+        found = ks_search(structure)
+        assert ks_to_text(structure, found) == reference_ks_text(structure, found)
