@@ -247,7 +247,8 @@ def ks_to_text(structure: Structure, solutions: Sequence[tuple[int, ...]]) -> st
         if tail_text is None:
             tail_text = tail_texts[tail] = " ".join([names[i] for names, i in zip(tail_labels, tail)])
         lines.append(head_text + tail_text)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def ks_to_dict(structure: Structure, solutions: Sequence[tuple[int, ...]]) -> dict:

@@ -1,14 +1,11 @@
 """Hasse diagrams of lattice members, rendered as Graphviz DOT.
 
 Edges are the covering pairs of strict containment among the members in
-scope, read off atom supports with no containment test.  A member's
-support in a context is the mask of atoms that do not annihilate it, the
-union of its own atoms' supports.  Member s lies in member t iff s's
-support is a subset of t's in every lattice in scope: t is the sum of its
-atoms in one of them, and s lies in the sum of its support's atoms there.
-Rendering is a pure function of the inputs: member order, edge order and
-attribute order are all fixed, so identical inputs give byte-identical
-DOT.
+scope, read off atom masks with no containment test: a member's covers
+are the least of at most one candidate per atom in scope (see
+:func:`build_graph`).  Rendering is a pure function of the inputs:
+member order, edge order and attribute order are all fixed, so identical
+inputs give byte-identical DOT.
 
 Node styling encodes the three truth values: true propositions are
 filled black boxes, false ones filled black circles, gaps hollow
@@ -48,8 +45,15 @@ class HasseGraph:
     edges: tuple[tuple[int, int], ...]
 
 
-def _covers(above: Sequence[int]) -> list[tuple[int, int]]:
-    """Sorted covering pairs (i, j) of a strict order; bit j of above[i] means i < j."""
+def transitive_reduction(members: Sequence[Subspace]) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) with members[i] strictly below members[j].
+
+    Containment is tested geometrically: the oracle for build_graph's order.
+    """
+    above = [
+        sum(1 << j for j, t in enumerate(members) if s.dim < t.dim and s.is_subspace_of(t))
+        for s in members
+    ]
     edges = []
     for i, up in enumerate(above):
         reach = 0
@@ -60,19 +64,16 @@ def _covers(above: Sequence[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def transitive_reduction(members: Sequence[Subspace]) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) with members[i] strictly below members[j].
-
-    Containment is tested geometrically: the oracle for build_graph's order.
-    """
-    return _covers([
-        sum(1 << j for j, t in enumerate(members) if s.dim < t.dim and s.is_subspace_of(t))
-        for s in members
-    ])
-
-
 def build_graph(report: ValuationReport, scope: str) -> HasseGraph:
-    """Assemble the node and edge lists for one lattice or the whole structure."""
+    """Assemble the node and edge lists for one lattice or the whole structure.
+
+    A member's support in a context is the mask of atoms that do not
+    annihilate it; concatenated over the scope lattices it names the member,
+    and s lies in t iff s's support is a subset of t's.  Let p be the mask
+    of lattice L's atoms in s's support.  L's members above s hold the hull
+    (L's member p), or some ``p | atom`` if the hull is s.  So the covers of
+    s are the minimal candidates over all scope lattices.
+    """
     structure = report.structure
     if scope == WHOLE_STRUCTURE_SCOPE:
         lattices = structure.lattices
@@ -83,42 +84,39 @@ def build_graph(report: ValuationReport, scope: str) -> HasseGraph:
                 f"scope {scope!r} names no context; use a context name or {WHOLE_STRUCTURE_SCOPE!r}"
             )
         lattices = (lattice,)
-    # Each atom's supports in every scope lattice, concatenated into one mask.
-    atom_supports, first = {}, {}
+    # Per scope lattice: bit offset, atom count, and supports by atom mask.
+    spans, offset, first = [], sum(len(lat.atom_ranges) for lat in lattices), {}
     for lat in lattices:
-        for i, atom_range in enumerate(lat.atom_ranges):
-            support = 0
+        sup = [0]
+        for atom_range in lat.atom_ranges:
+            atom_support = 0
             for other in lattices:
-                support = support << len(other.atom_ranges) | other.context.support(atom_range)
-            atom_supports[lat, i] = support
+                atom_support = atom_support << len(other.atom_ranges) | other.context.support(atom_range)
+            sup += [x | atom_support for x in sup]
+        offset -= len(lat.atom_ranges)
+        spans.append((offset, len(lat.atom_ranges), sup))
         for member, mask in zip(lat.members, lat.masks):
-            first.setdefault(member, (lat, mask))
-    nodes, supports = [], []
-    unsorted = list(first)
-    for member in [unsorted[i] for i in _sort_order(unsorted)]:
-        lat, mask = first[member]
-        support = 0
-        for i in range(len(lat.atom_ranges)):
-            if mask >> i & 1:
-                support |= atom_supports[lat, i]
-        supports.append(support)
+            first.setdefault(sup[mask], (lat, mask, member))
+    supports = list(first)
+    supports = [supports[i] for i in _sort_order([first[s][2] for s in supports])]
+    position = {s: i for i, s in enumerate(supports)}
+    nodes, edges = [], []
+    for i, s in enumerate(supports):
+        lat, mask, member = first[s]
         memberships = tuple(f"{o.name}:{o.label(member)}" for o in structure.lattices if o.has_member(member))
         label = _mask_label(mask)
-        nodes.append(
-            HasseNode(
-                node_id=f"{lat.name}.{label}",
-                subspace=member,
-                label=label,
-                truth=report.entries[f"{lat.name}.{label}"],
-                shared=len(memberships) >= 2 and not member.is_zero() and not member.is_full(),
-                memberships=memberships,
-            )
-        )
-    above = [
-        sum(1 << j for j, t in enumerate(supports) if j != i and s & ~t == 0)
-        for i, s in enumerate(supports)
-    ]
-    return HasseGraph(tuple(nodes), tuple(_covers(above)))
+        node_id = f"{lat.name}.{label}"
+        shared = len(memberships) >= 2 and not member.is_zero() and not member.is_full()
+        nodes.append(HasseNode(node_id, member, label, report.entries[node_id], shared, memberships))
+        # The members p | atom of each scope lattice; p itself is the hull.
+        candidates = set()
+        for offset, k, sup in spans:
+            p = (s >> offset) & ((1 << k) - 1)
+            candidates.update(sup[p | 1 << b] for b in range(k))
+        candidates.discard(s)
+        edges.extend(sorted((i, position[u]) for u in candidates
+                            if not any(t & ~u == 0 and t != u for t in candidates)))
+    return HasseGraph(tuple(nodes), tuple(edges))
 
 
 _TRUTH_STYLE = {
@@ -133,9 +131,9 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def render_dot(graph: HasseGraph, name: str, cluster: str | None = None,
-               annotate_memberships: bool = False) -> str:
-    """Serialize a graph to DOT with stable ordering and attributes."""
+def render_dot(graph: HasseGraph, name: str, cluster: str | None = None) -> str:
+    """Serialize a graph to DOT with stable ordering and attributes: nodes go
+    in the named cluster, or else carry their memberships in tooltips."""
     lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;"]
     indent = "  "
     if cluster is not None:
@@ -144,7 +142,7 @@ def render_dot(graph: HasseGraph, name: str, cluster: str | None = None,
         indent = "    "
     for node in graph.nodes:
         attrs = [f"label={_quote(node.label)}"]
-        if annotate_memberships:
+        if cluster is None:
             attrs.append(f"tooltip={_quote(' '.join(node.memberships))}")
         attrs.append(_TRUTH_STYLE[node.truth])
         if node.shared:
@@ -167,5 +165,5 @@ def emit_dot(report: ValuationReport, scope: str) -> str:
     """
     graph = build_graph(report, scope)
     if scope == WHOLE_STRUCTURE_SCOPE:
-        return render_dot(graph, "structure", annotate_memberships=True)
+        return render_dot(graph, "structure")
     return render_dot(graph, scope, cluster=scope)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import fractions
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -593,6 +594,24 @@ def test_hasse_makes_no_containment_test(capsys, monkeypatch):
                              "--mode", "invariant", "--scope", scope)
         assert (code, err) == (0, "")
         assert out.count("->") == edges
+
+
+def test_hasse_of_an_11_atom_context_is_fast(capsys, tmp_path):
+    # Covers come from one candidate per atom, not from all pairs of the
+    # 2048 members, which took over 3 s.
+    k = 11
+    path = tmp_path / "diag11.json"
+    path.write_text(json.dumps({"dimension": k, "contexts": [{"name": "D", "projectors": [
+        {"name": f"e{i}", "matrix": [["1" if r == c == i else "0" for c in range(k)] for r in range(k)]}
+        for i in range(k)
+    ]}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hasse", str(path), "--state", ",".join(["1"] + ["0"] * (k - 1)),
+                         "--mode", "invariant", "--scope", "D")
+    assert time.perf_counter() - start < 1.5
+    assert (code, err) == (0, "")
+    assert out.count("->") == k * 2 ** (k - 1)
+    assert out.count(" [label=") == 2 ** k
 
 
 def test_hasse_failure_leaves_no_file(capsys, tmp_path):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from suplat.contexts import Context, Structure
+from suplat.contexts import Context, Structure, validate_context
 from suplat.hasse import (
     HasseGraph,
     UnknownScopeError,
@@ -15,6 +15,7 @@ from suplat.hasse import (
     render_dot,
     transitive_reduction,
 )
+from suplat.operators import projector_onto
 from suplat.subspaces import Subspace
 from suplat.valuation import Mode, TruthValue, evaluate_structure
 
@@ -66,6 +67,8 @@ def test_support_order_matches_containment_oracle(qubit, cabello):
         seen.add(f"max rank {max(p.rank for c in contexts for p in c.atoms)}")
         shares = any(a & b for i, a in enumerate(ranges) for b in ranges[i + 1:])
         seen.add("shared atoms" if shares else "no shared atoms")
+        if len(contexts) == 3 and max(p.rank for c in contexts for p in c.atoms) >= 2:
+            seen.add("three contexts with a rank-2 atom")
         report = evaluate_structure(structure, random_state(rng, structure.ambient_dim), Mode.HILBERT)
         scopes = {c.name: (structure.find_lattice(c.name),) for c in contexts}
         scopes["all"] = structure.lattices
@@ -75,7 +78,16 @@ def test_support_order_matches_containment_oracle(qubit, cabello):
             distinct = {m for lat in lattices for m in lat.members}
             assert members == sorted(distinct, key=lambda m: m.sort_key())
             assert list(graph.edges) == transitive_reduction(members)
-    assert {"C^2", "C^3", "C^4", "max rank 1", "max rank 2", "shared atoms", "no shared atoms"} <= seen
+            # An edge whose ends share no lattice: its upper end is a hull.
+            owners = [{m.rsplit(":", 1)[0] for m in node.memberships} for node in graph.nodes]
+            if any(not owners[i] & owners[j] for i, j in graph.edges):
+                seen.add("edge between lattices")
+    assert {"C^2", "C^3", "C^4", "max rank 1", "max rank 2", "shared atoms", "no shared atoms",
+            "three contexts with a rank-2 atom", "edge between lattices"} <= seen
+
+
+def _atom_set(label: str) -> set[str]:
+    return set() if label == "0" else set(label.split("+"))
 
 
 def test_boolean_lattice_edge_counts(qubit, cabello):
@@ -85,6 +97,21 @@ def test_boolean_lattice_edge_counts(qubit, cabello):
     report_c = evaluate_structure(cabello, ["0", "0", "0", "1"], Mode.INVARIANT)
     for scope in ("S1", "S2", "S6"):
         assert len(build_graph(report_c, scope).edges) == 32
+    # One context of k standard-basis atoms.  The k * 2^(k-1) one-atom
+    # extensions are all the covers of a powerset, so edges that each add
+    # one atom, that many of them, are exactly the covers.  The geometric
+    # oracle tests every pair of members, so it runs only while that is cheap.
+    for k in range(2, 11):
+        rays = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
+        atoms = [projector_onto(Subspace.span_of([ray], k), f"e{i}") for i, ray in enumerate(rays)]
+        report = evaluate_structure(Structure([validate_context("D", atoms)]), rays[0], Mode.INVARIANT)
+        graph = build_graph(report, "D")
+        assert len(graph.edges) == k * 2 ** (k - 1)
+        for i, j in graph.edges:
+            below, above = _atom_set(graph.nodes[i].label), _atom_set(graph.nodes[j].label)
+            assert below < above and len(above - below) == 1
+        if k <= 7:
+            assert list(graph.edges) == transitive_reduction([node.subspace for node in graph.nodes])
 
 
 def test_node_styles_match_truth_values(qubit):
