@@ -9,15 +9,8 @@ atom onto it.
 
 The coloring search looks for assignments of 1/0 to atom ranges with
 exactly one true atom per context, and names each by the index of the
-true atom in every context.  It numbers the distinct canonical range
-subspaces once, so atoms shared between contexts get one bit and are
-forced to agree; the search itself pops frames from one stack, each
-holding a depth, two masks of those bits (the ranges set true and the
-ranges set false) and the atom chosen one depth up.  A frontier state is
-keyed by its depth and the bits of both masks that later contexts read;
-it is expanded once, and a later visit copies the colorings its first
-visit found, each under the new prefix.  The text output writes each
-coloring as the texts of its two halves, each built once and reused.
+true atom in every context; :func:`ks_search` describes how it walks and
+memoizes the frontier states, and :func:`ks_to_text` how it writes them.
 """
 
 from __future__ import annotations
@@ -28,7 +21,7 @@ from typing import Sequence
 
 from .contexts import Structure
 from .subspaces import Subspace
-from .valuation import Mode, TruthValue, ValuationReport, atom_values
+from .valuation import Mode, TruthValue, ValuationReport, evaluate_structure
 
 
 class RuleStatus(Enum):
@@ -99,22 +92,18 @@ def _judge(context: str, values: Sequence[TruthValue]) -> ContextAdmissibility:
 def check_admissibility(report: ValuationReport) -> AdmissibilityReport:
     """Judge both rules for every context of the report's structure.
 
-    Atom i of a context is read from the report as ``<context>.<i>``.
+    Atom a of the context at index i is read as ``report.value(i, 1 << a)``,
+    so no lattice is built.
     """
     return AdmissibilityReport(tuple(
-        _judge(ctx.name, [report.entries[f"{ctx.name}.{i}"] for i in range(1, len(ctx.atoms) + 1)])
-        for ctx in report.structure.contexts
+        _judge(c.name, [report.value(i, 1 << a) for a in range(len(c.atoms))])
+        for i, c in enumerate(report.structure.contexts)
     ))
 
 
 def admissibility_at(structure: Structure, state, mode: Mode) -> AdmissibilityReport:
-    """Judge both rules at a state from the atom values alone.
-
-    Gives what :func:`check_admissibility` gives on the state's valuation
-    report, without building a lattice.
-    """
-    values = atom_values(structure, state, mode)
-    return AdmissibilityReport(tuple(_judge(c.name, v) for c, v in zip(structure.contexts, values)))
+    """Judge both rules on the state's valuation report."""
+    return check_admissibility(evaluate_structure(structure, state, mode))
 
 
 def admissibility_to_text(report: AdmissibilityReport) -> str:

@@ -148,13 +148,12 @@ def _run_validate(args: argparse.Namespace) -> int:
 
 def _run_lattice(args: argparse.Namespace) -> int:
     structure = _structure_from_args(args)
-    if args.context is not None:
-        # Only the named context's lattice is enumerated.
-        found = [c for c in structure.contexts if c.name == args.context]
-        if not found:
+    if args.context is None:
+        lattices = structure.lattices
+    else:  # only the named context's lattice is enumerated
+        lattices = [structure.find_lattice(args.context)]
+        if lattices[0] is None:
             raise ValueError(f"unknown context {args.context!r}")
-        structure = Structure(found)
-    lattices = structure.lattices
     if args.format == STRUCTURED:
         payload = {
             lat.name: [

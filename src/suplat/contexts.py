@@ -7,6 +7,7 @@ sum of those atom ranges, so there are 2^k distinct members.  A subspace
 lies in the sum of its support's atoms (those whose projectors do not
 annihilate it), so it is a member iff its dimension is that sum's rank.
 With rank-1 atoms the members are exactly the invariant subspaces.
+This atom-sum rule is the only membership test; no member is hashed.
 """
 
 from __future__ import annotations
@@ -83,6 +84,15 @@ class Context:
             if not all(_orthogonal(dual, b) for dual in duals for b in basis)
         )
 
+    @cached_property
+    def _extra_ranks(self) -> tuple[tuple[int, int], ...]:
+        """(bit, rank - 1) of each atom of rank above 1."""
+        return tuple((1 << i, p.rank - 1) for i, p in enumerate(self.atoms) if p.rank > 1)
+
+    def rank(self, mask: int) -> int:
+        """Dimension of the sum of the atom ranges in the mask."""
+        return mask.bit_count() + sum(extra for bit, extra in self._extra_ranks if mask & bit)
+
 
 def _orthogonal(dual, vector) -> bool:
     """True iff the vector is orthogonal to a range row given as ``_range_duals`` entries."""
@@ -155,11 +165,6 @@ class InvariantLattice:
         self.masks: tuple[int, ...] = tuple(_sort_order(sums))
         self.members: tuple[Subspace, ...] = tuple(sums[m] for m in self.masks)
 
-    @cached_property
-    def _index(self) -> dict[Subspace, int]:
-        """Position of each member, hashed on the first lookup by subspace."""
-        return {m: i for i, m in enumerate(self.members)}
-
     @property
     def name(self) -> str:
         return self.context.name
@@ -168,14 +173,17 @@ class InvariantLattice:
         return len(self.members)
 
     def has_member(self, s: Subspace) -> bool:
-        return s in self._index
+        return s.ambient_dim == self.context.dimension and is_lattice_member(s, self.context)
 
     def index_of(self, s: Subspace) -> int:
-        return self._index[s]
+        """Position of a member, whose atom mask is its support; KeyError for a non-member."""
+        if not self.has_member(s):
+            raise KeyError(s)
+        return self.masks.index(self.context.support(s))
 
     def label(self, member: Subspace) -> str:
         """Atom-set label of a member: \"0\" for the zero subspace, else \"1+2+3\"."""
-        return _mask_label(self.masks[self._index[member]])
+        return _mask_label(self.masks[self.index_of(member)])
 
     def labels(self) -> list[str]:
         """Every member's label, in member order."""
@@ -188,18 +196,14 @@ def _mask_label(mask: int) -> str:
 
 
 def is_lattice_member(s: Subspace, context: Context) -> bool:
-    """True iff the subspace is a member of the context's atom-sum lattice.
-
-    The subspace lies in the sum of its support's atom ranges, so it
-    equals that sum exactly when the dimensions agree.  For rank-1
-    contexts this is invariance under every atom.
-    """
+    """True iff the subspace is a member of the context's atom-sum lattice:
+    it lies in the sum of its support's atom ranges, so it equals that sum
+    exactly when the dimensions agree."""
     if s.ambient_dim != context.dimension:
         raise DimensionMismatchError(
             f"subspace of C^{s.ambient_dim} against a context on C^{context.dimension}"
         )
-    support = context.support(s)
-    return s.dim == sum(p.rank for i, p in enumerate(context.atoms) if support >> i & 1)
+    return s.dim == context.rank(context.support(s))
 
 
 def shared_members(a: InvariantLattice, b: InvariantLattice) -> list[Subspace]:
@@ -232,20 +236,25 @@ class Structure:
             raise StructureError(f"duplicate context name {dup!r}")
         self.ambient_dim = dim
         self.contexts = contexts
+        self._lattices: dict[int, InvariantLattice] = {}
+
+    def lattice(self, index: int) -> InvariantLattice:
+        """The lattice of the context at this index, enumerated on first request,
+        so ``validate``, ``admissibility`` and ``ks-search`` build none and
+        ``hasse --scope NAME`` builds only the lattice it draws."""
+        if index not in self._lattices:
+            self._lattices[index] = InvariantLattice(self.contexts[index])
+        return self._lattices[index]
 
     @cached_property
     def lattices(self) -> tuple[InvariantLattice, ...]:
-        """One lattice per context, enumerated on first access.
-
-        Commands that never read a member (``validate``, ``ks-search``)
-        never pay for the 2^k subset sums.
-        """
-        return tuple(InvariantLattice(c) for c in self.contexts)
+        """Every context's lattice, in context order."""
+        return tuple(self.lattice(i) for i in range(len(self.contexts)))
 
     def find_lattice(self, context_name: str) -> InvariantLattice | None:
-        for lat in self.lattices:
-            if lat.name == context_name:
-                return lat
+        for i, c in enumerate(self.contexts):
+            if c.name == context_name:
+                return self.lattice(i)
         return None
 
 
@@ -279,7 +288,7 @@ def allocates(support: int) -> bool:
 def allocated_lattices(structure: Structure, state) -> list[InvariantLattice]:
     """Lattices whose context has an atom range containing the state."""
     supports = state_supports(structure, normalize_state(structure, state))
-    return [lat for lat, support in zip(structure.lattices, supports) if allocates(support)]
+    return [structure.lattice(i) for i, support in enumerate(supports) if allocates(support)]
 
 
 def structure_to_dict(structure: Structure) -> dict:

@@ -1,11 +1,11 @@
 """Hasse diagrams of lattice members, rendered as Graphviz DOT.
 
 Edges are the covering pairs of strict containment among the members in
-scope, read off atom masks with no containment test: a member's covers
-are the least of at most one candidate per atom in scope (see
-:func:`build_graph`).  Rendering is a pure function of the inputs:
-member order, edge order and attribute order are all fixed, so identical
-inputs give byte-identical DOT.
+scope, read off atom masks with no containment test (see
+:func:`build_graph`); memberships come from the same masks, so only the
+lattices in scope are built.  Rendering is a pure function of the
+inputs: member order, edge order and attribute order are all fixed, so
+identical inputs give byte-identical DOT.
 
 Node styling encodes the three truth values: true propositions are
 filled black boxes, false ones filled black circles, gaps hollow
@@ -16,6 +16,7 @@ thick grey border.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .contexts import _mask_label
@@ -67,54 +68,55 @@ def transitive_reduction(members: Sequence[Subspace]) -> list[tuple[int, int]]:
 def build_graph(report: ValuationReport, scope: str) -> HasseGraph:
     """Assemble the node and edge lists for one lattice or the whole structure.
 
-    A member's support in a context is the mask of atoms that do not
-    annihilate it; concatenated over the scope lattices it names the member,
-    and s lies in t iff s's support is a subset of t's.  Let p be the mask
-    of lattice L's atoms in s's support.  L's members above s hold the hull
-    (L's member p), or some ``p | atom`` if the hull is s.  So the covers of
-    s are the minimal candidates over all scope lattices.
+    A member's key is its support (the atoms that do not annihilate it)
+    in every context, concatenated: it names the member, and s lies in t
+    iff s's key is a subset of t's.  Let p be scope lattice L's part of
+    s's key.  L's members above s hold the hull (L's member p), or some
+    ``p | atom`` if the hull is s, so the covers of s are the minimal such
+    candidates.  s is in context o's lattice, as the member named by o's
+    part of its key, iff that part's rank is s's dimension.
     """
-    structure = report.structure
+    contexts = report.structure.contexts
     if scope == WHOLE_STRUCTURE_SCOPE:
-        lattices = structure.lattices
+        in_scope = range(len(contexts))
     else:
-        lattice = structure.find_lattice(scope)
-        if lattice is None:
+        in_scope = [i for i, c in enumerate(contexts) if c.name == scope]
+        if not in_scope:
             raise UnknownScopeError(
                 f"scope {scope!r} names no context; use a context name or {WHOLE_STRUCTURE_SCOPE!r}"
             )
-        lattices = (lattice,)
-    # Per scope lattice: bit offset, atom count, and supports by atom mask.
-    spans, offset, first = [], sum(len(lat.atom_ranges) for lat in lattices), {}
-    for lat in lattices:
-        sup = [0]
+    offsets = list(accumulate((len(c.atoms) for c in contexts), initial=0))  # bit offsets in a key
+    # Per scope lattice: its context's index, and keys by atom mask.
+    spans, first = [], {}
+    for i in in_scope:
+        lat = report.structure.lattice(i)
+        keys = [0]
         for atom_range in lat.atom_ranges:
-            atom_support = 0
-            for other in lattices:
-                atom_support = atom_support << len(other.atom_ranges) | other.context.support(atom_range)
-            sup += [x | atom_support for x in sup]
-        offset -= len(lat.atom_ranges)
-        spans.append((offset, len(lat.atom_ranges), sup))
+            atom_key = sum(c.support(atom_range) << offset for c, offset in zip(contexts, offsets))
+            keys += [x | atom_key for x in keys]
+        spans.append((i, keys))
         for member, mask in zip(lat.members, lat.masks):
-            first.setdefault(sup[mask], (lat, mask, member))
-    supports = list(first)
-    supports = [supports[i] for i in _sort_order([first[s][2] for s in supports])]
-    position = {s: i for i, s in enumerate(supports)}
+            first.setdefault(keys[mask], (i, mask, member))
+    node_keys = list(first)
+    node_keys = [node_keys[j] for j in _sort_order([first[s][2] for s in node_keys])]
+    position = {s: j for j, s in enumerate(node_keys)}
     nodes, edges = [], []
-    for i, s in enumerate(supports):
-        lat, mask, member = first[s]
-        memberships = tuple(f"{o.name}:{o.label(member)}" for o in structure.lattices if o.has_member(member))
+    for j, s in enumerate(node_keys):
+        i, mask, member = first[s]
+        parts = [(s >> offset) & ((1 << len(c.atoms)) - 1) for c, offset in zip(contexts, offsets)]
+        memberships = tuple(
+            f"{c.name}:{_mask_label(part)}" for c, part in zip(contexts, parts) if c.rank(part) == member.dim
+        )
         label = _mask_label(mask)
-        node_id = f"{lat.name}.{label}"
         shared = len(memberships) >= 2 and not member.is_zero() and not member.is_full()
-        nodes.append(HasseNode(node_id, member, label, report.entries[node_id], shared, memberships))
+        truth = report.value(i, mask)
+        nodes.append(HasseNode(f"{contexts[i].name}.{label}", member, label, truth, shared, memberships))
         # The members p | atom of each scope lattice; p itself is the hull.
         candidates = set()
-        for offset, k, sup in spans:
-            p = (s >> offset) & ((1 << k) - 1)
-            candidates.update(sup[p | 1 << b] for b in range(k))
+        for o, keys in spans:
+            candidates.update(keys[parts[o] | 1 << b] for b in range(len(contexts[o].atoms)))
         candidates.discard(s)
-        edges.extend(sorted((i, position[u]) for u in candidates
+        edges.extend(sorted((j, position[u]) for u in candidates
                             if not any(t & ~u == 0 and t != u for t in candidates)))
     return HasseGraph(tuple(nodes), tuple(edges))
 

@@ -8,19 +8,21 @@ range containing the state); all other members render as the gap "0/0".
 In Hilbert-sublattice mode every member is bivalent by containment.
 
 Both are read off the state's support in each context: the mask of atoms
-whose projectors do not annihilate it, computed once per call.  The state
-is the orthogonal sum of its projections onto the atoms, so a context is
-allocated iff the support is a single atom, and the state lies in the
-member named by mask m iff the support is a subset of m.  Allocation and
-:func:`evaluate_structure` make no containment test, and a report keys
-its values by member name, not by subspace.
+whose projectors do not annihilate it, computed once per report.  The
+state is the orthogonal sum of its projections onto the atoms, so a
+context is allocated iff the support is a single atom, and the state lies
+in the member named by mask m iff the support is a subset of m.  A report
+values a member named by (context index, atom mask); it is certified in
+an allocated context by the atom-sum membership rule, read off its atoms'
+supports there, so valuing it builds no lattice and hashes no member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Mapping
 
 from .contexts import (
@@ -52,20 +54,45 @@ class TruthValue(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ValuationReport:
-    """Truth values of every lattice member of a structure at one state.
+    """Truth values of the lattice members of a structure at one state.
 
-    ``entries`` names every member of every lattice of ``structure`` as
-    ``<context>.<atom-set>`` (for example ``S1.1+2+3``) in deterministic
-    order.  A subspace shared between lattices appears under each of its
-    names with the same value.
+    ``supports`` holds the state's support in each context, in context
+    order, and every value is derived from it on request.  ``entries``
+    names every member of every lattice as ``<context>.<atom-set>`` (for
+    example ``S1.1+2+3``) in deterministic order; a subspace shared between
+    lattices appears under each of its names with the same value.
     """
 
     structure: Structure = field(repr=False)
     state: tuple[GaussianRational, ...]
     mode: Mode
-    allocated: tuple[str, ...]
-    entries: Mapping[str, TruthValue]
-    notes: tuple[str, ...] = ()
+    supports: tuple[int, ...]
+
+    @cached_property
+    def _allocated_contexts(self) -> tuple[Context, ...]:
+        return tuple(c for c, s in zip(self.structure.contexts, self.supports) if allocates(s))
+
+    @property
+    def allocated(self) -> tuple[str, ...]:
+        return tuple(c.name for c in self._allocated_contexts)
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        # A proper member holding the state exists iff some support is not full.
+        if self.mode is Mode.HILBERT and all(
+            support == (1 << len(c.atoms)) - 1 for c, support in zip(self.structure.contexts, self.supports)
+        ):
+            return ("state lies in no nontrivial member; containment renders them all false",)
+        return ()
+
+    @cached_property
+    def entries(self) -> Mapping[str, TruthValue]:
+        """Every member's value by name, in lattice and member order."""
+        return {
+            f"{lat.name}.{_mask_label(mask)}": self.value(i, mask)
+            for i, lat in enumerate(self.structure.lattices)
+            for mask in lat.masks
+        }
 
     @cached_property
     def values(self) -> Mapping[Subspace, TruthValue]:
@@ -76,89 +103,63 @@ class ValuationReport:
                 values.setdefault(member, self.entries[f"{lat.name}.{label}"])
         return values
 
+    def value(self, i: int, mask: int) -> TruthValue:
+        """Value of the member named by ``mask`` in the context at index ``i``; a gap
+        unless bivalent or its dimension is its support's rank in an allocated context."""
+        context = self.structure.contexts[i]
+        if not mask:
+            return TruthValue.FALSE
+        if mask == (1 << len(context.atoms)) - 1:
+            return TruthValue.TRUE
+        certifiers = self._certifiers[i]
+        if certifiers is not None and not any(
+            o.rank(_union(atom_supports, mask)) == context.rank(mask) for o, atom_supports in certifiers
+        ):
+            return TruthValue.GAP
+        return TruthValue.TRUE if self.supports[i] & ~mask == 0 else TruthValue.FALSE
 
-def _value_of(mask: int, full: int, support: int, bivalent: bool) -> TruthValue:
-    """Value of the member named by ``mask``, where ``full`` names the whole
-    space and ``support`` is the state's support, all in one context."""
-    if not mask:
-        return TruthValue.FALSE
-    if mask == full:
-        return TruthValue.TRUE
-    if not bivalent:
-        return TruthValue.GAP
-    return TruthValue.TRUE if support & ~mask == 0 else TruthValue.FALSE
+    @cached_property
+    def _certifiers(self) -> list[list[tuple[Context, list[int]]] | None]:
+        """Per context, None if its members are bivalent (Hilbert mode, or the context
+        is allocated), else each allocated context with its supports of the atoms."""
+        return [
+            None if self.mode is Mode.HILBERT or allocates(s)
+            else [(o, [o.support(a.range) for a in c.atoms]) for o in self._allocated_contexts]
+            for c, s in zip(self.structure.contexts, self.supports)
+        ]
+
+    def value_of(self, subspace: Subspace) -> TruthValue:
+        """Truth value of any subspace proposition at the state.
+
+        In invariant mode a nontrivial subspace is certified by the
+        membership rule in an allocated context.  It need not be a lattice
+        member, so containment is a row reduction.
+        """
+        if subspace.ambient_dim != self.structure.ambient_dim:
+            raise DimensionMismatchError(
+                f"subspace of C^{subspace.ambient_dim} in a structure on C^{self.structure.ambient_dim}"
+            )
+        if self.mode is Mode.INVARIANT and 0 < subspace.dim < subspace.ambient_dim and not any(
+            is_lattice_member(subspace, c) for c in self._allocated_contexts
+        ):
+            return TruthValue.GAP
+        return TruthValue.TRUE if subspace.contains_vector(self.state) else TruthValue.FALSE
 
 
-def _allocated_contexts(structure: Structure, supports: list[int]) -> list[Context]:
-    return [c for c, support in zip(structure.contexts, supports) if allocates(support)]
+def _union(atom_supports: list[int], mask: int) -> int:
+    """Support of the member named by ``mask``: its atoms' supports, joined."""
+    return reduce(or_, (s for b, s in enumerate(atom_supports) if mask >> b & 1), 0)
 
 
 def evaluate(structure: Structure, state, subspace: Subspace, mode: Mode) -> TruthValue:
-    """Truth value of a single subspace proposition at the state.
-
-    In invariant mode a nontrivial subspace is certified by the membership
-    rule against each allocated context, so no lattice is built.  It need
-    not be a lattice member, so containment is a row reduction.
-    """
-    v = normalize_state(structure, state)
-    if subspace.ambient_dim != structure.ambient_dim:
-        raise DimensionMismatchError(
-            f"subspace of C^{subspace.ambient_dim} in a structure on C^{structure.ambient_dim}"
-        )
-    if mode is Mode.INVARIANT and 0 < subspace.dim < subspace.ambient_dim and not any(
-        is_lattice_member(subspace, c) for c in _allocated_contexts(structure, state_supports(structure, v))
-    ):
-        return TruthValue.GAP
-    return TruthValue.TRUE if subspace.contains_vector(v) else TruthValue.FALSE
+    """Truth value of a single subspace proposition at the state."""
+    return evaluate_structure(structure, state, mode).value_of(subspace)
 
 
 def evaluate_structure(structure: Structure, state, mode: Mode) -> ValuationReport:
-    """Evaluate every member of every lattice of the structure at the state."""
+    """The state's valuation report; it values members on request."""
     v = normalize_state(structure, state)
-    supports = state_supports(structure, v)
-    allocated = [lat for lat, support in zip(structure.lattices, supports) if allocates(support)]
-    entries: dict[str, TruthValue] = {}
-    for lat, support in zip(structure.lattices, supports):
-        full = (1 << len(lat.atom_ranges)) - 1
-        own = mode is Mode.HILBERT or allocates(support)
-        for member, mask in zip(lat.members, lat.masks):
-            bivalent = own or any(a.has_member(member) for a in allocated)
-            entries[f"{lat.name}.{_mask_label(mask)}"] = _value_of(mask, full, support, bivalent)
-    notes: tuple[str, ...] = ()
-    # A proper member holding the state exists iff some support is not full.
-    if mode is Mode.HILBERT and all(
-        support == (1 << len(c.atoms)) - 1 for c, support in zip(structure.contexts, supports)
-    ):
-        notes = ("state lies in no nontrivial member; containment renders them all false",)
-    return ValuationReport(
-        structure=structure,
-        state=v,
-        mode=mode,
-        allocated=tuple(lat.name for lat in allocated),
-        entries=entries,
-        notes=notes,
-    )
-
-
-def atom_values(structure: Structure, state, mode: Mode) -> list[list[TruthValue]]:
-    """Each context's atom values at the state, in structure and atom order.
-
-    The same rule as :func:`evaluate_structure`, with no lattice built: an
-    atom range is certified iff its own context is allocated or it is a
-    member of an allocated context's lattice.
-    """
-    v = normalize_state(structure, state)
-    supports = state_supports(structure, v)
-    allocated = _allocated_contexts(structure, supports)
-    rows = []
-    for ctx, support in zip(structure.contexts, supports):
-        full = (1 << len(ctx.atoms)) - 1
-        own = mode is Mode.HILBERT or allocates(support)
-        rows.append([
-            _value_of(1 << i, full, support, own or any(is_lattice_member(a.range, c) for c in allocated))
-            for i, a in enumerate(ctx.atoms)
-        ])
-    return rows
+    return ValuationReport(structure, v, mode, tuple(state_supports(structure, v)))
 
 
 def format_state(state) -> str:

@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from suplat.contexts import (
     Context,
     IncompleteSumError,
+    InvariantLattice,
     NotOrthogonalError,
     Structure,
+    _mask_label,
     normalize_state,
     validate_context,
 )
 from suplat.linalg import ExactMatrix, GaussianRational
 from suplat.operators import NotHermitianError, NotIdempotentError, projector_onto, range_of, validate_projector
 from suplat.subspaces import Subspace
-from suplat.valuation import Mode, TruthValue, ValuationReport
+from suplat.valuation import Mode, TruthValue
 
 
 class ReferenceScalar:
@@ -261,6 +264,12 @@ def reference_context_error(name: str, atoms):
     return None
 
 
+def member_index(lattice: InvariantLattice) -> dict[Subspace, int]:
+    """Position of each member, keyed by subspace: the membership oracle for
+    ``has_member``, ``index_of`` and ``label``."""
+    return {m: i for i, m in enumerate(lattice.members)}
+
+
 def reference_value(member: Subspace, v, mode: Mode, certified: set[Subspace]) -> TruthValue:
     if member.is_zero():
         return TruthValue.FALSE
@@ -271,7 +280,24 @@ def reference_value(member: Subspace, v, mode: Mode, certified: set[Subspace]) -
     return TruthValue.GAP
 
 
-def reference_report(structure: Structure, state, mode: Mode) -> tuple[ValuationReport, dict]:
+@dataclass(frozen=True)
+class ReferenceReport:
+    """What the oracle finds, with the fields a valuation report renders and
+    the ``value`` method :func:`suplat.admissibility.check_admissibility` reads."""
+
+    structure: Structure
+    state: tuple
+    mode: Mode
+    allocated: tuple[str, ...]
+    entries: dict
+    notes: tuple[str, ...]
+
+    def value(self, i: int, mask: int) -> TruthValue:
+        """The entry of the member named by ``mask`` in the context at index ``i``."""
+        return self.entries[f"{self.structure.contexts[i].name}.{_mask_label(mask)}"]
+
+
+def reference_report(structure: Structure, state, mode: Mode) -> tuple[ReferenceReport, dict]:
     """Valuation oracle by row reduction, with no support mask.
 
     A lattice is allocated when one of its atom ranges contains the state,
@@ -289,11 +315,11 @@ def reference_report(structure: Structure, state, mode: Mode) -> tuple[Valuation
     values: dict = {}
     entries = {}
     for lat in structure.lattices:
-        for member in lat.members:
+        for member, label in zip(lat.members, lat.labels()):
             if member not in values:
                 values[member] = reference_value(member, v, mode, certified)
-            entries[f"{lat.name}.{lat.label(member)}"] = values[member]
+            entries[f"{lat.name}.{label}"] = values[member]
     notes = ()
     if mode is Mode.HILBERT and not any(val is TruthValue.TRUE for m, val in values.items() if not m.is_full()):
         notes = ("state lies in no nontrivial member; containment renders them all false",)
-    return ValuationReport(structure, v, mode, tuple(lat.name for lat in allocated), entries, notes), values
+    return ReferenceReport(structure, v, mode, tuple(lat.name for lat in allocated), entries, notes), values

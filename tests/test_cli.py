@@ -15,7 +15,7 @@ from suplat.admissibility import ks_search, ks_to_text
 from suplat.cli import build_parser, load_structure, main
 from suplat.contexts import structure_to_dict
 from suplat.datasets import builtin_structure
-from suplat.linalg import ExactMatrix
+from suplat.linalg import ExactMatrix, GaussianRational
 from suplat.subspaces import Subspace
 from suplat.valuation import Mode, report_to_text
 
@@ -612,6 +612,95 @@ def test_hasse_of_an_11_atom_context_is_fast(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert out.count("->") == k * 2 ** (k - 1)
     assert out.count(" [label=") == 2 ** k
+
+
+def _diag_projectors(n, names):
+    """Projectors onto the standard basis vectors of C^n, one per name."""
+    return [
+        {"name": name, "matrix": [["1" if r == c == i else "0" for c in range(n)] for r in range(n)]}
+        for i, name in enumerate(names)
+    ]
+
+
+def test_hasse_scope_builds_only_the_drawn_lattice(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "cabello.json"
+    path.write_text(json.dumps(structure_to_dict(builtin_structure("cabello-3"))))
+    argv = ["hasse", str(path), "--state", "0,0,0,1", "--mode", "invariant"]
+    _, drawn, _ = run(capsys, *argv, "--scope", "S6")
+    built = []
+    original = contexts.InvariantLattice
+
+    def counting(context):
+        built.append(context.name)
+        return original(context)
+
+    monkeypatch.setattr(contexts, "InvariantLattice", counting)
+    code, out, err = run(capsys, *argv, "--scope", "S6")
+    assert (code, err, out, built) == (0, "", drawn, ["S6"])
+    assert out.count(" [label=") == 16 and out.count("->") == 32
+
+
+def test_hasse_of_a_small_context_beside_a_wide_one(capsys, tmp_path, monkeypatch):
+    # P splits C^14 into e1 and its complement, which is a member of D's
+    # lattice too (the grey border); D's 16384 members are never built.
+    n = 14
+    rest = [["1" if r == c and r else "0" for c in range(n)] for r in range(n)]
+    path = tmp_path / "pair14.json"
+    path.write_text(json.dumps({"dimension": n, "contexts": [
+        {"name": "P", "projectors": _diag_projectors(n, ["e1"]) + [{"name": "rest", "matrix": rest}]},
+        {"name": "D", "projectors": _diag_projectors(n, [f"e{i + 1}" for i in range(n)])},
+    ]}))
+    original = contexts.InvariantLattice
+
+    def only_p(context):
+        assert context.name == "P", f"lattice of {context.name} built"
+        return original(context)
+
+    monkeypatch.setattr(contexts, "InvariantLattice", only_p)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hasse", str(path), "--state=" + ",".join(["1"] + ["0"] * (n - 1)),
+                         "--mode", "invariant", "--scope", "P")
+    assert time.perf_counter() - start < 0.5  # about 2 s when D's lattice was built
+    assert (code, err) == (0, "")
+    assert out == (
+        'digraph "P" {\n'
+        "  rankdir=BT;\n"
+        '  subgraph "cluster_P" {\n'
+        '    label="P";\n'
+        '    "P.0" [label="0" shape=circle style=filled fillcolor=black fontcolor=white];\n'
+        '    "P.1" [label="1" shape=box style=filled fillcolor=black fontcolor=white color=grey penwidth=3];\n'
+        '    "P.2" [label="2" shape=circle style=filled fillcolor=black fontcolor=white color=grey penwidth=3];\n'
+        '    "P.1+2" [label="1+2" shape=box style=filled fillcolor=black fontcolor=white];\n'
+        "  }\n"
+        '  "P.0" -> "P.1";\n'
+        '  "P.0" -> "P.2";\n'
+        '  "P.1" -> "P.1+2";\n'
+        '  "P.2" -> "P.1+2";\n'
+        "}\n"
+    )
+
+
+def test_eval_and_hasse_hash_no_scalar(capsys, tmp_path, monkeypatch):
+    # Memberships and values come from atom masks, so no basis is hashed.
+    n = 10
+    path = tmp_path / "diag10.json"
+    path.write_text(json.dumps({"dimension": n, "contexts": [
+        {"name": "D", "projectors": _diag_projectors(n, [f"e{i}" for i in range(n)])},
+    ]}))
+    calls = []
+    original = GaussianRational.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GaussianRational, "__hash__", counting)
+    state = "--state=" + ",".join(["1"] + ["0"] * (n - 1))
+    for argv in (["eval", str(path), state, "--mode", "invariant"],
+                 ["hasse", str(path), state, "--mode", "invariant", "--scope", "D"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err, len(calls)) == (0, "", 0), argv
+    assert out.count("->") == n * 2 ** (n - 1)
 
 
 def test_hasse_failure_leaves_no_file(capsys, tmp_path):

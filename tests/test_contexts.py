@@ -30,7 +30,7 @@ from suplat.linalg import DimensionMismatchError, ExactMatrix
 from suplat.operators import ProjectorError, is_invariant, kernel_of, range_of, validate_projector
 from suplat.subspaces import Subspace
 
-from helpers import random_context, random_matrix, random_structure, random_subspace
+from helpers import member_index, random_context, random_matrix, random_structure, random_subspace
 
 
 def diag(*entries):
@@ -161,9 +161,10 @@ def test_enumeration_matches_invariance(cabello):
     # randomized cross-check in pure rank-1 land
     rng = random.Random(777)
     lattice = cabello.lattices[0]
+    oracle = member_index(lattice)
     for _ in range(40):
         s = random_subspace(rng, 4)
-        assert lattice.has_member(s) == is_lattice_member(s, lattice.context)
+        assert (s in oracle) == is_lattice_member(s, lattice.context)
 
 
 def test_membership_rule_is_the_atom_sum_lattice():
@@ -178,6 +179,7 @@ def test_membership_rule_is_the_atom_sum_lattice():
     for case in range(30):
         context = random_context(rng, rng.randint(2, 4), f"C{case}")
         lattice = InvariantLattice(context)
+        oracle = member_index(lattice)
         rank1 = all(p.rank == 1 for p in context.atoms)
         candidates = list(lattice.members) + [random_subspace(rng, context.dimension) for _ in range(4)]
         for member in rng.sample(lattice.members[1:], 3):  # spans of vectors inside members
@@ -185,7 +187,7 @@ def test_membership_rule_is_the_atom_sum_lattice():
             candidates.append(Subspace.span_of(rows.row_list(), context.dimension))
         for s in candidates:
             member = is_lattice_member(s, context)
-            assert lattice.has_member(s) == member
+            assert (s in oracle) == member
             invariant = all(is_invariant(s, p) for p in context.atoms)
             if rank1:
                 assert invariant == member
@@ -194,6 +196,41 @@ def test_membership_rule_is_the_atom_sum_lattice():
             seen.add((rank1, invariant, member))
     # rank-1 members and non-members; rank > 1 invariant non-members
     assert {(True, True, True), (True, False, False), (False, True, False)} <= seen
+
+
+def test_membership_queries_match_the_hashed_index_oracle():
+    # Each lattice is asked about every member of every lattice of its
+    # structure, subspaces inside those members and random subspaces.
+    rng = random.Random(20181016)
+    higher_rank = non_members = 0
+    for _ in range(16):
+        structure = random_structure(rng, rng.randint(3, 4))
+        n = structure.ambient_dim
+        candidates = [m for lat in structure.lattices for m in lat.members]
+        for member in rng.sample(candidates, 4):
+            if member.dim:
+                rows = random_matrix(rng, rng.randint(1, member.dim), member.dim) * member.basis
+                candidates.append(Subspace.span_of(rows.row_list(), n))
+        candidates += [random_subspace(rng, n) for _ in range(4)]
+        for lattice in structure.lattices:
+            oracle = member_index(lattice)
+            higher_rank += any(p.rank > 1 for p in lattice.context.atoms)
+            for s in candidates:
+                assert lattice.has_member(s) == (s in oracle)
+                if s in oracle:
+                    assert lattice.index_of(s) == oracle[s]
+                    assert lattice.label(s) == lattice.labels()[oracle[s]]
+                    continue
+                non_members += 1
+                with pytest.raises(KeyError):
+                    lattice.index_of(s)
+                with pytest.raises(KeyError):
+                    lattice.label(s)
+            wrong = Subspace.full(n + 1)
+            assert not lattice.has_member(wrong)
+            with pytest.raises(KeyError):
+                lattice.label(wrong)
+    assert higher_rank >= 5 and non_members >= 100, (higher_rank, non_members)
 
 
 def test_shared_members(qubit, cabello):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from suplat import contexts
+from suplat import contexts, valuation
 from suplat.admissibility import admissibility_at, check_admissibility
 from suplat.contexts import ZeroStateError, allocated_lattices, structure_from_dict, structure_to_dict
 from suplat.datasets import builtin_structure
@@ -233,6 +233,26 @@ def test_support_valuation_matches_row_reduction_oracle(qubit, cabello):
                         for m in lat.members if not m.is_zero() and not m.is_full()
                     )
     assert cross_certified >= 5
+
+
+def test_value_of_reuses_the_report_supports(cabello, monkeypatch):
+    calls = []
+    original = valuation.state_supports
+
+    def counting(structure, v):
+        calls.append(v)
+        return original(structure, v)
+
+    s6 = cabello.contexts[2]
+    subspaces = [range_of(a) for c in cabello.contexts for a in c.atoms]
+    subspaces += [kernel_of(s6.atoms[3]), Subspace.zero(4), Subspace.full(4)]
+    expected = {mode: [evaluate(cabello, E4, s, mode) for s in subspaces] for mode in Mode}
+    monkeypatch.setattr(valuation, "state_supports", counting)
+    for mode in Mode:
+        calls.clear()
+        report = evaluate_structure(cabello, E4, mode)
+        assert [report.value_of(s) for s in subspaces] == expected[mode]
+        assert len(calls) == 1
 
 
 def test_evaluate_builds_no_lattice(monkeypatch):
