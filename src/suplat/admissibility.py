@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .contexts import Structure
 from .subspaces import Subspace
-from .valuation import Mode, TruthValue, ValuationReport, evaluate_structure
+from .valuation import TruthValue, ValuationReport
 
 
 class RuleStatus(Enum):
@@ -99,11 +99,6 @@ def check_admissibility(report: ValuationReport) -> AdmissibilityReport:
         _judge(c.name, [report.value(i, 1 << a) for a in range(len(c.atoms))])
         for i, c in enumerate(report.structure.contexts)
     ))
-
-
-def admissibility_at(structure: Structure, state, mode: Mode) -> AdmissibilityReport:
-    """Judge both rules on the state's valuation report."""
-    return check_admissibility(evaluate_structure(structure, state, mode))
 
 
 def admissibility_to_text(report: AdmissibilityReport) -> str:

@@ -3,20 +3,22 @@
 Commands: validate, lattice, eval, admissibility, ks-search, hasse,
 datasets.  Structures come either from a JSON file or from a built-in
 dataset.  Exit codes: 0 on success, 1 when validation or evaluation
-fails, 2 on usage errors.
+fails or stdout is closed before everything is written (with nothing
+on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
 from .admissibility import (
-    admissibility_at,
     admissibility_to_dict,
     admissibility_to_text,
+    check_admissibility,
     ks_search,
     ks_to_dict,
     ks_to_text,
@@ -183,7 +185,8 @@ def _run_eval(args: argparse.Namespace) -> int:
 
 def _run_admissibility(args: argparse.Namespace) -> int:
     structure = _structure_from_args(args)
-    report = admissibility_at(structure, _parse_state(args.state), Mode(args.mode))
+    valuation = evaluate_structure(structure, _parse_state(args.state), Mode(args.mode))
+    report = check_admissibility(valuation)
     if args.format == STRUCTURED:
         print(json.dumps(admissibility_to_dict(report), indent=2))
     else:
@@ -227,20 +230,26 @@ def _run_datasets(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "validate":
-            return _run_validate(args)
-        if args.command == "datasets":
-            return _run_datasets(args)
+    if args.command not in ("validate", "datasets"):
         _require_source(parser, args)
-        handler = {
-            "lattice": _run_lattice,
-            "eval": _run_eval,
-            "admissibility": _run_admissibility,
-            "ks-search": _run_ks_search,
-            "hasse": _run_hasse,
-        }[args.command]
-        return handler(args)
+    handler = {
+        "validate": _run_validate,
+        "datasets": _run_datasets,
+        "lattice": _run_lattice,
+        "eval": _run_eval,
+        "admissibility": _run_admissibility,
+        "ks-search": _run_ks_search,
+        "hasse": _run_hasse,
+    }[args.command]
+    try:
+        status = handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout.  Send what is still buffered to the null
+        # device, so the flush at interpreter exit reports nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

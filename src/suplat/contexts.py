@@ -181,10 +181,6 @@ class InvariantLattice:
             raise KeyError(s)
         return self.masks.index(self.context.support(s))
 
-    def label(self, member: Subspace) -> str:
-        """Atom-set label of a member: \"0\" for the zero subspace, else \"1+2+3\"."""
-        return _mask_label(self.masks[self.index_of(member)])
-
     def labels(self) -> list[str]:
         """Every member's label, in member order."""
         return [_mask_label(m) for m in self.masks]

@@ -171,10 +171,6 @@ class GaussianRational:
         # numerators are never -1.
         return hash((2 * self._a, 2 * self._b, self._d))
 
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        """Deterministic total order: real part, then imaginary part."""
-        return (self.real, self.imag)
-
     def __str__(self) -> str:
         return format_scalar(self)
 
@@ -295,8 +291,9 @@ def _integer_entry_keys(matrices) -> list[tuple[int, ...]]:
 
     ``L`` is the lcm of every denominator in the set.  Scaling by one
     positive L keeps the order of real parts and of imaginary parts, so
-    among matrices of one shape these keys sort as the entries'
-    ``sort_key`` tuples do, with no Fraction built or compared.
+    among matrices of one shape these keys order the matrices by their
+    entries row by row, each entry by its real part and then its
+    imaginary part, with no Fraction built or compared.
     """
     dens = {e._d for m in matrices for e in m.entries}
     common = lcm(*dens)
@@ -323,7 +320,7 @@ _SCALAR_TYPE = {GaussianRational}
 class ExactMatrix:
     """Immutable row-major matrix over the Gaussian rationals."""
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries) -> None:
         if rows < 0 or cols < 0:
@@ -339,7 +336,6 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = flat
-        self._hash: int | None = None
 
     @classmethod
     def from_rows(cls, rows) -> ExactMatrix:
@@ -391,11 +387,7 @@ class ExactMatrix:
         )
 
     def __hash__(self) -> int:
-        # Subspaces key dicts by their basis matrix; hashing every Fraction
-        # entry on each lookup would dominate, so hash once.
-        if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self.entries))
-        return self._hash
+        return hash((self.rows, self.cols, self.entries))
 
     def _require_same_shape(self, other: ExactMatrix) -> None:
         if self.rows != other.rows or self.cols != other.cols:

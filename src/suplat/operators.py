@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import DimensionMismatchError, ExactMatrix
+from .linalg import ExactMatrix
 from .subspaces import Subspace
 
 
@@ -100,20 +100,3 @@ def projector_onto(s: Subspace, name: str = "P") -> Projector:
     gram = a.adjoint() * a
     matrix = a * gram.inverse() * a.adjoint()
     return Projector(name, matrix, s)
-
-
-def commutes(p: Projector, q: Projector) -> bool:
-    if p.dimension != q.dimension:
-        raise DimensionMismatchError(
-            f"projectors act on different spaces: {p.dimension} vs {q.dimension}"
-        )
-    return p.matrix * q.matrix == q.matrix * p.matrix
-
-
-def is_invariant(s: Subspace, p: Projector) -> bool:
-    """True iff the projector maps the subspace into itself."""
-    if s.ambient_dim != p.dimension:
-        raise DimensionMismatchError(
-            f"subspace of C^{s.ambient_dim} under a projector on C^{p.dimension}"
-        )
-    return all(s.contains_vector(p.matrix.apply(row)) for row in s.basis.row_list())

@@ -120,17 +120,6 @@ class Subspace:
         self._require_same_ambient(other)
         return self.orthocomplement().join(other.orthocomplement()).orthocomplement()
 
-    def sort_key(self):
-        """Deterministic ordering: dimension first, then basis entries.
-
-        Lattices and Hasse nodes get the same order from the integer keys
-        of :func:`_sort_order`.
-        """
-        return (
-            self.dim,
-            tuple(e.sort_key() for e in self.basis.entries),
-        )
-
     def __str__(self) -> str:
         if self.dim == 0:
             return "{0}"
@@ -141,6 +130,11 @@ class Subspace:
 
 
 def _sort_order(subspaces: Sequence[Subspace]) -> list[int]:
-    """Indices that sort the subspaces as :meth:`Subspace.sort_key` does."""
+    """Indices that sort the subspaces by dimension, then by basis entries.
+
+    Entries are compared row by row, each by its real part and then its
+    imaginary part; the sort is stable, so equal subspaces keep their
+    input order.
+    """
     keys = _integer_entry_keys([s.basis for s in subspaces])
     return sorted(range(len(keys)), key=lambda i: (subspaces[i].dim, keys[i]))

@@ -17,8 +17,15 @@ from suplat.contexts import (
     normalize_state,
     validate_context,
 )
-from suplat.linalg import ExactMatrix, GaussianRational
-from suplat.operators import NotHermitianError, NotIdempotentError, projector_onto, range_of, validate_projector
+from suplat.linalg import DimensionMismatchError, ExactMatrix, GaussianRational
+from suplat.operators import (
+    NotHermitianError,
+    NotIdempotentError,
+    Projector,
+    projector_onto,
+    range_of,
+    validate_projector,
+)
 from suplat.subspaces import Subspace
 from suplat.valuation import Mode, TruthValue
 
@@ -93,6 +100,22 @@ def reference_format(value: ReferenceScalar) -> str:
         return imag
     sep = "" if value.imag < 0 else "+"
     return _reference_rational(value.real) + sep + imag
+
+
+def reference_sort_key(s: Subspace) -> tuple:
+    """The member order from Fractions: dimension, then the basis entries
+    row by row, each by its real part and then its imaginary part.  The
+    oracle for the integer keys of :func:`suplat.subspaces._sort_order`."""
+    return (s.dim, tuple((e.real, e.imag) for e in s.basis.entries))
+
+
+def is_invariant(s: Subspace, p: Projector) -> bool:
+    """True iff the projector maps the subspace into itself."""
+    if s.ambient_dim != p.dimension:
+        raise DimensionMismatchError(
+            f"subspace of C^{s.ambient_dim} under a projector on C^{p.dimension}"
+        )
+    return all(s.contains_vector(p.matrix.apply(row)) for row in s.basis.row_list())
 
 
 def random_fraction(rng: random.Random, span: int = 4) -> Fraction:
@@ -266,7 +289,7 @@ def reference_context_error(name: str, atoms):
 
 def member_index(lattice: InvariantLattice) -> dict[Subspace, int]:
     """Position of each member, keyed by subspace: the membership oracle for
-    ``has_member``, ``index_of`` and ``label``."""
+    ``has_member`` and ``index_of``."""
     return {m: i for i, m in enumerate(lattice.members)}
 
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import fractions
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -722,6 +725,22 @@ def test_hasse_failure_leaves_no_file(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:")
     assert not target.exists()
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # About 1 MB of members, far more than a pipe buffer holds, so a write
+    # after the reader has gone fails.
+    k = 12
+    path = tmp_path / "diag12.json"
+    path.write_text(json.dumps({"dimension": k, "contexts": [{"name": "D", "projectors": _diag_projectors(
+        k, [f"e{i}" for i in range(k)])}]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "suplat.cli", "lattice", str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"lattice D: 4096 members\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_source_is_exclusive(capsys, qubit_file):

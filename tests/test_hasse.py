@@ -19,7 +19,7 @@ from suplat.operators import projector_onto
 from suplat.subspaces import Subspace
 from suplat.valuation import Mode, TruthValue, evaluate_structure
 
-from helpers import random_state, random_structure
+from helpers import random_state, random_structure, reference_sort_key
 
 
 def test_transitive_reduction_chain():
@@ -76,7 +76,7 @@ def test_support_order_matches_containment_oracle(qubit, cabello):
             graph = build_graph(report, scope)
             members = [node.subspace for node in graph.nodes]
             distinct = {m for lat in lattices for m in lat.members}
-            assert members == sorted(distinct, key=lambda m: m.sort_key())
+            assert members == sorted(distinct, key=reference_sort_key)
             assert list(graph.edges) == transitive_reduction(members)
             # An edge whose ends share no lattice: its upper end is a hull.
             owners = [{m.rsplit(":", 1)[0] for m in node.memberships} for node in graph.nodes]

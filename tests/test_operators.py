@@ -1,4 +1,4 @@
-"""Projector validation, range/kernel geometry, commutation, invariance."""
+"""Projector validation, range/kernel geometry, and the invariance oracle."""
 
 from __future__ import annotations
 
@@ -6,13 +6,11 @@ import random
 
 import pytest
 
-from suplat.linalg import DimensionMismatchError, ExactMatrix
+from suplat.linalg import ExactMatrix
 from suplat.operators import (
     NotHermitianError,
     NotIdempotentError,
     NotSquareError,
-    commutes,
-    is_invariant,
     kernel_of,
     projector_onto,
     range_of,
@@ -20,7 +18,7 @@ from suplat.operators import (
 )
 from suplat.subspaces import Subspace
 
-from helpers import random_subspace
+from helpers import is_invariant, random_subspace
 
 
 def test_validate_accepts_projectors(cabello):
@@ -113,17 +111,6 @@ def test_projector_onto_inverts_range(qubit, cabello):
             for atom in ctx.atoms:
                 rebuilt = projector_onto(range_of(atom), name=atom.name)
                 assert rebuilt.matrix == atom.matrix
-
-
-def test_commutes(qubit):
-    z_plus, z_minus = qubit.contexts[0].atoms
-    x_plus = qubit.contexts[1].atoms[0]
-    assert commutes(z_plus, z_minus)
-    assert not commutes(z_plus, x_plus)
-    eye = validate_projector(ExactMatrix.identity(2))
-    assert commutes(z_plus, eye)
-    with pytest.raises(DimensionMismatchError):
-        commutes(z_plus, validate_projector(ExactMatrix.identity(3)))
 
 
 def test_invariance_examples(qubit, cabello):
