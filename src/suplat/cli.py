@@ -3,8 +3,8 @@
 Commands: validate, lattice, eval, admissibility, ks-search, hasse,
 datasets.  Structures come either from a JSON file or from a built-in
 dataset.  Exit codes: 0 on success, 1 when validation or evaluation
-fails or stdout is closed before everything is written (with nothing
-on stderr), 2 on usage errors.
+fails or a write is cut off for any reason, whatever PYTHONUNBUFFERED
+is (a closed stdout leaves stderr empty), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -68,8 +68,9 @@ def _parse_state(text: str) -> tuple:
 
 
 def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("file", nargs="?", help="structure JSON file")
-    parser.add_argument("--dataset", help="built-in dataset name instead of a file")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("file", nargs="?", help="structure JSON file")
+    source.add_argument("--dataset", help="built-in dataset name instead of a file")
 
 
 def _add_format_argument(parser: argparse.ArgumentParser) -> None:
@@ -136,19 +137,38 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _require_source(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if (args.file is None) == (args.dataset is None):
-        parser.error("provide exactly one structure source: a file or --dataset")
+def _formatted(fmt: str, to_text, to_dict, *objects) -> str:
+    """The output of a reporting command: text, or the dict as indented JSON."""
+    if fmt == STRUCTURED:
+        return json.dumps(to_dict(*objects), indent=2) + "\n"
+    return to_text(*objects)
 
 
-def _run_validate(args: argparse.Namespace) -> int:
+def _lattices_to_text(lattices) -> str:
+    return "".join(
+        f"lattice {lat.name}: {len(lat.members)} members\n"
+        + "".join(f"  {label} = {member}\n" for member, label in zip(lat.members, lat.labels()))
+        for lat in lattices
+    )
+
+
+def _lattices_to_dict(lattices) -> dict:
+    return {
+        lat.name: [
+            {"label": label, "dim": m.dim, "basis": m.basis_literals()}
+            for m, label in zip(lat.members, lat.labels())
+        ]
+        for lat in lattices
+    }
+
+
+def _run_validate(args: argparse.Namespace) -> str:
     structure = load_structure(args.file)
     names = ", ".join(c.name for c in structure.contexts)
-    print(f"ok: dimension {structure.ambient_dim}, {len(structure.contexts)} context(s): {names}")
-    return 0
+    return f"ok: dimension {structure.ambient_dim}, {len(structure.contexts)} context(s): {names}\n"
 
 
-def _run_lattice(args: argparse.Namespace) -> int:
+def _run_lattice(args: argparse.Namespace) -> str:
     structure = _structure_from_args(args)
     if args.context is None:
         lattices = structure.lattices
@@ -156,82 +176,56 @@ def _run_lattice(args: argparse.Namespace) -> int:
         lattices = [structure.find_lattice(args.context)]
         if lattices[0] is None:
             raise ValueError(f"unknown context {args.context!r}")
-    if args.format == STRUCTURED:
-        payload = {
-            lat.name: [
-                {"label": label, "dim": m.dim, "basis": m.basis_literals()}
-                for m, label in zip(lat.members, lat.labels())
-            ]
-            for lat in lattices
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    for lat in lattices:
-        print(f"lattice {lat.name}: {len(lat.members)} members")
-        for member, label in zip(lat.members, lat.labels()):
-            print(f"  {label} = {member}")
-    return 0
+    return _formatted(args.format, _lattices_to_text, _lattices_to_dict, lattices)
 
 
-def _run_eval(args: argparse.Namespace) -> int:
+def _valuation(args: argparse.Namespace):
+    return evaluate_structure(_structure_from_args(args), _parse_state(args.state), Mode(args.mode))
+
+
+def _run_eval(args: argparse.Namespace) -> str:
+    return _formatted(args.format, report_to_text, report_to_dict, _valuation(args))
+
+
+def _run_admissibility(args: argparse.Namespace) -> str:
+    report = check_admissibility(_valuation(args))
+    return _formatted(args.format, admissibility_to_text, admissibility_to_dict, report)
+
+
+def _run_ks_search(args: argparse.Namespace) -> str:
     structure = _structure_from_args(args)
-    report = evaluate_structure(structure, _parse_state(args.state), Mode(args.mode))
-    if args.format == STRUCTURED:
-        print(json.dumps(report_to_dict(report), indent=2))
-    else:
-        print(report_to_text(report), end="")
-    return 0
+    return _formatted(args.format, ks_to_text, ks_to_dict, structure, ks_search(structure))
 
 
-def _run_admissibility(args: argparse.Namespace) -> int:
-    structure = _structure_from_args(args)
-    valuation = evaluate_structure(structure, _parse_state(args.state), Mode(args.mode))
-    report = check_admissibility(valuation)
-    if args.format == STRUCTURED:
-        print(json.dumps(admissibility_to_dict(report), indent=2))
-    else:
-        print(admissibility_to_text(report), end="")
-    return 0
+def _run_hasse(args: argparse.Namespace) -> str:
+    return emit_dot(_valuation(args), args.scope)
 
 
-def _run_ks_search(args: argparse.Namespace) -> int:
-    structure = _structure_from_args(args)
-    solutions = ks_search(structure)
-    if args.format == STRUCTURED:
-        print(json.dumps(ks_to_dict(structure, solutions), indent=2))
-    else:
-        print(ks_to_text(structure, solutions), end="")
-    return 0
-
-
-def _run_hasse(args: argparse.Namespace) -> int:
-    structure = _structure_from_args(args)
-    report = evaluate_structure(structure, _parse_state(args.state), Mode(args.mode))
-    # Render fully before touching the output file so failures leave nothing behind.
-    dot = emit_dot(report, args.scope)
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(dot)
-    else:
-        print(dot, end="")
-    return 0
-
-
-def _run_datasets(args: argparse.Namespace) -> int:
+def _run_datasets(args: argparse.Namespace) -> str:
     if args.action == "list":
-        for name in dataset_names():
-            print(name)
-        return 0
-    structure = builtin_structure(args.name)
-    print(json.dumps(structure_to_dict(structure), indent=2))
-    return 0
+        return "".join(f"{name}\n" for name in dataset_names())
+    return json.dumps(structure_to_dict(builtin_structure(args.name)), indent=2) + "\n"
+
+
+def _write_stdout(text: str) -> None:
+    """Write all of ``text`` to stdout, or raise.
+
+    An in-memory stdout gets one write, so it keeps the string uncopied.  A
+    real stdout's buffer is written until it takes every byte: unbuffered,
+    it is a raw file, and the text layer drops the rest of a short write.
+    """
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+        return
+    view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while view:
+        view = view[buffer.write(view):]
+    sys.stdout.flush()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command not in ("validate", "datasets"):
-        _require_source(parser, args)
+    args = _parser().parse_args(argv)
     handler = {
         "validate": _run_validate,
         "datasets": _run_datasets,
@@ -242,9 +236,14 @@ def main(argv: list[str] | None = None) -> int:
         "hasse": _run_hasse,
     }[args.command]
     try:
-        status = handler(args)
-        sys.stdout.flush()
-        return status
+        # Rendered in full before the -o file is opened: a failure leaves it untouched.
+        text = handler(args)
+        if getattr(args, "output", None) is None:
+            _write_stdout(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        return 0
     except BrokenPipeError:
         # The reader closed stdout.  Send what is still buffered to the null
         # device, so the flush at interpreter exit reports nothing either.

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import fractions
+import io
 import json
 import os
 import re
@@ -728,28 +730,73 @@ def test_hasse_failure_leaves_no_file(capsys, tmp_path):
 
 
 def test_closed_stdout_ends_quietly(tmp_path):
-    # About 1 MB of members, far more than a pipe buffer holds, so a write
-    # after the reader has gone fails.
+    # 80 KB to 1.4 MB of output, more than a pipe buffer holds, so a write
+    # after the reader has gone fails.  Unbuffered, stdout's buffer is a raw
+    # file that may take part of a write; the rest must still be written.
     k = 12
     path = tmp_path / "diag12.json"
     path.write_text(json.dumps({"dimension": k, "contexts": [{"name": "D", "projectors": _diag_projectors(
         k, [f"e{i}" for i in range(k)])}]}))
+    state = "--state=" + ",".join(["1"] + ["0"] * (k - 1))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    with subprocess.Popen([sys.executable, "-m", "suplat.cli", "lattice", str(path)],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        assert proc.stdout.readline() == b"lattice D: 4096 members\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-    assert (proc.returncode, err) == (1, b"")
+    for argv, first_line, unbuffered in (
+        (["lattice"], b"lattice D: 4096 members\n", {}),
+        (["eval", state, "--mode", "invariant"], b"state: 1,0,0,0,0,0,0,0,0,0,0,0\n", {"PYTHONUNBUFFERED": "1"}),
+        (["hasse", state, "--mode", "invariant", "--scope", "D"], b'digraph "D" {\n', {"PYTHONUNBUFFERED": "1"}),
+    ):
+        with subprocess.Popen([sys.executable, "-m", "suplat.cli", argv[0], str(path), *argv[1:]],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, **unbuffered}) as proc:
+            assert proc.stdout.readline() == first_line
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b""), argv
+
+
+class CountingStdout(io.StringIO):
+    """An in-memory stdout that counts its non-empty writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += bool(text)
+        return super().write(text)
+
+
+CABELLO_STATE = ["--dataset", "cabello-3", "--state", "0,0,0,1", "--mode", "invariant"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "QUBIT_FILE"],
+    ["datasets", "list"],
+    ["datasets", "export", "cabello-3"],
+    ["lattice", "--dataset", "cabello-3"],
+    ["lattice", "--dataset", "cabello-3", "--format", "structured"],
+    ["eval", *CABELLO_STATE],
+    ["eval", *CABELLO_STATE, "--format", "structured"],
+    ["admissibility", *CABELLO_STATE],
+    ["admissibility", *CABELLO_STATE, "--format", "structured"],
+    ["ks-search", "--dataset", "cabello-3"],
+    ["ks-search", "--dataset", "cabello-3", "--format", "structured"],
+    ["hasse", *CABELLO_STATE, "--scope", "all"],
+], ids=" ".join)
+def test_one_write_to_an_in_memory_stdout(qubit_file, argv):
+    # One write lets an in-memory stdout keep the output string instead of
+    # copying it, which the benchmark's peak memory depends on.
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out):
+        code = main([qubit_file if arg == "QUBIT_FILE" else arg for arg in argv])
+    assert (code, out.writes) == (0, 1)
 
 
 def test_source_is_exclusive(capsys, qubit_file):
     with pytest.raises(SystemExit) as exc:
         main(["eval", qubit_file, "--dataset", "pauli-qubit", "--state", "1,0", "--mode", "invariant"])
     assert exc.value.code == 2
+    assert "--dataset" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--state", "1,0", "--mode", "invariant"])
     assert exc.value.code == 2
+    assert "--dataset" in capsys.readouterr().err
 
 
 def test_state_and_mode_required(capsys):
