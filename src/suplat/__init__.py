@@ -51,7 +51,6 @@ from .linalg import (
     GaussianRational,
     ScalarError,
     ScalarSyntaxError,
-    SingularMatrixError,
     ZeroDenominatorError,
     as_scalar,
     format_scalar,
@@ -104,7 +103,6 @@ __all__ = [
     "RuleStatus",
     "ScalarError",
     "ScalarSyntaxError",
-    "SingularMatrixError",
     "Structure",
     "StructureError",
     "StructureFormatError",

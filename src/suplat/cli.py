@@ -48,6 +48,8 @@ def load_structure(path: str) -> Structure:
             raise ValueError(f"{path}: not valid JSON: {err}") from err
         except UnicodeDecodeError as err:
             raise ValueError(f"{path}: not valid UTF-8: {err}") from err
+        except ValueError as err:  # a number longer than the int digit limit
+            raise ValueError(f"{path}: {err}") from err
     return structure_from_dict(data)
 
 
@@ -224,6 +226,20 @@ def _write_stdout(text: str) -> None:
     sys.stdout.flush()
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: to a new file beside
+    it, renamed onto ``path`` once written, or removed if the write fails."""
+    partial = f"{path}.{os.getpid()}.tmp"
+    handle = open(partial, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(partial, path)
+    except BaseException:
+        os.remove(partial)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     handler = {
@@ -236,13 +252,12 @@ def main(argv: list[str] | None = None) -> int:
         "hasse": _run_hasse,
     }[args.command]
     try:
-        # Rendered in full before the -o file is opened: a failure leaves it untouched.
+        # Rendered in full before anything is written: a failure leaves -o's target untouched.
         text = handler(args)
         if getattr(args, "output", None) is None:
             _write_stdout(text)
         else:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _replace_file(args.output, text)
         return 0
     except BrokenPipeError:
         # The reader closed stdout.  Send what is still buffered to the null

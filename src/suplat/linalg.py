@@ -35,10 +35,6 @@ class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes or lengths."""
 
 
-class SingularMatrixError(ValueError):
-    """Inversion was attempted on a rank-deficient matrix."""
-
-
 class GaussianRational:
     """Immutable complex scalar ``(a + b*i) / d`` held as three ints.
 
@@ -365,14 +361,8 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[GaussianRational, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def row_list(self) -> list[tuple[GaussianRational, ...]]:
         return [self.row(i) for i in range(self.rows)]
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -389,74 +379,37 @@ class ExactMatrix:
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.entries))
 
-    def _require_same_shape(self, other: ExactMatrix) -> None:
+    def __add__(self, other: object) -> ExactMatrix:
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatchError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
-
-    def __add__(self, other: ExactMatrix) -> ExactMatrix:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        self._require_same_shape(other)
         return ExactMatrix(
             self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
         )
 
-    def __sub__(self, other: ExactMatrix) -> ExactMatrix:
+    def __mul__(self, other: object) -> ExactMatrix:
+        """Matrix product; a scalar factor is not supported."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        self._require_same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def __neg__(self) -> ExactMatrix:
-        return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def __mul__(self, other: object) -> ExactMatrix:
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise DimensionMismatchError(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-                )
-            out = []
-            for i in range(self.rows):
-                left = self.row(i)
-                for j in range(other.cols):
-                    acc = _ZERO
-                    for k in range(self.cols):
-                        acc = acc + left[k] * other.entry(k, j)
-                    out.append(acc)
-            return ExactMatrix(self.rows, other.cols, out)
-        scalar = GaussianRational._coerce(other)
-        if scalar is None:
-            return NotImplemented
-        return ExactMatrix(self.rows, self.cols, [scalar * a for a in self.entries])
-
-    def __rmul__(self, other: object) -> ExactMatrix:
-        scalar = GaussianRational._coerce(other)
-        if scalar is None:
-            return NotImplemented
-        return ExactMatrix(self.rows, self.cols, [scalar * a for a in self.entries])
-
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
+        if self.cols != other.rows:
+            raise DimensionMismatchError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        out = []
+        for i in range(self.rows):
+            left = self.row(i)
+            for j in range(other.cols):
+                acc = _ZERO
+                for k in range(self.cols):
+                    acc = acc + left[k] * other.entry(k, j)
+                out.append(acc)
+        return ExactMatrix(self.rows, other.cols, out)
 
     def conjugate(self) -> ExactMatrix:
         return ExactMatrix(self.rows, self.cols, [a.conjugate() for a in self.entries])
-
-    def adjoint(self) -> ExactMatrix:
-        """Conjugate transpose."""
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self.entry(i, j).conjugate() for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def apply(self, vector) -> tuple[GaussianRational, ...]:
         """Multiply by a column vector given as a flat sequence."""
@@ -479,15 +432,6 @@ class ExactMatrix:
         if self.cols != other.cols:
             raise DimensionMismatchError("vstack needs equal column counts")
         return ExactMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def hstack(self, other: ExactMatrix) -> ExactMatrix:
-        if self.rows != other.rows:
-            raise DimensionMismatchError("hstack needs equal row counts")
-        out = []
-        for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return ExactMatrix(self.rows, self.cols + other.cols, out)
 
     def rref(self) -> tuple[ExactMatrix, tuple[int, ...], int]:
         """Reduced row echelon form.
@@ -543,18 +487,6 @@ class ExactMatrix:
                 v[p] = -reduced.entry(i, f)
             basis.extend(v)
         return ExactMatrix(len(free), self.cols, basis)
-
-    def inverse(self) -> ExactMatrix:
-        if not self.is_square():
-            raise DimensionMismatchError("only square matrices can be inverted")
-        n = self.rows
-        reduced, pivots, rank = self.hstack(ExactMatrix.identity(n)).rref()
-        if rank < n or pivots != tuple(range(n)):
-            raise SingularMatrixError("matrix is singular")
-        out = []
-        for i in range(n):
-            out.extend(reduced.row(i)[n:])
-        return ExactMatrix(n, n, out)
 
     def __str__(self) -> str:
         grid = [[format_scalar(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .linalg import ExactMatrix
+from .linalg import _ZERO, ExactMatrix, GaussianRational
 from .subspaces import Subspace
 
 
@@ -65,12 +66,12 @@ def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
         NotSquareError, NotHermitianError, NotIdempotentError: naming the
         offending projector and the violated law.
     """
-    if not matrix.is_square():
-        raise NotSquareError(f"projector {name!r}: matrix is {matrix.rows}x{matrix.cols}, not square")
     n, e = matrix.rows, matrix.entries
+    if matrix.cols != n:
+        raise NotSquareError(f"projector {name!r}: matrix is {matrix.rows}x{matrix.cols}, not square")
     if any(e[i * n + j] != e[j * n + i].conjugate() for i in range(n) for j in range(i, n)):
         raise NotHermitianError(f"projector {name!r}: matrix is not equal to its adjoint")
-    image = Subspace.span_of((matrix.column(j) for j in range(n)), n)
+    image = Subspace.span_of((e[j::n] for j in range(n)), n)  # the columns
     if any(matrix.apply(b) != b for b in image.basis_vectors()):
         raise NotIdempotentError(f"projector {name!r}: matrix squared differs from the matrix")
     return Projector(name, matrix, image)
@@ -89,14 +90,26 @@ def kernel_of(p: Projector) -> Subspace:
 def projector_onto(s: Subspace, name: str = "P") -> Projector:
     """The unique orthogonal projector with the given range.
 
-    With the basis rows gathered as columns A, the matrix is
-    A (A* A)^-1 A*; the Gram matrix is invertible because basis rows are
-    independent.
+    Exact Gram-Schmidt turns the basis rows b_k into orthogonal rows
+    ``u_k = b_k - sum_{j<k} (<u_j, b_k> / <u_j, u_j>) u_j``, and the
+    matrix is ``sum_k u_k u_k* / <u_k, u_k>``, the sum of the rank-1
+    projectors onto them.  With no basis rows it is the zero matrix.
     """
     n = s.ambient_dim
-    if s.dim == 0:
-        return Projector(name, ExactMatrix.zeros(n, n), s)
-    a = s.basis.transpose()
-    gram = a.adjoint() * a
-    matrix = a * gram.inverse() * a.adjoint()
-    return Projector(name, matrix, s)
+    entries = [_ZERO] * (n * n)
+    done: list[tuple[list[GaussianRational], GaussianRational]] = []
+    for b in s.basis_vectors():
+        u = list(b)
+        for w, norm in done:
+            c = _inner(w, b) / norm
+            u = [x - c * y for x, y in zip(u, w)]
+        norm = _inner(u, u)
+        done.append((u, norm))
+        scaled = [x / norm for x in u]
+        entries = [e + x * y.conjugate() for e, (x, y) in zip(entries, product(scaled, u))]
+    return Projector(name, ExactMatrix(n, n, entries), s)
+
+
+def _inner(u, v) -> GaussianRational:
+    """The Hermitian inner product <u, v> = sum conj(u_i) v_i."""
+    return sum((x.conjugate() * y for x, y in zip(u, v)), _ZERO)

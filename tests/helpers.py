@@ -252,13 +252,29 @@ def reference_ks_text(structure: Structure, solutions) -> str:
     return "\n".join(lines) + "\n"
 
 
+def adjoint(m: ExactMatrix) -> ExactMatrix:
+    """The conjugate transpose: entry (j, i) of the result is conj(m[i, j])."""
+    return ExactMatrix(m.cols, m.rows, [m.entry(i, j).conjugate() for j in range(m.cols) for i in range(m.rows)])
+
+
+def inverse(m: ExactMatrix) -> ExactMatrix:
+    """The X with m X = X m = 1 for a square m, read off the reduced form of [m | 1]."""
+    n = m.rows
+    eye = ExactMatrix.identity(n)
+    augmented = ExactMatrix(n, 2 * n, [e for i in range(n) for e in m.row(i) + eye.row(i)])
+    reduced, pivots, _ = augmented.rref()
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return ExactMatrix(n, n, [e for i in range(n) for e in reduced.row(i)[n:]])
+
+
 def reference_projector_law(m: ExactMatrix):
     """Projector-law oracle written straight from the definition.
 
     Returns the exception class :func:`validate_projector` should raise
     for a square matrix, or None for a projector.
     """
-    if m.adjoint() != m:
+    if adjoint(m) != m:
         return NotHermitianError
     if m * m != m:
         return NotIdempotentError

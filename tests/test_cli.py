@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -249,6 +250,21 @@ def test_validate_rejects_non_utf8(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"error: {path}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff")
     assert "Traceback" not in err
+
+
+def test_numbers_past_the_digit_limit_are_located(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("int conversion has no digit limit in this interpreter")
+    number = "1" + "0" * limit  # one digit past the limit
+    path = tmp_path / "long.json"
+    path.write_text('{"dimension": ' + number + ', "contexts": []}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: Exceeds the limit ({limit} digits)")
+    code, out, err = run(capsys, "eval", "--dataset", "pauli-qubit", "--state", number + ",0", "--mode", "invariant")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: --state component 1: Exceeds the limit ({limit} digits)")
 
 
 def test_validate_missing_file(capsys, tmp_path):
@@ -727,6 +743,30 @@ def test_hasse_failure_leaves_no_file(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:")
     assert not target.exists()
+
+
+def test_failed_hasse_write_keeps_the_target(tmp_path):
+    # A file size limit set in the child alone cuts the 120 KB DOT short.
+    k = 9
+    path = tmp_path / "diag9.json"
+    path.write_text(json.dumps({"dimension": k, "contexts": [{"name": "D", "projectors": _diag_projectors(
+        k, [f"e{i}" for i in range(k)])}]}))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "graph.dot"
+    target.write_bytes(b"ORIGINAL CONTENT\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    state = "--state=" + ",".join(["1"] + ["0"] * (k - 1))
+    proc = subprocess.run(
+        [sys.executable, "-m", "suplat.cli", "hasse", str(path), state, "--mode", "invariant",
+         "--scope", "D", "-o", str(target)],
+        capture_output=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192)),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+    assert target.read_bytes() == b"ORIGINAL CONTENT\n"
+    assert os.listdir(out_dir) == ["graph.dot"]
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

@@ -17,7 +17,9 @@ from suplat.operators import projector_onto, range_of, validate_projector
 from suplat.subspaces import Subspace
 
 from helpers import (
+    adjoint,
     gram_schmidt,
+    inverse,
     random_invertible,
     random_matrix,
     random_nonzero_scalar,
@@ -29,14 +31,14 @@ from helpers import (
 
 def _hermitian(rng: random.Random, n: int) -> ExactMatrix:
     m = random_matrix(rng, n, n, span=2)
-    return m + m.adjoint()
+    return m + adjoint(m)
 
 
 def _oblique_idempotent(rng: random.Random, n: int) -> ExactMatrix:
     """S D S^-1 with D a 0/1 diagonal: idempotent, rarely Hermitian."""
     s = random_invertible(rng, n, span=2)
     d = ExactMatrix(n, n, [rng.randint(0, 1) if i == j else 0 for i in range(n) for j in range(n)])
-    return s * d * s.inverse()
+    return s * d * inverse(s)
 
 
 def _candidate_matrix(rng: random.Random, n: int) -> ExactMatrix:
@@ -45,8 +47,9 @@ def _candidate_matrix(rng: random.Random, n: int) -> ExactMatrix:
     if kind == 0:
         return p
     if kind == 1:  # scaled: a projector only for the factors 0 and 1
-        return rng.choice([GaussianRational(1), GaussianRational(-1), GaussianRational(2),
-                           GaussianRational(0, 1), random_nonzero_scalar(rng)]) * p
+        c = rng.choice([GaussianRational(1), GaussianRational(-1), GaussianRational(2),
+                        GaussianRational(0, 1), random_nonzero_scalar(rng)])
+        return ExactMatrix(n, n, [c * e for e in p.entries])
     if kind == 2:  # Hermitian perturbation of a projector
         return p + _hermitian(rng, n)
     if kind == 3:
@@ -69,7 +72,7 @@ def test_validate_projector_matches_definition():
             continue
         p = validate_projector(m)
         assert p.rank == m.rank()
-        columns = [m.column(j) for j in range(m.cols)]
+        columns = [m.entries[j::m.cols] for j in range(m.cols)]
         assert range_of(p) == Subspace.span_of(columns, m.rows)
     assert len(outcomes) == 3  # accepted, not Hermitian, not idempotent all occur
 

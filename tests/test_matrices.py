@@ -1,4 +1,4 @@
-"""Exact matrix algebra: products, adjoints, echelon forms, null spaces."""
+"""Exact matrix algebra: products, echelon forms, null spaces."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from suplat.linalg import (
     DimensionMismatchError,
     ExactMatrix,
     GaussianRational,
-    SingularMatrixError,
 )
 
 from helpers import random_invertible, random_matrix
@@ -32,16 +31,13 @@ def test_product_shape_mismatch():
         a * b
 
 
-def test_adjoint():
-    sigma_y = ExactMatrix.from_rows([["0", "-i"], ["i", "0"]])
-    assert sigma_y.adjoint() == sigma_y
-    m = ExactMatrix.from_rows([["1", "2"], ["0", "0"]])
-    assert m.adjoint() == ExactMatrix.from_rows([["1", "0"], ["2", "0"]])
-    rng = random.Random(404)
-    for _ in range(50):
-        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        assert m.adjoint().adjoint() == m
-        assert m.adjoint() == m.transpose().conjugate()
+def test_no_product_with_a_scalar():
+    m = ExactMatrix.identity(2)
+    for scalar in (2, GaussianRational(2)):
+        with pytest.raises(TypeError):
+            m * scalar
+        with pytest.raises(TypeError):
+            scalar * m
 
 
 def test_rref_examples():
@@ -109,18 +105,6 @@ def test_null_space_oracle():
         assert basis.rank() == basis.rows
 
 
-def test_inverse():
-    rng = random.Random(808)
-    for n in (1, 2, 3, 4):
-        m = random_invertible(rng, n)
-        assert m * m.inverse() == ExactMatrix.identity(n)
-        assert m.inverse() * m == ExactMatrix.identity(n)
-    with pytest.raises(SingularMatrixError):
-        ExactMatrix.zeros(2, 2).inverse()
-    with pytest.raises(DimensionMismatchError):
-        ExactMatrix.zeros(2, 3).inverse()
-
-
 def test_apply_and_stacking():
     m = ExactMatrix.from_rows([["1", "2"], ["0", "1"]])
     assert m.apply(["1", "1"]) == (GaussianRational(3), GaussianRational(1))
@@ -128,9 +112,7 @@ def test_apply_and_stacking():
         m.apply(["1"])
     stacked = m.vstack(ExactMatrix.identity(2))
     assert stacked.rows == 4
-    wide = m.hstack(ExactMatrix.identity(2))
-    assert wide.cols == 4
-    assert wide.row(0) == m.row(0) + ExactMatrix.identity(2).row(0)
+    assert stacked.row(2) == ExactMatrix.identity(2).row(0)
 
 
 def test_zero_row_matrices_supported():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from suplat.linalg import ExactMatrix
+from suplat.linalg import ExactMatrix, GaussianRational
 from suplat.operators import (
     NotHermitianError,
     NotIdempotentError,
@@ -18,7 +18,7 @@ from suplat.operators import (
 )
 from suplat.subspaces import Subspace
 
-from helpers import is_invariant, random_subspace
+from helpers import adjoint, is_invariant, random_scalar, random_subspace, reference_projector_law
 
 
 def test_validate_accepts_projectors(cabello):
@@ -99,10 +99,31 @@ def test_projector_round_trip():
         n = rng.randint(2, 4)
         s = random_subspace(rng, n)
         p = projector_onto(s)
-        assert p.matrix.adjoint() == p.matrix
+        assert adjoint(p.matrix) == p.matrix
         assert p.matrix * p.matrix == p.matrix
         assert p.rank == s.dim
         assert range_of(p) == s
+
+
+def test_projector_onto_obeys_the_laws():
+    # every rank from 0 to n on C^1 to C^5, from complex spanning vectors
+    rng = random.Random(1905)
+    for n in range(1, 6):
+        for k in range(n + 1):
+            while True:
+                vectors = [[random_scalar(rng, span=2) for _ in range(n)] for _ in range(k)]
+                s = Subspace.span_of(vectors, n)
+                if s.dim == k:
+                    break
+            p = projector_onto(s)
+            assert reference_projector_law(p.matrix) is None
+            assert validate_projector(p.matrix).range == s
+            assert p.rank == k
+            if k == 1:  # a ray: v v* / (v* v), whatever the length of v
+                (v,) = vectors
+                norm = sum((x.conjugate() * x for x in v), GaussianRational(0))
+                ray = [v[i] * v[j].conjugate() / norm for i in range(n) for j in range(n)]
+                assert p.matrix == ExactMatrix(n, n, ray)
 
 
 def test_projector_onto_inverts_range(qubit, cabello):
