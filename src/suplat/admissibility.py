@@ -9,12 +9,15 @@ atom onto it.
 
 The coloring search looks for assignments of 1/0 to atom ranges with
 exactly one true atom per context, and names each by the index of the
-true atom in every context; :func:`ks_search` describes how it walks and
-memoizes the frontier states, and :func:`ks_to_text` how it writes them.
+true atom in every context.  One traversal, :func:`_colorings`, walks and
+memoizes the frontier states and writes each coloring from a token per
+choice: :func:`ks_search` as index tuples, :func:`ks_to_text` as lines and
+:func:`ks_to_json` as JSON items.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -137,34 +140,38 @@ def admissibility_to_dict(report: AdmissibilityReport) -> dict:
     }
 
 
-def ks_search(structure: Structure) -> list[tuple[int, ...]]:
-    """All colorings, found by depth-first search in deterministic order.
+def _colorings(structure: Structure, tokens: Sequence[Sequence], join) -> list:
+    """All colorings, found by depth-first search in deterministic order,
+    each written as ``join`` of the tokens of its choices.
 
-    Each coloring is the tuple of the 0-based index of the true atom in
-    each context, in structure order; the other atoms are false, and an
-    atom range shared between contexts gets one value.  Contexts are
-    processed in structure order and atoms in context order, so the
-    result list is stable; counts are independent of either order.
-    The distinct atom ranges are numbered once and each atom becomes the
-    bit of its range.  The search pops frames from one stack; a frame is
-    a depth ``d``, the masks of ranges set true and set false by the
-    choices in the contexts before ``d``, and the atom chosen at ``d - 1``,
-    which it writes into ``chosen``.  Frames pop depth-first, so ``chosen``
-    then holds exactly the frame's ancestors' choices.  Atom bit ``b`` of
-    a context with mask ``m`` can be chosen iff ``b`` is not false and no
-    other bit of ``m`` is true; its frame holds ``true | b`` and
-    ``false | m ^ b``.  A frame pushes its admissible atoms in reverse, so
-    they pop in atom order.  No recursion is used, so the number of
-    contexts is not bounded by the recursion limit.
+    ``tokens[d][ai]`` is what choosing atom ``ai`` of context ``d`` adds,
+    and a token's width is the length of ``join([token])``; ``join`` of
+    tokens must be sliceable, with ``join(a + b)[len(join(a)):]`` equal to
+    ``join(b)``, as it is for ``tuple`` and ``"".join``.  Contexts are
+    processed in structure order and atoms in context order, so the result
+    list is stable; counts are independent of either order.  The distinct
+    atom ranges are numbered once and each atom becomes the bit of its
+    range.  The search pops frames from one stack; a frame is a depth
+    ``d``, the masks of ranges set true and set false by the choices in
+    the contexts before ``d``, the token chosen at ``d - 1``, which it
+    writes into ``chosen``, and the summed width of the tokens before
+    ``d``.  Frames pop depth-first, so ``chosen`` then holds exactly the
+    frame's ancestors' tokens.  Atom bit ``b`` of a context with mask ``m``
+    can be chosen iff ``b`` is not false and no other bit of ``m`` is true;
+    its frame holds ``true | b`` and ``false | m ^ b``.  A frame pushes its
+    admissible atoms in reverse, so they pop in atom order.  No recursion
+    is used, so the number of contexts is not bounded by the recursion
+    limit.
 
     Each frontier state is expanded once.  The search below depth ``d``
     reads only the bits of ``live[d]``, the ranges of contexts ``d..``, so
     the state is keyed by ``(d, true & live[d], false & live[d])``, and
     two prefixes with one key have the same completions in the same order.
     The first visit pushes a close frame under its children, which records
-    the span of ``solutions`` the subtree appended; a later visit appends
-    its own prefix joined to each coloring of that span from depth ``d``
-    on.  A dead state has an empty span, so a later visit ends at once.
+    the span of colorings the subtree appended and the width of the first
+    visitor's prefix; a later visit appends its own prefix joined to each
+    coloring of that span past that width.  A dead state has an empty
+    span, so a later visit ends at once.
     """
     index: dict[Subspace, int] = {}
     contexts = [
@@ -175,71 +182,67 @@ def ks_search(structure: Structure) -> list[tuple[int, ...]]:
     live = [0] * (depth + 1)
     for d in reversed(range(depth)):
         live[d] = live[d + 1] | masks[d]
-    chosen = [0] * depth
-    solutions: list[tuple[int, ...]] = []
-    spans: dict[tuple[int, int, int], range] = {}
-    stack = [(0, 0, 0, 0)]
+    widths = [[len(join([token])) for token in row] for row in tokens]
+    chosen = [None] * depth
+    colorings: list = []
+    spans: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    stack = [(0, 0, 0, None, 0)]
     while stack:
-        d, t, f, ai = stack.pop()
+        d, t, f, token, w = stack.pop()
         if d < 0:  # a close frame: t is the state's key, f the start of its span
-            spans[t] = range(f, len(solutions))
+            spans[t] = (f, len(colorings), w)
             continue
-        chosen[d - 1] = ai  # the root writes chosen[-1], which every full-depth frame rewrites
+        chosen[d - 1] = token  # the root writes chosen[-1], which every full-depth frame rewrites
         if d == depth:
-            solutions.append(tuple(chosen))
+            colorings.append(join(chosen))
             continue
         lv = live[d]
         key = (d, t & lv, f & lv)
         span = spans.get(key)
         if span is not None:
-            head = tuple(chosen[:d])
-            solutions.extend([head + solutions[i][d:] for i in span])
+            start, end, off = span
+            head = join(chosen[:d])
+            colorings.extend([head + c[off:] for c in colorings[start:end]])
             continue
-        stack.append((-1, key, len(solutions), 0))
-        bits, mask = contexts[d], masks[d]
+        stack.append((-1, key, len(colorings), None, w))
+        bits, mask, row, sizes = contexts[d], masks[d], tokens[d], widths[d]
         for ai in reversed(range(len(bits))):
             b = bits[ai]
             if not (b & f or (mask ^ b) & t):
-                stack.append((d + 1, t | b, f | (mask ^ b), ai))
-    return solutions
+                stack.append((d + 1, t | b, f | (mask ^ b), row[ai], w + sizes[ai]))
+    return colorings
 
 
-def ks_to_text(structure: Structure, solutions: Sequence[tuple[int, ...]]) -> str:
+def ks_search(structure: Structure) -> list[tuple[int, ...]]:
+    """All colorings, each the tuple of the 0-based index of the true atom
+    in each context, in structure order; the other atoms are false, and an
+    atom range shared between contexts gets one value.  :func:`_colorings`
+    gives the order and how the search runs."""
+    return _colorings(structure, [range(len(ctx.atoms)) for ctx in structure.contexts], tuple)
+
+
+def ks_to_text(structure: Structure) -> str:
     """``solutions: N``, then one line such as ``S1:1 S2:1`` per coloring,
-    with 1-based atom indices.
-
-    A line is the text of the coloring's first half of contexts followed
-    by the text of its second half.  The first half's text is built again
-    only when it differs from the previous coloring's, which is rare along
-    the search order; the second half's text is built once per distinct
-    tuple and cached for this call.
-    """
-    labels = [[f"{ctx.name}:{i + 1}" for i in range(len(ctx.atoms))] for ctx in structure.contexts]
-    half = len(labels) // 2
-    head_labels = [[f"{name} " for name in names] for names in labels[:half]]
-    tail_labels = labels[half:]
-    tail_texts: dict[tuple[int, ...], str] = {}
-    lines = [f"solutions: {len(solutions)}"]
-    head, head_text = None, ""
-    for chosen in solutions:
-        first = chosen[:half]
-        if first != head:
-            head = first
-            head_text = "".join([names[i] for names, i in zip(head_labels, head)])
-        tail = chosen[half:]
-        tail_text = tail_texts.get(tail)
-        if tail_text is None:
-            tail_text = tail_texts[tail] = " ".join([names[i] for names, i in zip(tail_labels, tail)])
-        lines.append(head_text + tail_text)
-    lines.append("")  # the final newline, without copying the joined text
-    return "\n".join(lines)
+    with 1-based atom indices, written by the search itself."""
+    tokens = [[f"{ctx.name}:{i + 1} " for i in range(len(ctx.atoms))] for ctx in structure.contexts]
+    tokens[-1] = [token[:-1] + "\n" for token in tokens[-1]]
+    lines = _colorings(structure, tokens, "".join)
+    lines.insert(0, f"solutions: {len(lines)}\n")
+    return "".join(lines)
 
 
-def ks_to_dict(structure: Structure, solutions: Sequence[tuple[int, ...]]) -> dict:
-    return {
-        "count": len(solutions),
-        "solutions": [
-            {ctx.name: index + 1 for ctx, index in zip(structure.contexts, chosen)}
-            for chosen in solutions
-        ],
-    }
+def ks_to_json(structure: Structure) -> str:
+    """The colorings as ``json.dumps({"count": N, "solutions": [...]},
+    indent=2)`` plus a newline, where each solution maps every context name
+    to its 1-based true atom; each key is escaped once by ``json.dumps``."""
+    tokens = [
+        [f",\n      {json.dumps(ctx.name)}: {i + 1}" for i in range(len(ctx.atoms))] for ctx in structure.contexts
+    ]
+    tokens[0] = ["    {\n" + token[2:] for token in tokens[0]]
+    tokens[-1] = [token + "\n    }" for token in tokens[-1]]
+    items = _colorings(structure, tokens, "".join)
+    if not items:
+        return '{\n  "count": 0,\n  "solutions": []\n}\n'
+    items[0] = f'{{\n  "count": {len(items)},\n  "solutions": [\n{items[0]}'
+    items[-1] += "\n  ]\n}\n"
+    return ",\n".join(items)

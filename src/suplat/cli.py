@@ -19,8 +19,7 @@ from .admissibility import (
     admissibility_to_dict,
     admissibility_to_text,
     check_admissibility,
-    ks_search,
-    ks_to_dict,
+    ks_to_json,
     ks_to_text,
 )
 from .contexts import Structure, structure_from_dict, structure_to_dict
@@ -195,8 +194,8 @@ def _run_admissibility(args: argparse.Namespace) -> str:
 
 
 def _run_ks_search(args: argparse.Namespace) -> str:
-    structure = _structure_from_args(args)
-    return _formatted(args.format, ks_to_text, ks_to_dict, structure, ks_search(structure))
+    to_output = ks_to_json if args.format == STRUCTURED else ks_to_text
+    return to_output(_structure_from_args(args))
 
 
 def _run_hasse(args: argparse.Namespace) -> str:

@@ -334,6 +334,7 @@ def structure_from_dict(data) -> Structure:
         raise StructureFormatError(f"missing top-level key {missing}") from None
     if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
         raise StructureFormatError("'dimension' must be a positive integer")
+    row_width = dimension if dimension < 2**64 else "2**64 or more"  # a short-row error quotes it
     if not isinstance(raw_contexts, list) or not raw_contexts:
         raise StructureFormatError("'contexts' must be a nonempty list")
     scalars = {}  # literal -> parsed scalar
@@ -363,7 +364,7 @@ def structure_from_dict(data) -> Structure:
             for ri, raw_row in enumerate(raw_matrix):
                 if not isinstance(raw_row, list) or len(raw_row) != dimension:
                     raise StructureFormatError(
-                        f"{pwhere}.matrix[{ri}]: expected a row of {dimension} scalar literals"
+                        f"{pwhere}.matrix[{ri}]: expected a row of {row_width} scalar literals"
                     )
                 for si, lit in enumerate(raw_row):
                     if not isinstance(lit, str):

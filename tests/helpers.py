@@ -243,6 +243,18 @@ def brute_force_coloring_count(structure: Structure) -> int:
     return len(brute_force_colorings(structure))
 
 
+def reference_ks_dict(structure: Structure, solutions) -> dict:
+    """The colorings as one dict per coloring, context name to 1-based true
+    atom: the oracle for ``ks_to_json`` through ``json.dumps(..., indent=2)``."""
+    return {
+        "count": len(solutions),
+        "solutions": [
+            {ctx.name: index + 1 for ctx, index in zip(structure.contexts, chosen)}
+            for chosen in solutions
+        ],
+    }
+
+
 def reference_ks_text(structure: Structure, solutions) -> str:
     """The coloring text built one label per context for every coloring:
     the oracle for ``ks_to_text``."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 import time
@@ -16,6 +17,7 @@ from helpers import (
     brute_force_colorings,
     forced_coloring,
     random_structure,
+    reference_ks_dict,
     reference_ks_text,
 )
 
@@ -25,6 +27,7 @@ from suplat.admissibility import (
     admissibility_to_text,
     check_admissibility,
     ks_search,
+    ks_to_json,
     ks_to_text,
     rule1_status,
     rule2_status,
@@ -125,7 +128,7 @@ def test_ks_search_single_context(qubit):
     solutions = ks_search(single)
     assert len(solutions) == 2
     assert solutions == [(0,), (1,)]
-    assert ks_to_text(single, solutions) == "solutions: 2\nSigma_z:1\nSigma_z:2\n"
+    assert ks_to_text(single) == "solutions: 2\nSigma_z:1\nSigma_z:2\n"
 
 
 def test_ks_search_runs_past_the_recursion_limit(qubit):
@@ -186,14 +189,13 @@ def test_ks_solutions_are_admissible(cabello):
 
 
 def test_ks_text_output(cabello):
-    solutions = ks_search(cabello)
-    text = ks_to_text(cabello, solutions)
+    text = ks_to_text(cabello)
     lines = text.splitlines()
     assert lines[0] == "solutions: 40"
     assert lines[1] == "S1:1 S2:1 S6:1"
     assert len(lines) == 41
     # deterministic: regenerating gives identical bytes
-    assert ks_to_text(cabello, ks_search(cabello)) == text
+    assert ks_to_text(cabello) == text
 
 
 def test_ks_search_matches_brute_force_in_order(qubit, cabello):
@@ -296,16 +298,61 @@ def test_ks_search_expands_each_frontier_state_once():
     assert time.perf_counter() - start < 1.0
 
 
+def _assert_outputs_match_oracles(structure) -> None:
+    found = ks_search(structure)
+    assert ks_to_text(structure) == reference_ks_text(structure, found)
+    assert ks_to_json(structure) == json.dumps(reference_ks_dict(structure, found), indent=2) + "\n"
+
+
 def test_ks_text_matches_per_coloring_join(qubit, cabello):
     rng = random.Random(57)
-    single = Structure([cabello.contexts[0]])  # its first half has no context
-    for structure in (qubit, cabello, single):
-        assert ks_to_text(structure, []) == reference_ks_text(structure, []) == "solutions: 0\n"
-        sizes = [len(ctx.atoms) for ctx in structure.contexts]
-        for _ in range(20):
-            solutions = [tuple(rng.randrange(k) for k in sizes) for _ in range(rng.randint(1, 12))]
-            solutions += rng.choices(solutions, k=rng.randint(1, 12))
-            rng.shuffle(solutions)
-            assert ks_to_text(structure, solutions) == reference_ks_text(structure, solutions)
-        found = ks_search(structure)
-        assert ks_to_text(structure, found) == reference_ks_text(structure, found)
+    structures = [qubit, cabello, Structure([cabello.contexts[0]])]
+    structures += [random_structure(rng, rng.randint(2, 4)) for _ in range(20)]
+    # context names that JSON escapes: quotes, backslashes, non-ASCII text
+    names = ['say "hi"', "back\\slash", "n\u00e4me \u03a3", "\u2603\U0001f600"]
+    structures.append(Structure([replace(c, name=n) for c, n in zip(qubit.contexts, names)]))
+    structures.append(Structure([replace(c, name=n) for c, n in zip(cabello.contexts, names[1:])]))
+    for structure in structures:
+        assert ks_search(structure) == brute_force_colorings(structure)
+        _assert_outputs_match_oracles(structure)
+    # cabello-18 without its first basis (26 colorings), and whole (none);
+    # brute_force_colorings takes seconds here, and the search is checked
+    # against it on the first in the tests above
+    _assert_outputs_match_oracles(Structure(_ray_contexts(CABELLO_18[1:])))
+    uncolorable = Structure(_ray_contexts(CABELLO_18))
+    assert ks_to_text(uncolorable) == "solutions: 0\n"
+    assert ks_to_json(uncolorable) == '{\n  "count": 0,\n  "solutions": []\n}\n'
+    _assert_outputs_match_oracles(uncolorable)
+
+
+def test_ks_outputs_where_prefixes_of_different_widths_meet():
+    # B shares no ray with A's standard basis, so all ten choices of A reach
+    # one state before B; its first visitor writes "A:1 ", and "A:10 " is
+    # wider, so later visitors must cut the first visitor's width
+    n = 10
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    pairs = [[x + s * y for x, y in zip(unit[2 * j], unit[2 * j + 1])] for j in range(n // 2) for s in (1, -1)]
+    structure = Structure([
+        validate_context(name, [projector_onto(Subspace.span_of([ray], n), name=f"P{i + 1}") for i, ray in enumerate(rays)])
+        for name, rays in (("A", unit), ("B", pairs))
+    ])
+    assert len(ks_search(structure)) == 100
+    assert ks_search(structure) == brute_force_colorings(structure)
+    assert ks_to_text(structure).splitlines()[-1] == "A:10 B:10"
+    _assert_outputs_match_oracles(structure)
+    # B first: "B:1 " and "B:10 " reach one state before A
+    _assert_outputs_match_oracles(Structure(list(reversed(structure.contexts))))
+
+
+def test_ks_search_and_text_stay_linear_on_a_long_chain(qubit):
+    # each copy has Sigma_z's two atoms, so the search walks two paths of
+    # 40000 frames that never repeat a state; copying a prefix per frame
+    # makes this quadratic
+    n = 40000
+    copies = Structure([replace(qubit.contexts[0], name=f"Z{i}") for i in range(n)])
+    start = time.perf_counter()
+    found = ks_search(copies)
+    text = ks_to_text(copies)
+    assert time.perf_counter() - start < 1.5
+    assert found == [(0,) * n, (1,) * n]
+    assert text.count("\n") == 3 and text.endswith(f"Z{n - 1}:2\n")

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from suplat import cli, contexts
-from suplat.admissibility import ks_search, ks_to_text
+from suplat.admissibility import ks_to_text
 from suplat.cli import build_parser, load_structure, main
 from suplat.contexts import structure_to_dict
 from suplat.datasets import builtin_structure
@@ -195,6 +195,17 @@ def test_validate_rejects_boolean_dimension(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: 'dimension' must be a positive integer\n"
+
+
+def test_short_row_error_is_short_for_a_huge_dimension(capsys, tmp_path):
+    data = structure_to_dict(builtin_structure("pauli-qubit"))
+    path = tmp_path / "huge.json"
+    for dimension, shown in ((3, "3"), (2**64 - 1, str(2**64 - 1)), (2**64, "2**64 or more"), (10**4000, "2**64 or more")):
+        data["dimension"] = dimension
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: contexts[0].projectors[0].matrix[0]: expected a row of {shown} scalar literals\n"
 
 
 def test_validate_rejects_deeply_nested_json(capsys, tmp_path):
@@ -947,4 +958,4 @@ def test_readme_library_example_matches_its_comments(capsys, cabello):
     assert expected == ["0", "40"]
     assert capsys.readouterr().out.splitlines() == expected
     assert "`S1:1 S2:1 S6:1`" in section
-    assert ks_to_text(cabello, ks_search(cabello)).splitlines()[1] == "S1:1 S2:1 S6:1"
+    assert ks_to_text(cabello).splitlines()[1] == "S1:1 S2:1 S6:1"
