@@ -174,8 +174,8 @@ def _run_lattice(args: argparse.Namespace) -> str:
     if args.context is None:
         lattices = structure.lattices
     else:  # only the named context's lattice is enumerated
-        lattices = [structure.find_lattice(args.context)]
-        if lattices[0] is None:
+        lattices = [c.lattice for c in structure.contexts if c.name == args.context]
+        if not lattices:
             raise ValueError(f"unknown context {args.context!r}")
     return _formatted(args.format, _lattices_to_text, _lattices_to_dict, lattices)
 
@@ -227,16 +227,22 @@ def _write_stdout(text: str) -> None:
 
 def _replace_file(path: str, text: str) -> None:
     """Write ``text`` to ``path`` whole or not at all: to a new file beside
-    it, renamed onto ``path`` once written, or removed if the write fails."""
+    it, renamed onto ``path`` once written, or removed if the write fails.
+    An error names ``path``, unless the file beside it already exists."""
     partial = f"{path}.{os.getpid()}.tmp"
-    handle = open(partial, "x", encoding="utf-8")
     try:
-        with handle:
-            handle.write(text)
-        os.replace(partial, path)
-    except BaseException:
-        os.remove(partial)
-        raise
+        handle = open(partial, "x", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(partial, path)
+        except BaseException:
+            os.remove(partial)
+            raise
+    except FileExistsError:
+        raise  # left by a run that was killed: the user must see its name
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -93,6 +93,13 @@ class Context:
         """Dimension of the sum of the atom ranges in the mask."""
         return mask.bit_count() + sum(extra for bit, extra in self._extra_ranks if mask & bit)
 
+    @cached_property
+    def lattice(self) -> InvariantLattice:
+        """The context's lattice, enumerated on first read, so ``validate``,
+        ``admissibility`` and ``ks-search`` build none and ``hasse --scope NAME``
+        builds only the lattice it draws."""
+        return InvariantLattice(self)
+
 
 def _orthogonal(dual, vector) -> bool:
     """True iff the vector is orthogonal to a range row given as ``_range_duals`` entries."""
@@ -156,21 +163,18 @@ class InvariantLattice:
 
     def __init__(self, context: Context) -> None:
         self.context = context
-        self.atom_ranges: tuple[Subspace, ...] = tuple(p.range for p in context.atoms)
+        atom_ranges = [p.range for p in context.atoms]
         # A mask without its top bit is smaller, so its sum is already built.
         sums = [Subspace.zero(context.dimension)]
-        for mask in range(1, 1 << len(self.atom_ranges)):
+        for mask in range(1, 1 << len(atom_ranges)):
             top = mask.bit_length() - 1
-            sums.append(sums[mask ^ (1 << top)].join(self.atom_ranges[top]))
+            sums.append(sums[mask ^ (1 << top)].join(atom_ranges[top]))
         self.masks: tuple[int, ...] = tuple(_sort_order(sums))
         self.members: tuple[Subspace, ...] = tuple(sums[m] for m in self.masks)
 
     @property
     def name(self) -> str:
         return self.context.name
-
-    def __len__(self) -> int:
-        return len(self.members)
 
     def has_member(self, s: Subspace) -> bool:
         return s.ambient_dim == self.context.dimension and is_lattice_member(s, self.context)
@@ -232,26 +236,11 @@ class Structure:
             raise StructureError(f"duplicate context name {dup!r}")
         self.ambient_dim = dim
         self.contexts = contexts
-        self._lattices: dict[int, InvariantLattice] = {}
 
-    def lattice(self, index: int) -> InvariantLattice:
-        """The lattice of the context at this index, enumerated on first request,
-        so ``validate``, ``admissibility`` and ``ks-search`` build none and
-        ``hasse --scope NAME`` builds only the lattice it draws."""
-        if index not in self._lattices:
-            self._lattices[index] = InvariantLattice(self.contexts[index])
-        return self._lattices[index]
-
-    @cached_property
+    @property
     def lattices(self) -> tuple[InvariantLattice, ...]:
         """Every context's lattice, in context order."""
-        return tuple(self.lattice(i) for i in range(len(self.contexts)))
-
-    def find_lattice(self, context_name: str) -> InvariantLattice | None:
-        for i, c in enumerate(self.contexts):
-            if c.name == context_name:
-                return self.lattice(i)
-        return None
+        return tuple(c.lattice for c in self.contexts)
 
 
 def normalize_state(structure: Structure, state) -> tuple:
@@ -284,7 +273,7 @@ def allocates(support: int) -> bool:
 def allocated_lattices(structure: Structure, state) -> list[InvariantLattice]:
     """Lattices whose context has an atom range containing the state."""
     supports = state_supports(structure, normalize_state(structure, state))
-    return [structure.lattice(i) for i, support in enumerate(supports) if allocates(support)]
+    return [c.lattice for c, support in zip(structure.contexts, supports) if allocates(support)]
 
 
 def structure_to_dict(structure: Structure) -> dict:

@@ -89,10 +89,10 @@ def build_graph(report: ValuationReport, scope: str) -> HasseGraph:
     # Per scope lattice: its context's index, and keys by atom mask.
     spans, first = [], {}
     for i in in_scope:
-        lat = report.structure.lattice(i)
+        lat = contexts[i].lattice
         keys = [0]
-        for atom_range in lat.atom_ranges:
-            atom_key = sum(c.support(atom_range) << offset for c, offset in zip(contexts, offsets))
+        for atom in contexts[i].atoms:
+            atom_key = sum(c.support(atom.range) << offset for c, offset in zip(contexts, offsets))
             keys += [x | atom_key for x in keys]
         spans.append((i, keys))
         for member, mask in zip(lat.members, lat.masks):

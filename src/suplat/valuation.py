@@ -94,15 +94,6 @@ class ValuationReport:
             for mask in lat.masks
         }
 
-    @cached_property
-    def values(self) -> Mapping[Subspace, TruthValue]:
-        """Each distinct member subspace's truth value, built on first read."""
-        values: dict[Subspace, TruthValue] = {}
-        for lat in self.structure.lattices:
-            for member, label in zip(lat.members, lat.labels()):
-                values.setdefault(member, self.entries[f"{lat.name}.{label}"])
-        return values
-
     def value(self, i: int, mask: int) -> TruthValue:
         """Value of the member named by ``mask`` in the context at index ``i``; a gap
         unless bivalent or its dimension is its support's rank in an allocated context."""

@@ -145,8 +145,8 @@ def test_criterion_06_shared_atom_below_rotated_kernel(cabello):
 def test_criterion_07a_allocated_contexts_bivalent_one_true(cabello):
     report = evaluate_structure(cabello, E4, Mode.INVARIANT)
     assert report.allocated == ("S1", "S2")
-    for lattice in cabello.lattices[:2]:
-        values = [report.values[r] for r in lattice.atom_ranges]
+    for i, context in enumerate(cabello.contexts[:2]):
+        values = [report.value(i, 1 << b) for b in range(len(context.atoms))]
         assert all(v is not TruthValue.GAP for v in values)
         assert sum(1 for v in values if v is TruthValue.TRUE) == 1
 
@@ -155,10 +155,10 @@ def test_criterion_07b_members_only_in_third_lattice_gap(cabello):
     report = evaluate_structure(cabello, E4, Mode.INVARIANT)
     l1, l2, l6 = cabello.lattices
     only_third = [
-        m for m in l6.members if not l1.has_member(m) and not l2.has_member(m)
+        mask for m, mask in zip(l6.members, l6.masks) if not l1.has_member(m) and not l2.has_member(m)
     ]
     assert len(only_third) == 14
-    assert all(report.values[m] is TruthValue.GAP for m in only_third)
+    assert all(report.value(2, mask) is TruthValue.GAP for mask in only_third)
 
 
 def test_criterion_07c_rotated_kernel_true_at_axis_state(cabello):
@@ -170,10 +170,11 @@ def test_criterion_07c_rotated_kernel_true_at_axis_state(cabello):
     """
     kernel = kernel_of(cabello.contexts[2].atoms[3])
     assert kernel.contains_vector(E4)
+    l6 = cabello.lattices[2]
+    assert l6.labels()[l6.index_of(kernel)] == "1+2+3"
     expected = {Mode.INVARIANT: TruthValue.GAP, Mode.HILBERT: TruthValue.TRUE}
     for mode, value in expected.items():
         report = evaluate_structure(cabello, E4, mode)
-        assert report.values[kernel] is value
         assert report.entries["S6.1+2+3"] is value
         assert evaluate(cabello, E4, kernel, mode) is value
 

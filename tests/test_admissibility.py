@@ -183,7 +183,7 @@ def test_ks_solutions_are_admissible(cabello):
     for sol in ks_search(cabello):
         bits = forced_coloring(range_lists, sol)
         for lat in cabello.lattices:
-            values = [T if bits[r] == 1 else F for r in lat.atom_ranges]
+            values = [T if bits[a.range] == 1 else F for a in lat.context.atoms]
             assert rule1_status(values) is RuleStatus.SATISFIED
             assert rule2_status(values) in (RuleStatus.SATISFIED, RuleStatus.VACUOUS)
 

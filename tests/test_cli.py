@@ -222,7 +222,7 @@ def test_validate_and_ks_search_build_no_lattice(capsys, tmp_path, monkeypatch):
     path = tmp_path / "cabello.json"
     path.write_text(json.dumps(structure_to_dict(builtin_structure("cabello-3"))))
     structure = load_structure(str(path))
-    assert structure.lattices is structure.lattices
+    assert all(c.lattice is c.lattice for c in structure.contexts)
 
     def refuse(context):
         raise AssertionError(f"lattice of {context.name} built")
@@ -242,15 +242,28 @@ def test_ks_search_runs_past_the_recursion_limit(capsys, tmp_path):
         {"name": "z+", "matrix": [["1", "0"], ["0", "0"]]},
         {"name": "z-", "matrix": [["0", "0"], ["0", "1"]]},
     ]
-    contexts = [{"name": f"Sigma_z{i}", "projectors": z} for i in range(1500)]
+    x = [
+        {"name": "x+", "matrix": [["1/2", "1/2"], ["1/2", "1/2"]]},
+        {"name": "x-", "matrix": [["1/2", "-1/2"], ["-1/2", "1/2"]]},
+    ]
+    copies = [{"name": f"Sigma_z{i}", "projectors": z} for i in range(1500)]
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps({"dimension": 2, "contexts": contexts}))
+    path.write_text(json.dumps({"dimension": 2, "contexts": copies}))
     code, out, err = run(capsys, "ks-search", str(path))
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert lines[0] == "solutions: 2"
     assert lines[1] == " ".join(f"Sigma_z{i}:1" for i in range(1500))
     assert lines[2] == " ".join(f"Sigma_z{i}:2" for i in range(1500))
+    # Sigma_x shares no atom with the copies: each of its choices heads both chains
+    path.write_text(json.dumps({"dimension": 2, "contexts": [{"name": "Sigma_x", "projectors": x}] + copies}))
+    code, out, err = run(capsys, "ks-search", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert (lines[0], len(lines)) == ("solutions: 4", 5)
+    assert lines[1:] == [
+        f"Sigma_x:{a} " + " ".join(f"Sigma_z{i}:{b}" for i in range(1500)) for a in (1, 2) for b in (1, 2)
+    ]
 
 
 def test_validate_rejects_non_utf8(capsys, tmp_path):
@@ -670,6 +683,11 @@ def test_hasse_scope_builds_only_the_drawn_lattice(capsys, tmp_path, monkeypatch
     code, out, err = run(capsys, *argv, "--scope", "S6")
     assert (code, err, out, built) == (0, "", drawn, ["S6"])
     assert out.count(" [label=") == 16 and out.count("->") == 32
+    # The merged diagram and eval build each context's lattice once.
+    for args in ([*argv, "--scope", "all"], ["eval", *argv[1:]]):
+        built.clear()
+        code, out, err = run(capsys, *args)
+        assert (code, err, built) == (0, "", ["S1", "S2", "S6"]), args
 
 
 def test_hasse_of_a_small_context_beside_a_wide_one(capsys, tmp_path, monkeypatch):
@@ -754,6 +772,26 @@ def test_hasse_failure_leaves_no_file(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:")
     assert not target.exists()
+
+
+def test_hasse_write_errors_name_the_output_path(capsys, tmp_path, monkeypatch):
+    # The DOT goes to a file beside the target first; an error names that
+    # file only when a killed run left it there.
+    argv = ["hasse", "--dataset", "pauli-qubit", "--state", "1,0", "--mode", "invariant", "--scope", "all"]
+    missing = tmp_path / "missing" / "x.dot"
+    code, out, err = run(capsys, *argv, "-o", str(missing))
+    assert (code, out, err) == (1, "", f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    code, out, err = run(capsys, *argv, "-o", str(folder))
+    assert (code, out, err) == (1, "", f"error: [Errno 21] Is a directory: {str(folder)!r}\n")
+    assert sorted(os.listdir(tmp_path)) == ["folder"] and os.listdir(folder) == []
+    monkeypatch.setattr(os, "getpid", lambda: 4242)
+    stale = tmp_path / "x.dot.4242.tmp"
+    stale.write_text("left by a killed run\n")
+    code, out, err = run(capsys, *argv, "-o", str(tmp_path / "x.dot"))
+    assert (code, out, err) == (1, "", f"error: [Errno 17] File exists: {str(stale)!r}\n")
+    assert stale.read_text() == "left by a killed run\n" and not (tmp_path / "x.dot").exists()
 
 
 def test_failed_hasse_write_keeps_the_target(tmp_path):

@@ -34,8 +34,8 @@ def test_transitive_reduction_chain():
 
 
 def test_reduction_closure_equals_containment(qubit, cabello):
-    for structure, scope in ((qubit, "Sigma_z"), (cabello, "S1")):
-        members = structure.find_lattice(scope).members
+    for structure in (qubit, cabello):
+        members = structure.contexts[0].lattice.members
         edges = transitive_reduction(members)
         # transitive closure of the edge set
         count = len(members)
@@ -70,7 +70,7 @@ def test_support_order_matches_containment_oracle(qubit, cabello):
         if len(contexts) == 3 and max(p.rank for c in contexts for p in c.atoms) >= 2:
             seen.add("three contexts with a rank-2 atom")
         report = evaluate_structure(structure, random_state(rng, structure.ambient_dim), Mode.HILBERT)
-        scopes = {c.name: (structure.find_lattice(c.name),) for c in contexts}
+        scopes = {c.name: (c.lattice,) for c in contexts}
         scopes["all"] = structure.lattices
         for scope, lattices in scopes.items():
             graph = build_graph(report, scope)

@@ -70,7 +70,16 @@ def test_membership_certification_is_absolute(cabello):
     report = evaluate_structure(cabello, E4, Mode.INVARIANT)
     assert report.entries["S1.1"] is TruthValue.TRUE
     assert report.entries["S2.1"] is TruthValue.TRUE
-    assert report.values[shared] is TruthValue.TRUE
+    assert [report.value(i, cabello.contexts[i].support(shared)) for i in (0, 1)] == [TruthValue.TRUE] * 2
+
+
+def _member_values(report):
+    """Each member of each lattice with its value, read off the report's entries."""
+    return [
+        (member, report.entries[f"{lat.name}.{label}"])
+        for lat in report.structure.lattices
+        for member, label in zip(lat.members, lat.labels())
+    ]
 
 
 def test_evaluate_structure_report_shape(qubit):
@@ -78,10 +87,11 @@ def test_evaluate_structure_report_shape(qubit):
     assert report.allocated == ("Sigma_z",)
     # one entry per member of every lattice
     assert len(report.entries) == 12
-    for lattice in qubit.lattices:
+    for i, lattice in enumerate(qubit.lattices):
         for member in lattice.members:
-            key = f"{lattice.name}.{lattice.labels()[lattice.index_of(member)]}"
-            assert report.entries[key] is report.values[member]
+            index = lattice.index_of(member)
+            key = f"{lattice.name}.{lattice.labels()[index]}"
+            assert report.entries[key] is report.value(i, lattice.masks[index])
     assert report.entries["Sigma_z.1"] is TruthValue.TRUE
     assert report.entries["Sigma_z.2"] is TruthValue.FALSE
     assert report.entries["Sigma_x.1"] is TruthValue.GAP
@@ -93,7 +103,7 @@ def test_no_allocation_means_all_gaps(qubit):
     # (1,2) sits in no atom range, so every nontrivial member is a gap
     report = evaluate_structure(qubit, ["1", "2"], Mode.INVARIANT)
     assert report.allocated == ()
-    for member, value in report.values.items():
+    for member, value in _member_values(report):
         if member.is_zero():
             assert value is TruthValue.FALSE
         elif member.is_full():
@@ -105,7 +115,7 @@ def test_no_allocation_means_all_gaps(qubit):
 def test_hilbert_mode_flags_all_false_states(qubit):
     report = evaluate_structure(qubit, ["1", "2"], Mode.HILBERT)
     assert report.notes
-    for member, value in report.values.items():
+    for member, value in _member_values(report):
         if not member.is_zero() and not member.is_full():
             assert value is TruthValue.FALSE
     in_range = evaluate_structure(qubit, ["1", "0"], Mode.HILBERT)
@@ -125,7 +135,7 @@ def test_hilbert_mode_flags_all_false_states(qubit):
 def test_hilbert_note_iff_no_proper_member_holds_the_state(name, state, noted):
     report = evaluate_structure(builtin_structure(name), state.split(","), Mode.HILBERT)
     assert bool(report.notes) is noted
-    assert any(v is TruthValue.TRUE for m, v in report.values.items() if not m.is_full()) is not noted
+    assert any(v is TruthValue.TRUE for m, v in _member_values(report) if not m.is_full()) is not noted
     if name == "cabello-3" and not noted:
         assert report.entries["S6.2+3+4"] is TruthValue.TRUE
 
@@ -151,9 +161,9 @@ def test_mode_agreement_on_allocated_members(cabello):
     for state in states:
         inv = evaluate_structure(cabello, state, Mode.INVARIANT)
         hil = evaluate_structure(cabello, state, Mode.HILBERT)
-        for member, value in inv.values.items():
+        for key, value in inv.entries.items():
             if value is not TruthValue.GAP:
-                assert hil.values[member] is value
+                assert hil.entries[key] is value
 
 
 def test_state_errors(qubit):
@@ -219,7 +229,7 @@ def test_support_valuation_matches_row_reduction_oracle(qubit, cabello):
                 expected, expected_values = reference_report(structure, state, mode)
                 report = evaluate_structure(structure, state, mode)
                 assert report_to_text(report) == report_to_text(expected)
-                assert report.values == expected_values
+                assert report.entries == expected.entries
                 assert [lat.name for lat in allocated_lattices(structure, state)] == list(expected.allocated)
                 for member, value in expected_values.items():
                     assert evaluate(structure, state, member, mode) is value
