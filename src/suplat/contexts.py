@@ -7,7 +7,9 @@ sum of those atom ranges, so there are 2^k distinct members.  A subspace
 lies in the sum of its support's atoms (those whose projectors do not
 annihilate it), so it is a member iff its dimension is that sum's rank.
 With rank-1 atoms the members are exactly the invariant subspaces.
-This atom-sum rule is the only membership test; no member is hashed.
+This atom-sum rule is the only membership test; neither it nor the
+valuation hashes a subspace, and the coloring search hashes each atom
+range once, to number the distinct ranges.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .linalg import DimensionMismatchError, ExactMatrix, as_scalar, format_scalar, parse_scalar
-from .operators import Projector, ProjectorError, validate_projector
+from .operators import Projector, ProjectorError, _inner, validate_projector
 from .subspaces import Subspace, _sort_order
 
 
@@ -111,15 +113,13 @@ def validate_context(name: str, projectors) -> Context:
     """Check the context laws and return the validated context.
 
     Laws: at least two atoms, all on the same space, each nontrivial,
-    names unique, pairwise orthogonal (zero products), and the atom sum
-    equal to the identity.
+    names unique, pairwise orthogonal, and summing to the identity.
 
-    The sum is checked first.  Hermitian projectors that sum to I are
-    pairwise orthogonal: ``P_j = P_j I P_j`` gives
-    ``sum_{i != j} (P_i P_j)* (P_i P_j) = 0``, a sum of positive
-    semidefinite terms, so every ``P_i P_j`` is zero.  The pairwise
-    products are therefore computed only when the sum fails, to report
-    the first non-orthogonal pair, or else the incomplete sum.
+    Hermitian projectors have ``P_i P_j = 0`` iff their ranges are
+    orthogonal, so the first pair of range bases with a nonzero inner
+    product is the first non-orthogonal pair.  Mutually orthogonal
+    projectors sum to the projector onto the direct sum of their ranges:
+    I exactly when the ranks add up to the dimension.
     """
     atoms = tuple(projectors)
     if len(atoms) < 2:
@@ -138,19 +138,14 @@ def validate_context(name: str, projectors) -> Context:
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
         raise DuplicateAtomNameError(f"context {name!r}: duplicate atom name {dup!r}")
-    total = atoms[0].matrix
-    for p in atoms[1:]:
-        total = total + p.matrix
-    if total == ExactMatrix.identity(dim):
-        return Context(name, atoms)
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            if not (atoms[i].matrix * atoms[j].matrix).is_zero():
-                raise NotOrthogonalError(
-                    f"context {name!r}: atoms {atoms[i].name!r} and {atoms[j].name!r}"
-                    " are not orthogonal"
-                )
-    raise IncompleteSumError(f"context {name!r}: atoms do not sum to the identity")
+    ranges = [(p.name, p.range.basis_vectors()) for p in atoms]
+    for i, (a, rows_a) in enumerate(ranges):
+        for b, rows_b in ranges[i + 1:]:
+            if any(_inner(u, v) for u in rows_a for v in rows_b):
+                raise NotOrthogonalError(f"context {name!r}: atoms {a!r} and {b!r} are not orthogonal")
+    if sum(p.rank for p in atoms) != dim:
+        raise IncompleteSumError(f"context {name!r}: atoms do not sum to the identity")
+    return Context(name, atoms)
 
 
 class InvariantLattice:
@@ -380,5 +375,8 @@ def structure_from_dict(data) -> Structure:
                 except ProjectorError as err:
                     raise type(err)(f"{pwhere}: {err}") from err
             atoms.append(known if known.name == pname else replace(known, name=pname))
-        contexts.append(validate_context(cname, atoms))
+        try:
+            contexts.append(validate_context(cname, atoms))
+        except ContextError as err:
+            raise type(err)(f"{where}: {err}") from err
     return Structure(contexts)

@@ -364,9 +364,6 @@ class ExactMatrix:
     def row_list(self) -> list[tuple[GaussianRational, ...]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -378,17 +375,6 @@ class ExactMatrix:
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.entries))
-
-    def __add__(self, other: object) -> ExactMatrix:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatchError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-        return ExactMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
 
     def __mul__(self, other: object) -> ExactMatrix:
         """Matrix product; a scalar factor is not supported."""

@@ -111,5 +111,5 @@ def projector_onto(s: Subspace, name: str = "P") -> Projector:
 
 
 def _inner(u, v) -> GaussianRational:
-    """The Hermitian inner product <u, v> = sum conj(u_i) v_i."""
-    return sum((x.conjugate() * y for x, y in zip(u, v)), _ZERO)
+    """The Hermitian inner product <u, v> = sum conj(u_i) v_i, skipping the zero terms of sparse rows."""
+    return sum((x.conjugate() * y for x, y in zip(u, v) if x and y), _ZERO)

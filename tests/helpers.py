@@ -269,6 +269,12 @@ def adjoint(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(m.cols, m.rows, [m.entry(i, j).conjugate() for j in range(m.cols) for i in range(m.rows)])
 
 
+def matrix_sum(first: ExactMatrix, *rest: ExactMatrix) -> ExactMatrix:
+    """The entrywise sum of matrices of one shape."""
+    terms = zip(first.entries, *(m.entries for m in rest))
+    return ExactMatrix(first.rows, first.cols, [sum(es, GaussianRational(0)) for es in terms])
+
+
 def inverse(m: ExactMatrix) -> ExactMatrix:
     """The X with m X = X m = 1 for a square m, read off the reduced form of [m | 1]."""
     n = m.rows
@@ -302,15 +308,12 @@ def reference_context_error(name: str, atoms):
     """
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):
-            if not (atoms[i].matrix * atoms[j].matrix).is_zero():
+            if any((atoms[i].matrix * atoms[j].matrix).entries):
                 return NotOrthogonalError, (
                     f"context {name!r}: atoms {atoms[i].name!r} and {atoms[j].name!r}"
                     " are not orthogonal"
                 )
-    total = atoms[0].matrix
-    for p in atoms[1:]:
-        total = total + p.matrix
-    if total != ExactMatrix.identity(atoms[0].dimension):
+    if matrix_sum(*(p.matrix for p in atoms)) != ExactMatrix.identity(atoms[0].dimension):
         return IncompleteSumError, f"context {name!r}: atoms do not sum to the identity"
     return None
 

@@ -146,6 +146,26 @@ def test_validate_locates_damaged_shared_atom(capsys, tmp_path):
     assert err == "error: contexts[1].projectors[0]: projector 'P1': matrix squared differs from the matrix\n"
 
 
+@pytest.mark.parametrize("damage, law", [
+    ("drop", "atoms do not sum to the identity"),
+    ("overlap", "atoms 'P1' and 'P4' are not orthogonal"),
+])
+def test_validate_locates_context_law_error(capsys, tmp_path, damage, law):
+    # The second context takes the first one's name, so only its path tells them apart.
+    data = structure_to_dict(builtin_structure("cabello-3"))
+    ctx = data["contexts"][1]
+    ctx["name"] = "S1"
+    if damage == "drop":
+        ctx["projectors"].pop()
+    else:
+        ctx["projectors"][3]["matrix"] = ctx["projectors"][0]["matrix"]
+    path = tmp_path / "context.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: contexts[1]: context 'S1': {law}\n"
+
+
 def test_validate_names_empty_literal(capsys, tmp_path):
     data = structure_to_dict(builtin_structure("pauli-qubit"))
     data["contexts"][0]["projectors"][0]["matrix"][0][1] = ""

@@ -1,8 +1,9 @@
 """The projector and context law checks against oracles written from the definitions.
 
 validate_projector checks idempotence on a range basis and
-validate_context checks the atom sum before any pairwise product; the
-oracles in helpers check ``P*P = P``, then every product, then the sum.
+validate_context checks the atom ranges for orthogonality and their
+ranks for completeness; the oracles in helpers check ``P*P = P``, then
+every pairwise product, then the sum.
 """
 
 from __future__ import annotations
@@ -11,7 +12,15 @@ import random
 
 import pytest
 
-from suplat.contexts import ContextError, IncompleteSumError, NotOrthogonalError, validate_context
+from suplat.contexts import (
+    ContextError,
+    IncompleteSumError,
+    NotOrthogonalError,
+    structure_from_dict,
+    structure_to_dict,
+    validate_context,
+)
+from suplat.datasets import builtin_structure
 from suplat.linalg import ExactMatrix, GaussianRational
 from suplat.operators import projector_onto, range_of, validate_projector
 from suplat.subspaces import Subspace
@@ -20,6 +29,7 @@ from helpers import (
     adjoint,
     gram_schmidt,
     inverse,
+    matrix_sum,
     random_invertible,
     random_matrix,
     random_nonzero_scalar,
@@ -31,7 +41,7 @@ from helpers import (
 
 def _hermitian(rng: random.Random, n: int) -> ExactMatrix:
     m = random_matrix(rng, n, n, span=2)
-    return m + adjoint(m)
+    return matrix_sum(m, adjoint(m))
 
 
 def _oblique_idempotent(rng: random.Random, n: int) -> ExactMatrix:
@@ -51,7 +61,7 @@ def _candidate_matrix(rng: random.Random, n: int) -> ExactMatrix:
                         GaussianRational(0, 1), random_nonzero_scalar(rng)])
         return ExactMatrix(n, n, [c * e for e in p.entries])
     if kind == 2:  # Hermitian perturbation of a projector
-        return p + _hermitian(rng, n)
+        return matrix_sum(p, _hermitian(rng, n))
     if kind == 3:
         return _hermitian(rng, n)
     if kind == 4:
@@ -123,14 +133,38 @@ def test_validate_context_matches_definition():
     assert outcomes == {None, NotOrthogonalError, IncompleteSumError}
 
 
+def _ray_atoms(n: int, rays: dict) -> list:
+    """One rank-1 projector per named ray on C^n."""
+    return [validate_projector(projector_onto(Subspace.span_of([v], n)).matrix, name=k) for k, v in rays.items()]
+
+
+# Neither orthogonal nor complete.  In (i, j) order, i outer, the first
+# overlapping pair is (a, d); a scan with j outer would meet (b, c) first.
+SKEW_4 = {"a": [1, 0, 0, 0], "b": [0, 1, 0, 0], "c": [0, 1, 1, 0], "d": [1, 0, 0, 1]}
+
+
 def test_non_orthogonal_incomplete_family_reports_first_pair():
-    atoms = [
-        validate_projector(projector_onto(Subspace.span_of([[1, 0, 0]], 3)).matrix, name="x"),
-        validate_projector(projector_onto(Subspace.span_of([[0, 1, 0]], 3)).matrix, name="y"),
-        validate_projector(projector_onto(Subspace.span_of([[1, 1, 0]], 3)).matrix, name="d"),
-    ]
     # e3 is missed and d overlaps both x and y: the first pair in order is reported
-    expected = reference_context_error("skew", atoms)
-    assert expected == (NotOrthogonalError, "context 'skew': atoms 'x' and 'd' are not orthogonal")
-    with pytest.raises(NotOrthogonalError, match="'x' and 'd'"):
+    skew_3 = {"x": [1, 0, 0], "y": [0, 1, 0], "d": [1, 1, 0]}
+    for n, rays, pair in ((3, skew_3, "'x' and 'd'"), (4, SKEW_4, "'a' and 'd'")):
+        atoms = _ray_atoms(n, rays)
+        message = f"context 'skew': atoms {pair} are not orthogonal"
+        assert reference_context_error("skew", atoms) == (NotOrthogonalError, message)
+        with pytest.raises(NotOrthogonalError) as err:
+            validate_context("skew", atoms)
+        assert str(err.value) == message
+
+
+def test_context_laws_multiply_no_matrices(monkeypatch):
+    data = structure_to_dict(builtin_structure("cabello-3"))
+    data["contexts"][1]["projectors"].pop()
+    atoms = _ray_atoms(4, SKEW_4)
+
+    def refuse(self, other):
+        raise AssertionError("a matrix product was computed")
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", refuse)
+    with pytest.raises(IncompleteSumError, match="contexts\\[1\\]: context 'S2': atoms do not sum"):
+        structure_from_dict(data)
+    with pytest.raises(NotOrthogonalError, match="atoms 'a' and 'd' are not orthogonal"):
         validate_context("skew", atoms)
