@@ -331,6 +331,8 @@ def structure_from_dict(data) -> Structure:
         cname = raw_ctx.get("name")
         if not isinstance(cname, str) or not cname:
             raise StructureFormatError(f"{where}: 'name' must be a nonempty string")
+        if not cname.isprintable():  # a line break would split every line-oriented output
+            raise StructureFormatError(f"{where}: 'name' must be printable (no line break or control character)")
         raw_projs = raw_ctx.get("projectors")
         if not isinstance(raw_projs, list):
             raise StructureFormatError(f"{where}: 'projectors' must be a list")

@@ -83,8 +83,8 @@ def range_of(p: Projector) -> Subspace:
 
 
 def kernel_of(p: Projector) -> Subspace:
-    """Null space of the projector matrix; equals the range's orthocomplement."""
-    return Subspace.span_of(p.matrix.null_space().row_list(), p.dimension)
+    """Null space of the projector matrix: P is Hermitian, so it is the range's orthocomplement."""
+    return p.range.orthocomplement()
 
 
 def projector_onto(s: Subspace, name: str = "P") -> Projector:

@@ -1,10 +1,11 @@
 """Closed linear subspaces of C^n in canonical form, with lattice operations.
 
 A subspace is identified by the reduced row echelon basis of any spanning
-set, which is unique, so equality and hashing are structural.  Meet is
-routed through orthocomplements (de Morgan) because the intersection of
-row spaces has no direct canonical construction; join and complement are
-single echelon reductions.
+set, which is unique, so equality and hashing are structural.  Join and
+complement are single echelon reductions.  Meet is routed through
+orthocomplements (de Morgan) because the intersection of row spaces has no
+direct canonical construction, and the order is read off the join:
+a <= b iff dim(a v b) = dim b.
 """
 
 from __future__ import annotations
@@ -78,24 +79,10 @@ class Subspace:
 
     def contains_vector(self, vector) -> bool:
         """True iff the vector lies in the subspace (zero vector always does)."""
-        v = [as_scalar(x) for x in vector]
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
-            )
-        # Reduce against the RREF basis; anything left over is outside.
-        for i in range(self.dim):
-            row = self.basis.row(i)
-            pivot = next(j for j, e in enumerate(row) if e)
-            c = v[pivot]
-            if c:
-                for j in range(pivot, self.ambient_dim):
-                    v[j] = v[j] - c * row[j]
-        return not any(v)
+        return Subspace.span_of([vector], self.ambient_dim).is_subspace_of(self)
 
     def is_subspace_of(self, other: Subspace) -> bool:
-        self._require_same_ambient(other)
-        return all(other.contains_vector(row) for row in self.basis.row_list())
+        return self.join(other).dim == other.dim
 
     def join(self, other: Subspace) -> Subspace:
         """Smallest subspace containing both (closed span of the union)."""

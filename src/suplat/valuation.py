@@ -124,7 +124,7 @@ class ValuationReport:
 
         In invariant mode a nontrivial subspace is certified by the
         membership rule in an allocated context.  It need not be a lattice
-        member, so containment is a row reduction.
+        member, so containment is read off the join with the state's ray.
         """
         if subspace.ambient_dim != self.structure.ambient_dim:
             raise DimensionMismatchError(

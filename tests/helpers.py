@@ -17,7 +17,7 @@ from suplat.contexts import (
     normalize_state,
     validate_context,
 )
-from suplat.linalg import DimensionMismatchError, ExactMatrix, GaussianRational
+from suplat.linalg import DimensionMismatchError, ExactMatrix, GaussianRational, as_scalar
 from suplat.operators import (
     NotHermitianError,
     NotIdempotentError,
@@ -109,13 +109,28 @@ def reference_sort_key(s: Subspace) -> tuple:
     return (s.dim, tuple((e.real, e.imag) for e in s.basis.entries))
 
 
+def reference_contains(s: Subspace, vector) -> bool:
+    """True iff the vector lies in the subspace, by reducing it against the
+    RREF basis rows: the containment oracle, independent of ``join``."""
+    v = [as_scalar(x) for x in vector]
+    if len(v) != s.ambient_dim:
+        raise DimensionMismatchError(f"vector of length {len(v)} in ambient dimension {s.ambient_dim}")
+    for row in s.basis.row_list():
+        pivot = next(j for j, e in enumerate(row) if e)
+        c = v[pivot]
+        if c:
+            for j in range(pivot, s.ambient_dim):
+                v[j] = v[j] - c * row[j]
+    return not any(v)
+
+
 def is_invariant(s: Subspace, p: Projector) -> bool:
     """True iff the projector maps the subspace into itself."""
     if s.ambient_dim != p.dimension:
         raise DimensionMismatchError(
             f"subspace of C^{s.ambient_dim} under a projector on C^{p.dimension}"
         )
-    return all(s.contains_vector(p.matrix.apply(row)) for row in s.basis.row_list())
+    return all(reference_contains(s, p.matrix.apply(row)) for row in s.basis.row_list())
 
 
 def random_fraction(rng: random.Random, span: int = 4) -> Fraction:
@@ -330,7 +345,7 @@ def reference_value(member: Subspace, v, mode: Mode, certified: set[Subspace]) -
     if member.is_full():
         return TruthValue.TRUE
     if mode is Mode.HILBERT or member in certified:
-        return TruthValue.TRUE if member.contains_vector(v) else TruthValue.FALSE
+        return TruthValue.TRUE if reference_contains(member, v) else TruthValue.FALSE
     return TruthValue.GAP
 
 
@@ -363,7 +378,7 @@ def reference_report(structure: Structure, state, mode: Mode) -> tuple[Reference
     """
     v = normalize_state(structure, state)
     allocated = [
-        lat for lat in structure.lattices if any(range_of(a).contains_vector(v) for a in lat.context.atoms)
+        lat for lat in structure.lattices if any(reference_contains(range_of(a), v) for a in lat.context.atoms)
     ]
     certified = {m for lat in allocated for m in lat.members}
     values: dict = {}

@@ -166,6 +166,18 @@ def test_validate_locates_context_law_error(capsys, tmp_path, damage, law):
     assert err == f"error: contexts[1]: context 'S1': {law}\n"
 
 
+@pytest.mark.parametrize("separator", ["\n", "\r", "\u2028"], ids=["LF", "CR", "U+2028"])
+def test_validate_rejects_line_break_in_context_name(capsys, tmp_path, separator):
+    # Every text output prints a context name on one line.
+    data = structure_to_dict(builtin_structure("pauli-qubit"))
+    data["contexts"][1]["name"] = f"Sigma{separator}x"
+    path = tmp_path / "name.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: contexts[1]: 'name' must be printable (no line break or control character)\n"
+
+
 def test_validate_names_empty_literal(capsys, tmp_path):
     data = structure_to_dict(builtin_structure("pauli-qubit"))
     data["contexts"][0]["projectors"][0]["matrix"][0][1] = ""
@@ -1013,7 +1025,7 @@ def test_readme_library_example_matches_its_comments(capsys, cabello):
     block = block[:block.index("```")]
     exec(compile(block, "README.md", "exec"), {})
     expected = [line.split("#")[1].strip() for line in block.splitlines() if "print(" in line]
-    assert expected == ["0", "40"]
+    assert expected == ["0", "40", "True", "0/0", "1"]
     assert capsys.readouterr().out.splitlines() == expected
     assert "`S1:1 S2:1 S6:1`" in section
     assert ks_to_text(cabello).splitlines()[1] == "S1:1 S2:1 S6:1"

@@ -18,7 +18,14 @@ from suplat.operators import (
 )
 from suplat.subspaces import Subspace
 
-from helpers import adjoint, is_invariant, random_scalar, random_subspace, reference_projector_law
+from helpers import (
+    adjoint,
+    is_invariant,
+    random_context,
+    random_scalar,
+    random_subspace,
+    reference_projector_law,
+)
 
 
 def test_validate_accepts_projectors(cabello):
@@ -80,10 +87,14 @@ def test_kernel_examples(qubit, cabello):
 
 
 def test_kernel_is_orthocomplement_of_range(qubit, cabello):
-    for structure in (qubit, cabello):
-        for ctx in structure.contexts:
-            for atom in ctx.atoms:
-                assert kernel_of(atom) == range_of(atom).orthocomplement()
+    # kernel_of reads the range's complement; the reference is the matrix's null space
+    atoms = [a for structure in (qubit, cabello) for ctx in structure.contexts for a in ctx.atoms]
+    rng = random.Random(828)
+    for case in range(20):
+        atoms += random_context(rng, rng.randint(3, 5), f"C{case}").atoms
+    assert any(a.rank == 2 for a in atoms)
+    for atom in atoms:
+        assert kernel_of(atom) == Subspace.span_of(atom.matrix.null_space().row_list(), atom.dimension)
 
 
 def test_projector_onto_examples():

@@ -6,10 +6,17 @@ import random
 
 import pytest
 
-from suplat.linalg import DimensionMismatchError, ExactMatrix
+from suplat.linalg import DimensionMismatchError, ExactMatrix, GaussianRational
 from suplat.subspaces import Subspace, _sort_order
 
-from helpers import random_invertible, random_state, random_subspace, reference_sort_key
+from helpers import (
+    random_invertible,
+    random_scalar,
+    random_state,
+    random_subspace,
+    reference_contains,
+    reference_sort_key,
+)
 
 
 def span(*vectors, ambient=None):
@@ -37,8 +44,28 @@ def test_contains_vector():
     assert Subspace.zero(2).contains_vector(["0", "0"])
     assert not Subspace.zero(2).contains_vector(["1", "0"])
     assert Subspace.full(2).contains_vector(["i", "-2/3"])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"^vector of length 3 in ambient dimension 2$"):
         ray.contains_vector(["1", "0", "0"])
+
+
+def _combination(rng, rows, n):
+    """A random complex combination of the rows (the zero vector when there are none)."""
+    coefficients = [random_scalar(rng) for _ in rows]
+    return [sum((c * row[j] for c, row in zip(coefficients, rows)), GaussianRational(0)) for j in range(n)]
+
+
+def test_contains_vector_matches_reference():
+    rng = random.Random(515)
+    outcomes = []
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        for s in (random_subspace(rng, n), Subspace.zero(n), Subspace.full(n)):
+            inside = _combination(rng, s.basis.row_list(), n)
+            assert s.contains_vector(inside) and reference_contains(s, inside)
+            anywhere = [random_scalar(rng) for _ in range(n)]
+            outcomes.append(s.contains_vector(anywhere))
+            assert outcomes[-1] == reference_contains(s, anywhere)
+    assert True in outcomes and False in outcomes
 
 
 def test_join_examples():
@@ -74,6 +101,23 @@ def test_is_subspace_of():
     assert not plane.is_subspace_of(ray)
     assert Subspace.zero(4).is_subspace_of(ray)
     assert ray.is_subspace_of(Subspace.full(4))
+    with pytest.raises(DimensionMismatchError, match=r"^ambient dimensions differ: 2 vs 4$"):
+        Subspace.full(2).is_subspace_of(ray)
+
+
+def test_is_subspace_of_matches_reference():
+    # a <= b iff every basis row of a reduces to zero against b
+    rng = random.Random(616)
+    outcomes = []
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        b = random_subspace(rng, n)
+        below_b = Subspace.span_of([_combination(rng, b.basis.row_list(), n) for _ in range(2)], n)
+        for a in (random_subspace(rng, n), below_b, Subspace.zero(n), Subspace.full(n)):
+            for x, y in ((a, b), (b, a)):
+                outcomes.append(x.is_subspace_of(y))
+                assert outcomes[-1] == all(reference_contains(y, row) for row in x.basis.row_list())
+    assert True in outcomes and False in outcomes
 
 
 def test_is_subspace_of_matches_meet_route():
@@ -139,10 +183,10 @@ def test_containment_via_states():
         j = a.join(b)
         for s in (a, b):
             for row in s.basis.row_list():
-                assert j.contains_vector(row)
+                assert reference_contains(j, row)
         v = random_state(rng, n)
-        inside = a.contains_vector(v)
-        assert not inside or j.contains_vector(v)
+        inside = reference_contains(a, v)
+        assert not inside or reference_contains(j, v)
 
 
 def test_sort_key_orders_by_dimension_first():
