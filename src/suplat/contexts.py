@@ -14,11 +14,12 @@ range once, to number the distinct ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from contextlib import suppress
+from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import DimensionMismatchError, ExactMatrix, as_scalar, format_scalar, parse_scalar
-from .operators import Projector, ProjectorError, _inner, validate_projector
+from .linalg import DimensionMismatchError, ExactMatrix, _is_orthogonal, as_scalar, format_scalar, parse_scalar
+from .operators import Projector, ProjectorError, validate_projector
 from .subspaces import Subspace, _sort_order
 
 
@@ -65,25 +66,17 @@ class Context:
     def dimension(self) -> int:
         return self.atoms[0].dimension
 
-    @cached_property
-    def _range_duals(self) -> tuple:
-        """Per atom, the (column, conjugate) of each nonzero entry of each range basis row."""
-        return tuple(
-            tuple(tuple((j, e.conjugate()) for j, e in enumerate(row) if e) for row in p.range.basis_vectors())
-            for p in self.atoms
-        )
-
     def support(self, s: Subspace) -> int:
         """Mask of the atoms whose projectors do not annihilate the subspace.
 
         ``P b = 0`` iff b is orthogonal to the range of P, so each basis
-        vector of s is tested against the atom's range basis with
+        vector of s is tested against the atom's range basis with integer
         Hermitian inner products instead of a matrix-vector product.
         """
         basis = s.basis_vectors()
         return sum(
-            1 << i for i, duals in enumerate(self._range_duals)
-            if not all(_orthogonal(dual, b) for dual in duals for b in basis)
+            1 << i for i, p in enumerate(self.atoms)
+            if not all(_is_orthogonal(r, b) for r in p.range.basis_vectors() for b in basis)
         )
 
     @cached_property
@@ -101,12 +94,6 @@ class Context:
         ``admissibility`` and ``ks-search`` build none and ``hasse --scope NAME``
         builds only the lattice it draws."""
         return InvariantLattice(self)
-
-
-def _orthogonal(dual, vector) -> bool:
-    """True iff the vector is orthogonal to a range row given as ``_range_duals`` entries."""
-    terms = [c * vector[j] for j, c in dual if vector[j]]
-    return not terms or not sum(terms[1:], terms[0])
 
 
 def validate_context(name: str, projectors) -> Context:
@@ -141,7 +128,7 @@ def validate_context(name: str, projectors) -> Context:
     ranges = [(p.name, p.range.basis_vectors()) for p in atoms]
     for i, (a, rows_a) in enumerate(ranges):
         for b, rows_b in ranges[i + 1:]:
-            if any(_inner(u, v) for u in rows_a for v in rows_b):
+            if not all(_is_orthogonal(u, v) for u in rows_a for v in rows_b):
                 raise NotOrthogonalError(f"context {name!r}: atoms {a!r} and {b!r} are not orthogonal")
     if sum(p.rank for p in atoms) != dim:
         raise IncompleteSumError(f"context {name!r}: atoms do not sum to the identity")
@@ -299,8 +286,9 @@ def structure_from_dict(data) -> Structure:
 
     Each distinct literal is parsed once and each distinct atom matrix
     (keyed by its literal rows) is validated once; a repeated atom shares
-    the first occurrence's matrix and range under its own name.  The shape
-    and type checks still run on every occurrence.
+    the first occurrence's matrix and range under its own name.  A verbatim
+    repeat of a validated matrix is reused; an error still names the first
+    occurrence that fails.
 
     Raises:
         StructureFormatError: wrong JSON shape or a bad scalar literal,
@@ -347,7 +335,11 @@ def structure_from_dict(data) -> Structure:
             raw_matrix = raw_proj.get("matrix")
             if not isinstance(raw_matrix, list) or not raw_matrix:
                 raise StructureFormatError(f"{pwhere}: 'matrix' must be a nonempty list of rows")
-            for ri, raw_row in enumerate(raw_matrix):
+            known = None
+            if all(isinstance(raw_row, list) and len(raw_row) == dimension for raw_row in raw_matrix):
+                with suppress(TypeError):  # an unhashable entry is no literal, so the key is new
+                    known = projectors.get(tuple(map(tuple, raw_matrix)))
+            for ri, raw_row in enumerate(raw_matrix if known is None else ()):
                 if not isinstance(raw_row, list) or len(raw_row) != dimension:
                     raise StructureFormatError(
                         f"{pwhere}.matrix[{ri}]: expected a row of {row_width} scalar literals"
@@ -368,15 +360,14 @@ def structure_from_dict(data) -> Structure:
                 raise StructureFormatError(
                     f"{pwhere}.matrix: expected {dimension} rows, got {len(raw_matrix)}"
                 )
-            key = tuple(map(tuple, raw_matrix))
-            known = projectors.get(key)
             if known is None:
+                key = tuple(map(tuple, raw_matrix))
                 matrix = ExactMatrix(dimension, dimension, [scalars[lit] for row in key for lit in row])
                 try:
                     known = projectors[key] = validate_projector(matrix, name=pname)
                 except ProjectorError as err:
                     raise type(err)(f"{pwhere}: {err}") from err
-            atoms.append(known if known.name == pname else replace(known, name=pname))
+            atoms.append(known if known.name == pname else Projector(pname, known.matrix, known.range))
         try:
             contexts.append(validate_context(cname, atoms))
         except ContextError as err:

@@ -297,6 +297,32 @@ def _integer_entry_keys(matrices) -> list[tuple[int, ...]]:
     return [tuple([x for e in m.entries for x in (e._a * scale[e._d], e._b * scale[e._d])]) for m in matrices]
 
 
+def _is_hermitian(entries, n: int) -> bool:
+    """True iff the n x n row-major entries equal their adjoint, read off the canonical
+    triples: entry (i, j) is conj(entry (j, i)) iff (a, b, d) = (a', -b', d')."""
+    pairs = ((entries[i * n + j], entries[j * n + i]) for i in range(n) for j in range(i, n))
+    return all(x._a == y._a and x._b == -y._b and x._d == y._d for x, y in pairs)
+
+
+def _dot(u, v, sign: int = 1) -> tuple[int, int, int]:
+    """``sum u_i v_i`` (``sum conj(u_i) v_i`` for sign -1) as the unreduced triple
+    ``(a, b, d)``: zero terms are skipped, and the ints share one running denominator."""
+    a, b, d = 0, 0, 1
+    for x, y in zip(u, v):
+        p, q, r, s = x._a, sign * x._b, y._a, y._b
+        if (p or q) and (r or s):
+            re, im, f = p * r - q * s, p * s + q * r, x._d * y._d
+            if f != d:
+                a, b, re, im, d = a * f, b * f, re * d, im * d, d * f
+            a, b = a + re, b + im
+    return a, b, d
+
+
+def _is_orthogonal(u, v) -> bool:
+    """True iff the Hermitian inner product <u, v> is zero."""
+    return _dot(u, v, -1)[:2] == (0, 0)
+
+
 def as_scalar(value: object) -> GaussianRational:
     """Coerce an int, Fraction, literal string or scalar into a scalar."""
     if isinstance(value, GaussianRational):

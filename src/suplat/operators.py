@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import _ZERO, ExactMatrix, GaussianRational
+from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _is_hermitian
 from .subspaces import Subspace
 
 
@@ -56,11 +56,11 @@ def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
     """Check square, Hermitian and idempotent; compute the range once.
 
     The range comes from one echelon reduction of the columns, and its
-    dimension is the rank.  Idempotence is checked as ``P b = b`` for
-    each range basis vector ``b`` rather than as ``P*P = P``: every
-    column ``P e_j`` lies in the range, so P fixing the range is exactly
-    ``P(P e_j) = P e_j`` for all j.  That costs r matrix-vector products
-    instead of one matrix product.
+    dimension is the rank.  Every column of P lies in the range, so
+    ``P*P = P`` iff P fixes each range basis row ``b_k``.  ``P b_k`` lies
+    in the range too, where a vector is fixed by its entries at the pivot
+    columns ``c_i``: so P fixes ``b_k`` iff ``(row c_i of P) . b_k`` is 1
+    for i = k and 0 otherwise, r^2 dot products summed as ints.
 
     Raises:
         NotSquareError, NotHermitianError, NotIdempotentError: naming the
@@ -69,10 +69,13 @@ def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
     n, e = matrix.rows, matrix.entries
     if matrix.cols != n:
         raise NotSquareError(f"projector {name!r}: matrix is {matrix.rows}x{matrix.cols}, not square")
-    if any(e[i * n + j] != e[j * n + i].conjugate() for i in range(n) for j in range(i, n)):
+    if not _is_hermitian(e, n):
         raise NotHermitianError(f"projector {name!r}: matrix is not equal to its adjoint")
-    image = Subspace.span_of((e[j::n] for j in range(n)), n)  # the columns
-    if any(matrix.apply(b) != b for b in image.basis_vectors()):
+    reduced, pivots, rank = ExactMatrix(n, n, [x for j in range(n) for x in e[j::n]]).rref()  # the columns
+    image = Subspace(n, ExactMatrix(rank, n, reduced.entries[: rank * n]))
+    basis = image.basis_vectors()
+    dots = ((i == k, _dot(e[c * n : c * n + n], b)) for i, c in enumerate(pivots) for k, b in enumerate(basis))
+    if any(im or a != d * one for one, (a, im, d) in dots):
         raise NotIdempotentError(f"projector {name!r}: matrix squared differs from the matrix")
     return Projector(name, matrix, image)
 

@@ -85,10 +85,10 @@ class Subspace:
         return self.join(other).dim == other.dim
 
     def join(self, other: Subspace) -> Subspace:
-        """Smallest subspace containing both (closed span of the union)."""
+        """Smallest subspace containing both; the larger basis, already reduced, is stacked first."""
         self._require_same_ambient(other)
-        stacked = self.basis.vstack(other.basis)
-        reduced, _, rank = stacked.rref()
+        first, second = (self, other) if self.dim >= other.dim else (other, self)
+        reduced, _, rank = first.basis.vstack(second.basis).rref()
         return Subspace(
             self.ambient_dim, ExactMatrix(rank, self.ambient_dim, reduced.entries[: rank * self.ambient_dim])
         )

@@ -178,6 +178,24 @@ def test_validate_rejects_line_break_in_context_name(capsys, tmp_path, separator
     assert err == "error: contexts[1]: 'name' must be printable (no line break or control character)\n"
 
 
+@pytest.mark.parametrize("matrix, location", [
+    (["10", ["0", "0"]], "matrix[0]: expected a row of 2 scalar literals"),
+    ([[1, 0], ["0", "0"]], "matrix[0][0]: entries must be scalar literal strings"),
+    ([["1", ["0"]], ["0", "0"]], "matrix[0][1]: entries must be scalar literal strings"),
+], ids=["string-row", "int-entries", "list-entry"])
+def test_validate_checks_what_only_resembles_a_validated_matrix(capsys, tmp_path, matrix, location):
+    # The first atom's matrix [["1", "0"], ["0", "0"]] is validated first.  Each later
+    # matrix has its length, and tuple("10") equals its first row, yet none is that matrix.
+    data = structure_to_dict(builtin_structure("pauli-qubit"))
+    assert data["contexts"][0]["projectors"][0]["matrix"] == [["1", "0"], ["0", "0"]]
+    data["contexts"][1]["projectors"][0]["matrix"] = matrix
+    path = tmp_path / "resembles.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: contexts[1].projectors[0].{location}\n"
+
+
 def test_validate_names_empty_literal(capsys, tmp_path):
     data = structure_to_dict(builtin_structure("pauli-qubit"))
     data["contexts"][0]["projectors"][0]["matrix"][0][1] = ""

@@ -206,6 +206,30 @@ def test_membership_rule_is_the_atom_sum_lattice():
     assert {(True, True, True), (True, False, False), (False, True, False)} <= seen
 
 
+def test_support_matches_projector_images():
+    # Bit i is set iff atom i's projector maps some basis row of s to a nonzero vector.
+    rng = random.Random(20181019)
+    rank2 = set()
+    bits = set()
+    for case in range(30):
+        context = random_context(rng, rng.randint(2, 5), f"C{case}")
+        n = context.dimension
+        rank2.add(any(p.rank == 2 for p in context.atoms))
+        candidates = [Subspace.zero(n), random_subspace(rng, n)]
+        for _ in range(3):  # spans of vectors inside a random sum of atom ranges
+            mask = rng.randrange(1, 1 << len(context.atoms))
+            member = Subspace.span_of([b for i, p in enumerate(context.atoms) if mask >> i & 1
+                                       for b in p.range.basis_vectors()], n)
+            rows = random_matrix(rng, rng.randint(1, member.dim), member.dim) * member.basis
+            candidates.append(Subspace.span_of(rows.row_list(), n))
+        for s in candidates:
+            expected = sum(1 << i for i, p in enumerate(context.atoms)
+                           if any(any(p.matrix.apply(b)) for b in s.basis_vectors()))
+            assert context.support(s) == expected
+            bits.update(expected >> i & 1 for i in range(len(context.atoms)))
+    assert rank2 == {True, False} and bits == {0, 1}
+
+
 def test_membership_queries_match_the_hashed_index_oracle():
     # Each lattice is asked about every member of every lattice of its
     # structure, subspaces inside those members and random subspaces.

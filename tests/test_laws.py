@@ -1,14 +1,16 @@
 """The projector and context law checks against oracles written from the definitions.
 
-validate_projector checks idempotence on a range basis and
-validate_context checks the atom ranges for orthogonality and their
-ranks for completeness; the oracles in helpers check ``P*P = P``, then
-every pairwise product, then the sum.
+validate_projector checks idempotence on the pivot entries of a range
+basis, and validate_context checks the atom ranges for orthogonality,
+with integer inner products, and their ranks for completeness; the
+oracles in helpers check ``P*P = P``, then every pairwise product, then
+the sum.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,8 +23,8 @@ from suplat.contexts import (
     validate_context,
 )
 from suplat.datasets import builtin_structure
-from suplat.linalg import ExactMatrix, GaussianRational
-from suplat.operators import projector_onto, range_of, validate_projector
+from suplat.linalg import ExactMatrix, GaussianRational, _dot, _is_orthogonal
+from suplat.operators import NotIdempotentError, _inner, projector_onto, range_of, validate_projector
 from suplat.subspaces import Subspace
 
 from helpers import (
@@ -33,6 +35,7 @@ from helpers import (
     random_invertible,
     random_matrix,
     random_nonzero_scalar,
+    random_scalar,
     random_subspace,
     reference_context_error,
     reference_projector_law,
@@ -53,7 +56,7 @@ def _oblique_idempotent(rng: random.Random, n: int) -> ExactMatrix:
 
 def _candidate_matrix(rng: random.Random, n: int) -> ExactMatrix:
     p = projector_onto(random_subspace(rng, n)).matrix
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
     if kind == 0:
         return p
     if kind == 1:  # scaled: a projector only for the factors 0 and 1
@@ -66,17 +69,25 @@ def _candidate_matrix(rng: random.Random, n: int) -> ExactMatrix:
         return _hermitian(rng, n)
     if kind == 4:
         return _oblique_idempotent(rng, n)
+    if kind == 5:  # Hermitian with unit diagonal: P*P - P is nonzero only off the diagonal
+        h, keep_real = _hermitian(rng, n), rng.random() < 0.5  # else purely imaginary off the diagonal
+        return ExactMatrix(n, n, [
+            GaussianRational(h.entry(i, j).real * keep_real, h.entry(i, j).imag) if i != j else 1
+            for i in range(n) for j in range(n)
+        ])
     return random_matrix(rng, n, n, span=2)
 
 
 def test_validate_projector_matches_definition():
     rng = random.Random(20180905)
     outcomes = set()
+    several_pivots = False  # a matrix of rank 2 or more that is not idempotent
     for _ in range(150):
-        m = _candidate_matrix(rng, rng.randint(1, 4))
+        m = _candidate_matrix(rng, rng.randint(1, 6))
         expected = reference_projector_law(m)
         outcomes.add(expected)
         if expected is not None:
+            several_pivots |= expected is NotIdempotentError and m.rank() >= 2
             with pytest.raises(expected):
                 validate_projector(m)
             continue
@@ -85,6 +96,47 @@ def test_validate_projector_matches_definition():
         columns = [m.entries[j::m.cols] for j in range(m.cols)]
         assert range_of(p) == Subspace.span_of(columns, m.rows)
     assert len(outcomes) == 3  # accepted, not Hermitian, not idempotent all occur
+    assert several_pivots
+
+
+def _big_scalar(rng: random.Random) -> GaussianRational:
+    """A scalar whose parts are near 10^30, over mixed denominators."""
+    def part():
+        return Fraction(rng.choice([-1, 1]) * 10**30 + rng.randint(-9, 9), rng.choice([1, 3, 10**30 + 7]))
+    return GaussianRational(part(), part())
+
+
+def _vector_pairs(rng: random.Random):
+    """Pairs (u, v) of equal length: dense random, with parts near 10^30,
+    with a zero vector, orthogonalized by Gram-Schmidt, and Gram-Schmidt
+    pairs with one entry moved by 10^-30."""
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        scalar = rng.choice([random_scalar, lambda r: random_scalar(r, span=12), _big_scalar])
+        u, v = ([scalar(rng) for _ in range(n)] for _ in range(2))
+        yield u, v
+        yield u, [GaussianRational(0)] * n
+        if any(u):
+            w = gram_schmidt([u, v])[1]
+            yield u, w
+            w[rng.randrange(n)] += GaussianRational(Fraction(1, 10**30))
+            yield u, w
+
+
+def _triple_value(triple) -> GaussianRational:
+    a, b, d = triple
+    return GaussianRational(Fraction(a, d), Fraction(b, d))
+
+
+def test_integer_dot_products_match_scalar_sums():
+    rng = random.Random(24)
+    outcomes = set()
+    for u, v in _vector_pairs(rng):
+        assert _triple_value(_dot(u, v)) == sum((x * y for x, y in zip(u, v)), GaussianRational(0))
+        assert _triple_value(_dot(u, v, -1)) == _inner(u, v)
+        outcomes.add(_is_orthogonal(u, v))
+        assert _is_orthogonal(u, v) == (not _inner(u, v))
+    assert outcomes == {True, False}
 
 
 def _partition_atoms(rng: random.Random, n: int, prefix: str) -> list:
