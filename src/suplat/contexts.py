@@ -14,7 +14,6 @@ range once, to number the distinct ranges.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -286,9 +285,8 @@ def structure_from_dict(data) -> Structure:
 
     Each distinct literal is parsed once and each distinct atom matrix
     (keyed by its literal rows) is validated once; a repeated atom shares
-    the first occurrence's matrix and range under its own name.  A verbatim
-    repeat of a validated matrix is reused; an error still names the first
-    occurrence that fails.
+    the first occurrence's matrix and range under its own name.  The shape
+    and type checks still run on every occurrence.
 
     Raises:
         StructureFormatError: wrong JSON shape or a bad scalar literal,
@@ -335,11 +333,7 @@ def structure_from_dict(data) -> Structure:
             raw_matrix = raw_proj.get("matrix")
             if not isinstance(raw_matrix, list) or not raw_matrix:
                 raise StructureFormatError(f"{pwhere}: 'matrix' must be a nonempty list of rows")
-            known = None
-            if all(isinstance(raw_row, list) and len(raw_row) == dimension for raw_row in raw_matrix):
-                with suppress(TypeError):  # an unhashable entry is no literal, so the key is new
-                    known = projectors.get(tuple(map(tuple, raw_matrix)))
-            for ri, raw_row in enumerate(raw_matrix if known is None else ()):
+            for ri, raw_row in enumerate(raw_matrix):
                 if not isinstance(raw_row, list) or len(raw_row) != dimension:
                     raise StructureFormatError(
                         f"{pwhere}.matrix[{ri}]: expected a row of {row_width} scalar literals"
@@ -360,8 +354,9 @@ def structure_from_dict(data) -> Structure:
                 raise StructureFormatError(
                     f"{pwhere}.matrix: expected {dimension} rows, got {len(raw_matrix)}"
                 )
+            key = tuple(map(tuple, raw_matrix))
+            known = projectors.get(key)
             if known is None:
-                key = tuple(map(tuple, raw_matrix))
                 matrix = ExactMatrix(dimension, dimension, [scalars[lit] for row in key for lit in row])
                 try:
                     known = projectors[key] = validate_projector(matrix, name=pname)

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _is_hermitian
-from .subspaces import Subspace
+from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _is_hermitian, _reduced
+from .subspaces import Subspace, _row_space
 
 
 class ProjectorError(ValueError):
@@ -71,8 +71,7 @@ def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
         raise NotSquareError(f"projector {name!r}: matrix is {matrix.rows}x{matrix.cols}, not square")
     if not _is_hermitian(e, n):
         raise NotHermitianError(f"projector {name!r}: matrix is not equal to its adjoint")
-    reduced, pivots, rank = ExactMatrix(n, n, [x for j in range(n) for x in e[j::n]]).rref()  # the columns
-    image = Subspace(n, ExactMatrix(rank, n, reduced.entries[: rank * n]))
+    image, pivots = _row_space(ExactMatrix(n, n, [x for j in range(n) for x in e[j::n]]))  # the columns
     basis = image.basis_vectors()
     dots = ((i == k, _dot(e[c * n : c * n + n], b)) for i, c in enumerate(pivots) for k, b in enumerate(basis))
     if any(im or a != d * one for one, (a, im, d) in dots):
@@ -114,5 +113,5 @@ def projector_onto(s: Subspace, name: str = "P") -> Projector:
 
 
 def _inner(u, v) -> GaussianRational:
-    """The Hermitian inner product <u, v> = sum conj(u_i) v_i, skipping the zero terms of sparse rows."""
-    return sum((x.conjugate() * y for x, y in zip(u, v) if x and y), _ZERO)
+    """The Hermitian inner product <u, v> = sum conj(u_i) v_i."""
+    return _reduced(*_dot(u, v, -1))

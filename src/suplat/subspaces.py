@@ -18,7 +18,6 @@ from .linalg import (
     ExactMatrix,
     GaussianRational,
     _integer_entry_keys,
-    as_scalar,
     format_scalar,
 )
 
@@ -32,19 +31,18 @@ class Subspace:
 
     @staticmethod
     def span_of(vectors, ambient_dim: int) -> Subspace:
-        """Canonical subspace spanned by the given vectors (possibly none)."""
-        flat: list[GaussianRational] = []
-        count = 0
-        for vec in vectors:
-            v = [as_scalar(x) for x in vec]
+        """Canonical subspace spanned by the given vectors (possibly none).
+
+        Entries may be anything ``as_scalar`` accepts; ``ExactMatrix``
+        coerces them after every length has been checked.
+        """
+        rows = [tuple(vec) for vec in vectors]
+        for v in rows:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-            flat.extend(v)
-            count += 1
-        reduced, _, rank = ExactMatrix(count, ambient_dim, flat).rref()
-        return Subspace(ambient_dim, ExactMatrix(rank, ambient_dim, reduced.entries[: rank * ambient_dim]))
+        return _row_space(ExactMatrix(len(rows), ambient_dim, [x for v in rows for x in v]))[0]
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
@@ -85,13 +83,9 @@ class Subspace:
         return self.join(other).dim == other.dim
 
     def join(self, other: Subspace) -> Subspace:
-        """Smallest subspace containing both; the larger basis, already reduced, is stacked first."""
+        """Smallest subspace containing both (closed span of the union)."""
         self._require_same_ambient(other)
-        first, second = (self, other) if self.dim >= other.dim else (other, self)
-        reduced, _, rank = first.basis.vstack(second.basis).rref()
-        return Subspace(
-            self.ambient_dim, ExactMatrix(rank, self.ambient_dim, reduced.entries[: rank * self.ambient_dim])
-        )
+        return _row_space(self.basis.vstack(other.basis))[0]
 
     def orthocomplement(self) -> Subspace:
         """All vectors Hermitian-orthogonal to the subspace.
@@ -114,6 +108,13 @@ class Subspace:
             "(" + ", ".join(format_scalar(e) for e in row) + ")" for row in self.basis.row_list()
         )
         return "span{" + rows + "}"
+
+
+def _row_space(matrix: ExactMatrix) -> tuple[Subspace, tuple[int, ...]]:
+    """The canonical subspace spanned by the matrix rows, and its pivot columns."""
+    reduced, pivots, rank = matrix.rref()
+    n = matrix.cols
+    return Subspace(n, ExactMatrix(rank, n, reduced.entries[: rank * n])), pivots
 
 
 def _sort_order(subspaces: Sequence[Subspace]) -> list[int]:

@@ -133,9 +133,10 @@ def test_integer_dot_products_match_scalar_sums():
     outcomes = set()
     for u, v in _vector_pairs(rng):
         assert _triple_value(_dot(u, v)) == sum((x * y for x, y in zip(u, v)), GaussianRational(0))
-        assert _triple_value(_dot(u, v, -1)) == _inner(u, v)
+        inner = sum((x.conjugate() * y for x, y in zip(u, v)), GaussianRational(0))
+        assert _triple_value(_dot(u, v, -1)) == inner == _inner(u, v)
         outcomes.add(_is_orthogonal(u, v))
-        assert _is_orthogonal(u, v) == (not _inner(u, v))
+        assert _is_orthogonal(u, v) == (not inner)
     assert outcomes == {True, False}
 
 
