@@ -18,11 +18,11 @@ choice: :func:`ks_search` as index tuples, :func:`ks_to_text` as lines and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
-from typing import Sequence
 
 from .contexts import Structure
+from .frozen import Frozen, setfield
 from .subspaces import Subspace
 from .valuation import TruthValue, ValuationReport
 
@@ -53,14 +53,18 @@ def rule2_status(values: Sequence[TruthValue]) -> RuleStatus:
     return _rule_status(TruthValue.FALSE in values, values)
 
 
-@dataclass(frozen=True)
-class ContextAdmissibility:
-    context: str
-    true_count: int
-    false_count: int
-    gap_count: int
-    rule1: RuleStatus
-    rule2: RuleStatus
+class ContextAdmissibility(Frozen):
+    __slots__ = ("context", "true_count", "false_count", "gap_count", "rule1", "rule2")
+
+    def __init__(
+        self, context: str, true_count: int, false_count: int, gap_count: int, rule1: RuleStatus, rule2: RuleStatus
+    ) -> None:
+        setfield(self, "context", context)
+        setfield(self, "true_count", true_count)
+        setfield(self, "false_count", false_count)
+        setfield(self, "gap_count", gap_count)
+        setfield(self, "rule1", rule1)
+        setfield(self, "rule2", rule2)
 
     @property
     def no_true_atom(self) -> bool:
@@ -68,9 +72,11 @@ class ContextAdmissibility:
         return self.true_count == 0 and self.gap_count == 0
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    per_context: tuple[ContextAdmissibility, ...]
+class AdmissibilityReport(Frozen):
+    __slots__ = ("per_context",)
+
+    def __init__(self, per_context: tuple[ContextAdmissibility, ...]) -> None:
+        setfield(self, "per_context", per_context)
 
     @property
     def rule1_ok(self) -> bool:

@@ -14,9 +14,9 @@ range once, to number the distinct ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from .frozen import Frozen, setfield
 from .linalg import DimensionMismatchError, ExactMatrix, _is_orthogonal, as_scalar, format_scalar, parse_scalar
 from .operators import Projector, ProjectorError, validate_projector
 from .subspaces import Subspace, _sort_order
@@ -54,12 +54,14 @@ class ZeroStateError(ValueError):
     """The zero vector is not a state and allocates nothing."""
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Frozen):
     """A named resolution of the identity into orthogonal nontrivial atoms."""
 
-    name: str
-    atoms: tuple[Projector, ...]
+    __slots__ = ("name", "atoms", "__dict__")
+
+    def __init__(self, name: str, atoms: tuple[Projector, ...]) -> None:
+        setfield(self, "name", name)
+        setfield(self, "atoms", atoms)
 
     @property
     def dimension(self) -> int:

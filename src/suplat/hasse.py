@@ -15,11 +15,11 @@ thick grey border.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
 from .contexts import _mask_label
+from .frozen import Frozen, setfield
 from .subspaces import Subspace, _sort_order
 from .valuation import TruthValue, ValuationReport
 
@@ -30,20 +30,27 @@ class UnknownScopeError(ValueError):
     """The scope names no context of the structure."""
 
 
-@dataclass(frozen=True)
-class HasseNode:
-    node_id: str
-    subspace: Subspace
-    label: str
-    truth: TruthValue
-    shared: bool
-    memberships: tuple[str, ...]
+class HasseNode(Frozen):
+    __slots__ = ("node_id", "subspace", "label", "truth", "shared", "memberships")
+
+    def __init__(
+        self, node_id: str, subspace: Subspace, label: str, truth: TruthValue, shared: bool,
+        memberships: tuple[str, ...],
+    ) -> None:
+        setfield(self, "node_id", node_id)
+        setfield(self, "subspace", subspace)
+        setfield(self, "label", label)
+        setfield(self, "truth", truth)
+        setfield(self, "shared", shared)
+        setfield(self, "memberships", memberships)
 
 
-@dataclass(frozen=True)
-class HasseGraph:
-    nodes: tuple[HasseNode, ...]
-    edges: tuple[tuple[int, int], ...]
+class HasseGraph(Frozen):
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes: tuple[HasseNode, ...], edges: tuple[tuple[int, int], ...]) -> None:
+        setfield(self, "nodes", nodes)
+        setfield(self, "edges", edges)
 
 
 def transitive_reduction(members: Sequence[Subspace]) -> list[tuple[int, int]]:

@@ -9,7 +9,6 @@ unique and equality is structural.  No tolerances anywhere.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
 
@@ -55,19 +54,25 @@ class GaussianRational:
         g = gcd(a, b, d)
         self._a, self._b, self._d = a // g, b // g, d // g
 
+    # The parts import fractions when first read: nothing on the command
+    # line path reads them, and importing fractions also imports decimal.
     @property
     def real(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._a, self._d)
 
     @property
     def imag(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._b, self._d)
 
     @staticmethod
     def _coerce(value: object) -> GaussianRational | None:
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, Rational):
             return GaussianRational(value)
         return None
 
@@ -327,7 +332,7 @@ def as_scalar(value: object) -> GaussianRational:
     """Coerce an int, Fraction, literal string or scalar into a scalar."""
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Rational):
         return GaussianRational(value)
     if isinstance(value, str):
         return parse_scalar(value)

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from .frozen import Frozen, setfield
 from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _is_hermitian, _reduced
 from .subspaces import Subspace, _row_space
 
@@ -25,8 +25,7 @@ class NotIdempotentError(ProjectorError):
     pass
 
 
-@dataclass(frozen=True)
-class Projector:
+class Projector(Frozen):
     """A Hermitian idempotent matrix together with its name and range.
 
     Instances are produced by :func:`validate_projector`, the only place
@@ -35,9 +34,20 @@ class Projector:
     column space, computed once.
     """
 
-    name: str
-    matrix: ExactMatrix
-    range: Subspace
+    __slots__ = ("name", "matrix", "range")
+
+    def __init__(self, name: str, matrix: ExactMatrix, range: Subspace) -> None:
+        setfield(self, "name", name)
+        setfield(self, "matrix", matrix)
+        setfield(self, "range", range)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name, self.matrix, self.range) == (other.name, other.matrix, other.range)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.matrix, self.range))
 
     @property
     def rank(self) -> int:

@@ -10,9 +10,9 @@ a <= b iff dim(a v b) = dim b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from .frozen import Frozen, setfield
 from .linalg import (
     DimensionMismatchError,
     ExactMatrix,
@@ -22,12 +22,22 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """A subspace of C^ambient_dim; ``basis`` rows are an RREF spanning set."""
 
-    ambient_dim: int
-    basis: ExactMatrix
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: ExactMatrix) -> None:
+        setfield(self, "ambient_dim", ambient_dim)
+        setfield(self, "basis", basis)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.ambient_dim, self.basis) == (other.ambient_dim, other.basis)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis))
 
     @staticmethod
     def span_of(vectors, ambient_dim: int) -> Subspace:

@@ -19,11 +19,10 @@ supports there, so valuing it builds no lattice and hashes no member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from enum import Enum
 from functools import cached_property, reduce
 from operator import or_
-from typing import Mapping
 
 from .contexts import (
     Context,
@@ -34,6 +33,7 @@ from .contexts import (
     normalize_state,
     state_supports,
 )
+from .frozen import Frozen, setfield
 from .linalg import DimensionMismatchError, GaussianRational, format_scalar
 from .subspaces import Subspace
 
@@ -52,8 +52,7 @@ class TruthValue(Enum):
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
-class ValuationReport:
+class ValuationReport(Frozen):
     """Truth values of the lattice members of a structure at one state.
 
     ``supports`` holds the state's support in each context, in context
@@ -63,10 +62,17 @@ class ValuationReport:
     lattices appears under each of its names with the same value.
     """
 
-    structure: Structure = field(repr=False)
-    state: tuple[GaussianRational, ...]
-    mode: Mode
-    supports: tuple[int, ...]
+    __slots__ = ("structure", "state", "mode", "supports", "__dict__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, structure: Structure, state: tuple[GaussianRational, ...], mode: Mode, supports: tuple[int, ...]
+    ) -> None:
+        setfield(self, "structure", structure)
+        setfield(self, "state", state)
+        setfield(self, "mode", mode)
+        setfield(self, "supports", supports)
 
     @cached_property
     def _allocated_contexts(self) -> tuple[Context, ...]:

@@ -6,7 +6,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import replace
 from math import prod
 
 import pytest
@@ -32,7 +31,7 @@ from suplat.admissibility import (
     rule1_status,
     rule2_status,
 )
-from suplat.contexts import Structure, validate_context
+from suplat.contexts import Context, Structure, validate_context
 from suplat.linalg import ExactMatrix
 from suplat.operators import projector_onto, validate_projector
 from suplat.subspaces import Subspace
@@ -134,7 +133,7 @@ def test_ks_search_single_context(qubit):
 def test_ks_search_runs_past_the_recursion_limit(qubit):
     # every copy shares Sigma_z's two atoms, so one choice fixes all the rest
     n = sys.getrecursionlimit() + 1
-    copies = Structure([replace(qubit.contexts[0], name=f"Sigma_z{i}") for i in range(n)])
+    copies = Structure([Context(f"Sigma_z{i}", qubit.contexts[0].atoms) for i in range(n)])
     assert ks_search(copies) == [(0,) * n, (1,) * n]
 
 
@@ -273,7 +272,7 @@ def test_ks_search_matches_brute_force_where_prefixes_meet(qubit, cabello):
     # contexts' bits, so the second choice reuses the first one's colorings
     x, z = qubit.contexts[1], qubit.contexts[0]
     assert x.name == "Sigma_x" and z.name == "Sigma_z"
-    structures = [Structure([x, z, replace(z, name="Sigma_z2")])]
+    structures = [Structure([x, z, Context("Sigma_z2", z.atoms)])]
     # eight of cabello-18's bases (26 colorings): prefixes meet in few states
     structures.append(Structure(_ray_contexts(CABELLO_18)[1:]))
     rng = random.Random(31)
@@ -310,8 +309,8 @@ def test_ks_text_matches_per_coloring_join(qubit, cabello):
     structures += [random_structure(rng, rng.randint(2, 4)) for _ in range(20)]
     # context names that JSON escapes: quotes, backslashes, non-ASCII text
     names = ['say "hi"', "back\\slash", "n\u00e4me \u03a3", "\u2603\U0001f600"]
-    structures.append(Structure([replace(c, name=n) for c, n in zip(qubit.contexts, names)]))
-    structures.append(Structure([replace(c, name=n) for c, n in zip(cabello.contexts, names[1:])]))
+    structures.append(Structure([Context(n, c.atoms) for c, n in zip(qubit.contexts, names)]))
+    structures.append(Structure([Context(n, c.atoms) for c, n in zip(cabello.contexts, names[1:])]))
     for structure in structures:
         assert ks_search(structure) == brute_force_colorings(structure)
         _assert_outputs_match_oracles(structure)
@@ -349,7 +348,7 @@ def test_ks_search_and_text_stay_linear_on_a_long_chain(qubit):
     # 40000 frames that never repeat a state; copying a prefix per frame
     # makes this quadratic
     n = 40000
-    copies = Structure([replace(qubit.contexts[0], name=f"Z{i}") for i in range(n)])
+    copies = Structure([Context(f"Z{i}", qubit.contexts[0].atoms) for i in range(n)])
     start = time.perf_counter()
     found = ks_search(copies)
     text = ks_to_text(copies)

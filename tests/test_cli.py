@@ -1047,3 +1047,15 @@ def test_readme_library_example_matches_its_comments(capsys, cabello):
     assert capsys.readouterr().out.splitlines() == expected
     assert "`S1:1 S2:1 S6:1`" in section
     assert ks_to_text(cabello).splitlines()[1] == "S1:1 S2:1 S6:1"
+
+
+@pytest.mark.parametrize("module", ["suplat.cli", "suplat"])
+def test_import_loads_no_costly_stdlib_module(module):
+    # Each of these took milliseconds to import, and every command line
+    # call would pay for them; none of them is needed to run a command.
+    costly = ("dataclasses", "inspect", "fractions", "decimal", "typing")
+    src = str(Path(cli.__file__).parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r}); import {module}; print(*[m for m in {costly!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == []

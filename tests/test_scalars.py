@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -150,10 +153,38 @@ def test_inverse_and_division():
 
 
 def test_floats_rejected():
-    with pytest.raises(TypeError):
-        GaussianRational(0.5)
-    with pytest.raises(TypeError):
+    message = "parts must be int or Fraction; floating point parts are not exact"
+    for real, imag in ((0.5, 0), (0, 0.5), (Fraction(1, 2), 0.5)):
+        with pytest.raises(TypeError) as raised:
+            GaussianRational(real, imag)
+        assert str(raised.value) == message
+    with pytest.raises(TypeError) as raised:
         as_scalar(0.5)
+    assert str(raised.value) == "cannot interpret 0.5 as an exact scalar"
+
+
+def test_fraction_parts_in_and_out():
+    z = GaussianRational(Fraction(1, 3))
+    assert (z, format_scalar(z)) == (parse_scalar("1/3"), "1/3")
+    assert as_scalar(Fraction(2, 4)) == GaussianRational(1, 0) / 2
+    w = GaussianRational(Fraction(-6, 4), Fraction(2, 6))
+    assert (w.real, w.imag) == (Fraction(-3, 2), Fraction(1, 3))
+    assert type(w.real) is Fraction and type(w.imag) is Fraction and type(z.imag) is Fraction
+    assert GaussianRational(1) + Fraction(1, 2) == GaussianRational(Fraction(3, 2))
+
+
+def test_fractions_imported_only_when_a_part_is_read():
+    src = str(Path(__file__).parents[1] / "src")
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); from suplat.linalg import parse_scalar\n"
+        "z = parse_scalar('1/3+2i') * 3 / 2\n"
+        "before = 'fractions' in sys.modules\n"
+        "part = z.real\n"
+        "print(before, 'fractions' in sys.modules, type(part).__module__, part)"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["False", "True", "fractions", "1/2"]
 
 
 def test_as_scalar_coercions():
