@@ -2,9 +2,9 @@
 
 Commands: validate, lattice, eval, admissibility, ks-search, hasse,
 datasets.  Structures come either from a JSON file or from a built-in
-dataset.  Exit codes: 0 on success, 1 when validation or evaluation
-fails or a write is cut off for any reason, whatever PYTHONUNBUFFERED
-is (a closed stdout leaves stderr empty), 2 on usage errors.
+dataset.  Exit codes: 0 on success, 1 when validation or evaluation fails,
+memory runs out or a write is cut off for any reason, whatever
+PYTHONUNBUFFERED is (a closed stdout leaves stderr empty), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -272,6 +272,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # reported below, once the traceback and what the call held are freed
+    print("error: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .frozen import Frozen, setfield
-from .linalg import DimensionMismatchError, ExactMatrix, _is_orthogonal, as_scalar, format_scalar, parse_scalar
+from .linalg import DimensionMismatchError, ExactMatrix, _insert_rows, _is_orthogonal
+from .linalg import as_scalar, format_scalar, parse_scalar
 from .operators import Projector, ProjectorError, validate_projector
 from .subspaces import Subspace, _sort_order
 
@@ -141,17 +142,20 @@ class InvariantLattice:
 
     Members are canonical subspaces sorted by dimension and then by
     lexicographic basis order; ``masks`` aligns each member with its atom
-    mask (bit i set when atom i's range is a summand).
+    mask (bit i set when atom i's range is a summand).  A member is built by
+    inserting its top atom's range rows into the member without that atom.
     """
 
     def __init__(self, context: Context) -> None:
         self.context = context
-        atom_ranges = [p.range for p in context.atoms]
-        # A mask without its top bit is smaller, so its sum is already built.
-        sums = [Subspace.zero(context.dimension)]
-        for mask in range(1, 1 << len(atom_ranges)):
+        rows = [p.range.basis_vectors() for p in context.atoms]
+        sums, pivots = [Subspace.zero(context.dimension)], [()]  # pivot columns of each mask's basis
+        for mask in range(1, 1 << len(rows)):
             top = mask.bit_length() - 1
-            sums.append(sums[mask ^ (1 << top)].join(atom_ranges[top]))
+            rest = mask ^ 1 << top  # smaller, so its member is built
+            basis, cols = _insert_rows(sums[rest].basis, pivots[rest], rows[top])
+            sums.append(Subspace(context.dimension, basis))
+            pivots.append(cols)
         self.masks: tuple[int, ...] = tuple(_sort_order(sums))
         self.members: tuple[Subspace, ...] = tuple(sums[m] for m in self.masks)
 

@@ -9,6 +9,7 @@ unique and equality is structural.  No tolerances anywhere.
 from __future__ import annotations
 
 import re
+from itertools import compress
 from math import gcd, lcm
 from numbers import Rational
 
@@ -445,46 +446,12 @@ class ExactMatrix:
             out.append(acc)
         return tuple(out)
 
-    def vstack(self, other: ExactMatrix) -> ExactMatrix:
-        if self.cols != other.cols:
-            raise DimensionMismatchError("vstack needs equal column counts")
-        return ExactMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def rref(self) -> tuple[ExactMatrix, tuple[int, ...], int]:
-        """Reduced row echelon form.
-
-        Returns:
-            (reduced matrix, pivot column indices, rank).  The reduced form
-            is the unique canonical representative of the row space: pivots
-            move left to right, each leading entry is 1 and is the only
-            nonzero entry in its column, zero rows trail.
-        """
-        work = [list(self.row(i)) for i in range(self.rows)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if work[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            lead = work[r][c]
-            if lead != _ONE:
-                inv = lead.inverse()
-                work[r] = [e * inv for e in work[r]]
-            for i in range(self.rows):
-                if i != r and work[i][c]:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        flat = [e for row in work for e in row]
-        return ExactMatrix(self.rows, self.cols, flat), tuple(pivots), r
+        """(reduced matrix, pivot columns, rank): the row space's unique reduced row echelon
+        form, pivots left to right, each leading entry a 1 alone in its column, zero rows last."""
+        reduced, pivots = _insert_rows(ExactMatrix(0, self.cols, ()), (), self.row_list())
+        pad = (_ZERO,) * ((self.rows - reduced.rows) * self.cols)
+        return ExactMatrix(self.rows, self.cols, reduced.entries + pad), pivots, reduced.rows
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -511,3 +478,34 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols} {self})"
+
+
+def _insert_rows(basis: ExactMatrix, pivots: tuple[int, ...], rows) -> tuple[ExactMatrix, tuple[int, ...]]:
+    """Gauss-Jordan elimination by insertion: the reduced echelon basis of the rows of
+    ``basis`` (reduced, with pivot columns ``pivots``) and of ``rows``, and its pivots.
+    A new row is reduced against the pivot rows and dropped if nothing is left; else it
+    is scaled to a leading 1, cleared from the other rows and inserted in pivot order.
+    The rows are kept in one flat list, so a column is a slice."""
+    n = basis.cols
+    flat, pivots = list(basis.entries), list(pivots)
+    for v in rows:
+        for k, c in enumerate(pivots):
+            f = v[c]
+            if f:
+                v = [a - f * b for a, b in zip(v, flat[k * n : k * n + n])]
+        lead = next(compress(range(n), v), None)
+        if lead is None:
+            continue
+        f = v[lead]
+        if f != _ONE:
+            f = f.inverse()
+            v = [e * f for e in v]
+        for k in compress(range(0, len(flat), n), flat[lead::n]):
+            f = flat[k + lead]
+            flat[k : k + n] = [a - f * b for a, b in zip(flat[k : k + n], v)]
+        pivots = sorted(pivots + [lead])
+        k = pivots.index(lead) * n
+        flat[k:k] = v
+    m = _new(ExactMatrix)  # entries are scalars already: no type check
+    m.rows, m.cols, m.entries = len(pivots), n, tuple(flat)
+    return m, tuple(pivots)

@@ -5,8 +5,8 @@ from __future__ import annotations
 from itertools import product
 
 from .frozen import Frozen, setfield
-from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _is_hermitian, _reduced
-from .subspaces import Subspace, _row_space
+from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _insert_rows, _is_hermitian, _reduced
+from .subspaces import Subspace
 
 
 class ProjectorError(ValueError):
@@ -81,12 +81,12 @@ def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
         raise NotSquareError(f"projector {name!r}: matrix is {matrix.rows}x{matrix.cols}, not square")
     if not _is_hermitian(e, n):
         raise NotHermitianError(f"projector {name!r}: matrix is not equal to its adjoint")
-    image, pivots = _row_space(ExactMatrix(n, n, [x for j in range(n) for x in e[j::n]]))  # the columns
-    basis = image.basis_vectors()
+    image, pivots = _insert_rows(ExactMatrix(0, n, ()), (), [e[j::n] for j in range(n)])  # the columns
+    basis = image.row_list()
     dots = ((i == k, _dot(e[c * n : c * n + n], b)) for i, c in enumerate(pivots) for k, b in enumerate(basis))
     if any(im or a != d * one for one, (a, im, d) in dots):
         raise NotIdempotentError(f"projector {name!r}: matrix squared differs from the matrix")
-    return Projector(name, matrix, image)
+    return Projector(name, matrix, Subspace(n, image))
 
 
 def range_of(p: Projector) -> Subspace:

@@ -1,22 +1,24 @@
 """Closed linear subspaces of C^n in canonical form, with lattice operations.
 
 A subspace is identified by the reduced row echelon basis of any spanning
-set, which is unique, so equality and hashing are structural.  Join and
-complement are single echelon reductions.  Meet is routed through
-orthocomplements (de Morgan) because the intersection of row spaces has no
-direct canonical construction, and the order is read off the join:
-a <= b iff dim(a v b) = dim b.
+set, which is unique, so equality and hashing are structural.  A join
+inserts the other's rows into the reduced rows (``linalg._insert_rows``).
+Meet is routed through orthocomplements (de Morgan) because the
+intersection of row spaces has no direct canonical construction, and the
+order is read off the join: a <= b iff dim(a v b) = dim b.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import compress, count
 
 from .frozen import Frozen, setfield
 from .linalg import (
     DimensionMismatchError,
     ExactMatrix,
     GaussianRational,
+    _insert_rows,
     _integer_entry_keys,
     format_scalar,
 )
@@ -41,18 +43,16 @@ class Subspace(Frozen):
 
     @staticmethod
     def span_of(vectors, ambient_dim: int) -> Subspace:
-        """Canonical subspace spanned by the given vectors (possibly none).
-
-        Entries may be anything ``as_scalar`` accepts; ``ExactMatrix``
-        coerces them after every length has been checked.
-        """
+        """Canonical subspace spanned by the given vectors (possibly none); entries may
+        be anything ``as_scalar`` accepts, coerced once every length has been checked."""
         rows = [tuple(vec) for vec in vectors]
         for v in rows:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        return _row_space(ExactMatrix(len(rows), ambient_dim, [x for v in rows for x in v]))[0]
+        coerced = ExactMatrix(len(rows), ambient_dim, [x for v in rows for x in v]).row_list()
+        return Subspace(ambient_dim, _insert_rows(ExactMatrix(0, ambient_dim, ()), (), coerced)[0])
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
@@ -86,16 +86,17 @@ class Subspace(Frozen):
             )
 
     def contains_vector(self, vector) -> bool:
-        """True iff the vector lies in the subspace (zero vector always does)."""
-        return Subspace.span_of([vector], self.ambient_dim).is_subspace_of(self)
+        """True iff the vector lies in the subspace (the zero vector does): its ray adds no dimension."""
+        return self.join(Subspace.span_of([vector], self.ambient_dim)).dim == self.dim
 
     def is_subspace_of(self, other: Subspace) -> bool:
         return self.join(other).dim == other.dim
 
     def join(self, other: Subspace) -> Subspace:
-        """Smallest subspace containing both (closed span of the union)."""
+        """Smallest subspace containing both: other's rows inserted into self's reduced rows."""
         self._require_same_ambient(other)
-        return _row_space(self.basis.vstack(other.basis))[0]
+        pivots = tuple(next(compress(count(), row)) for row in self.basis_vectors())
+        return Subspace(self.ambient_dim, _insert_rows(self.basis, pivots, other.basis_vectors())[0])
 
     def orthocomplement(self) -> Subspace:
         """All vectors Hermitian-orthogonal to the subspace.
@@ -118,13 +119,6 @@ class Subspace(Frozen):
             "(" + ", ".join(format_scalar(e) for e in row) + ")" for row in self.basis.row_list()
         )
         return "span{" + rows + "}"
-
-
-def _row_space(matrix: ExactMatrix) -> tuple[Subspace, tuple[int, ...]]:
-    """The canonical subspace spanned by the matrix rows, and its pivot columns."""
-    reduced, pivots, rank = matrix.rref()
-    n = matrix.cols
-    return Subspace(n, ExactMatrix(rank, n, reduced.entries[: rank * n])), pivots
 
 
 def _sort_order(subspaces: Sequence[Subspace]) -> list[int]:

@@ -109,6 +109,53 @@ def reference_sort_key(s: Subspace) -> tuple:
     return (s.dim, tuple((e.real, e.imag) for e in s.basis.entries))
 
 
+def reference_rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:
+    """Reduced row echelon form by column-by-column Gauss-Jordan elimination
+    of the whole matrix: the oracle for the insertion routine behind
+    ``ExactMatrix.rref``, ``Subspace`` and the lattice build.
+
+    Returns:
+        (reduced matrix, pivot column indices, rank).  The reduced form
+        is the unique canonical representative of the row space: pivots
+        move left to right, each leading entry is 1 and is the only
+        nonzero entry in its column, zero rows trail.
+    """
+    one = GaussianRational(1)
+    work = [list(m.row(i)) for i in range(m.rows)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = None
+        for i in range(r, m.rows):
+            if work[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        lead = work[r][c]
+        if lead != one:
+            inv = lead.inverse()
+            work[r] = [e * inv for e in work[r]]
+        for i in range(m.rows):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    flat = [e for row in work for e in row]
+    return ExactMatrix(m.rows, m.cols, flat), tuple(pivots), r
+
+
+def reference_span(vectors, ambient_dim: int) -> Subspace:
+    """The subspace spanned by the vectors, read off :func:`reference_rref`."""
+    rows = [list(v) for v in vectors]
+    reduced, _, rank = reference_rref(ExactMatrix(len(rows), ambient_dim, [x for v in rows for x in v]))
+    return Subspace(ambient_dim, ExactMatrix(rank, ambient_dim, reduced.entries[: rank * ambient_dim]))
+
+
 def reference_contains(s: Subspace, vector) -> bool:
     """True iff the vector lies in the subspace, by reducing it against the
     RREF basis rows: the containment oracle, independent of ``join``."""

@@ -12,6 +12,7 @@ import resource
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -822,6 +823,52 @@ def test_hasse_failure_leaves_no_file(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:")
     assert not target.exists()
+
+
+class _Held:
+    """Stands for the memory a failing call holds until its traceback is freed."""
+
+
+def _out_of_memory(held: list):
+    def handler(args):
+        payload = _Held()
+        held.append(weakref.ref(payload))
+        raise MemoryError
+
+    return handler
+
+
+class _Stderr(io.StringIO):
+    """A stderr that notes, at each write, whether the failed call's memory is still held."""
+
+    def __init__(self, held: list) -> None:
+        super().__init__()
+        self.held, self.alive = held, []
+
+    def write(self, text: str) -> int:
+        self.alive.extend(ref() is not None for ref in self.held)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("handler", ["_run_ks_search", "_run_hasse"])
+def test_out_of_memory_is_one_error_line(capsys, tmp_path, monkeypatch, handler):
+    # The line is printed only once the traceback, and with it what the
+    # failed call held, is freed; an -o target is left as it was.
+    held = []
+    monkeypatch.setattr(cli, handler, _out_of_memory(held))
+    stderr = _Stderr(held)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    target = tmp_path / "graph.dot"
+    target.write_text("ORIGINAL CONTENT\n")
+    argv = {
+        "_run_ks_search": ["ks-search", "--dataset", "cabello-3"],
+        "_run_hasse": ["hasse", "--dataset", "pauli-qubit", "--state", "1,0", "--mode", "invariant",
+                       "--scope", "all", "-o", str(target)],
+    }[handler]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out, stderr.getvalue()) == (1, "", "error: out of memory\n")
+    assert len(held) == 1 and stderr.alive and not any(stderr.alive)
+    assert target.read_text() == "ORIGINAL CONTENT\n" and os.listdir(tmp_path) == ["graph.dot"]
 
 
 def test_hasse_write_errors_name_the_output_path(capsys, tmp_path, monkeypatch):

@@ -38,6 +38,7 @@ from helpers import (
     random_structure,
     random_subspace,
     reference_sort_key,
+    reference_span,
 )
 
 
@@ -128,6 +129,39 @@ def test_lattice_members_in_sort_key_order():
             members = list(lattice.members)
             assert members == sorted(members, key=reference_sort_key)
     assert {"rank 1", "rank 2"} <= seen
+
+
+def _coordinate_context(rng: random.Random, n: int, name: str):
+    """Projectors onto blocks of shuffled coordinate axes: an atom's pivot
+    column can fall before or between those of the atoms below it."""
+    axes = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+    blocks = [axes[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    return validate_context(name, [named(diag(*(int(i in b) for i in range(n))), f"{name}{k}")
+                                   for k, b in enumerate(blocks)])
+
+
+def test_lattice_members_match_the_reference_elimination(qubit, cabello):
+    # Each member is the span of its atoms' range vectors, reduced as a whole
+    # by the reference elimination; the ranges are read off the projector
+    # columns, so no code path of the build is shared.
+    rng = random.Random(26)
+    contexts = list(qubit.contexts + cabello.contexts)
+    for case in range(12):
+        contexts += random_structure(rng, rng.randint(2, 5)).contexts
+        contexts.append(_coordinate_context(rng, rng.randint(2, 6), f"E{case}"))
+    ranks = set()
+    for context in contexts:
+        lattice, n = InvariantLattice(context), context.dimension
+        columns = [[[p.matrix.entry(i, j) for i in range(n)] for j in range(n)] for p in context.atoms]
+        by_mask = {
+            mask: reference_span([c for i, cols in enumerate(columns) if mask >> i & 1 for c in cols], n)
+            for mask in range(1 << len(context.atoms))
+        }
+        assert dict(zip(lattice.masks, lattice.members)) == by_mask
+        assert list(lattice.masks) == sorted(by_mask, key=lambda m: reference_sort_key(by_mask[m]))
+        ranks.update(p.rank for p in context.atoms)
+    assert {1, 2} <= ranks
 
 
 def test_lattice_closed_under_operations(qubit, cabello):

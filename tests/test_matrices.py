@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from suplat.linalg import (
     GaussianRational,
 )
 
-from helpers import random_invertible, random_matrix
+from helpers import random_invertible, random_matrix, random_scalar, reference_rref
 
 
 def test_product_examples():
@@ -73,6 +74,51 @@ def test_rref_idempotent_and_unique():
             assert not any(reduced.row(r))
 
 
+def _rank_deficient(rng: random.Random, rows: int, cols: int) -> ExactMatrix:
+    """Rows drawn from the span of a few random rows: exact repeats, zero
+    rows and random combinations, shuffled."""
+    seeds = random_matrix(rng, rng.randint(1, cols), cols).row_list()
+    out = []
+    for _ in range(rows):
+        pick = rng.random()
+        if pick < 0.3:
+            out.append(rng.choice(seeds))
+        elif pick < 0.4:
+            out.append((GaussianRational(0),) * cols)
+        else:
+            terms = [[random_scalar(rng, 3) * e for e in r] for r in seeds]
+            out.append(tuple(sum(column, GaussianRational(0)) for column in zip(*terms)))
+    return ExactMatrix(rows, cols, [e for r in out for e in r])
+
+
+def _huge(rng: random.Random) -> GaussianRational:
+    """A scalar whose parts have numerators and denominators near 10^30."""
+    big = 10**30
+
+    def part() -> Fraction:
+        return Fraction(big + rng.randint(-9, 9), big + rng.randint(1, 9)) * rng.choice((1, -1, 0))
+
+    return GaussianRational(part(), part())
+
+
+def test_rref_matches_the_reference_elimination():
+    # The insertion routine against whole-matrix Gauss-Jordan elimination.
+    rng = random.Random(2026)
+    cases = [ExactMatrix(0, n, ()) for n in range(4)] + [ExactMatrix(3, 0, ())]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(random_matrix(rng, rows, cols))  # dense complex entries
+        cases.append(random_matrix(rng, rows, cols, span=9))  # mixed denominators
+        cases.append(_rank_deficient(rng, rng.randint(2, 7), cols))
+        cases.append(ExactMatrix(rows, cols, [_huge(rng) for _ in range(rows * cols)]))
+    ranks = set()
+    for m in cases:
+        expected = reference_rref(m)
+        assert m.rref() == expected, m
+        ranks.add((expected[2] < m.rows, m.rows == 0))
+    assert ranks == {(False, False), (True, False), (False, True)}
+
+
 def test_rref_invariant_under_row_operations():
     # row-equivalent matrices share one canonical reduced form
     rng = random.Random(606)
@@ -110,9 +156,6 @@ def test_apply_and_stacking():
     assert m.apply(["1", "1"]) == (GaussianRational(3), GaussianRational(1))
     with pytest.raises(DimensionMismatchError):
         m.apply(["1"])
-    stacked = m.vstack(ExactMatrix.identity(2))
-    assert stacked.rows == 4
-    assert stacked.row(2) == ExactMatrix.identity(2).row(0)
 
 
 def test_zero_row_matrices_supported():

@@ -16,6 +16,7 @@ from helpers import (
     random_subspace,
     reference_contains,
     reference_sort_key,
+    reference_span,
 )
 
 
@@ -74,6 +75,21 @@ def test_join_examples():
     assert z_plus.join(z_minus) == Subspace.full(2)
     assert z_plus.join(Subspace.zero(2)) == z_plus
     assert z_plus.join(z_plus) == z_plus
+
+
+def test_span_and_join_match_the_reference_elimination():
+    rng = random.Random(2609)
+    dims = set()
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        vectors = [[random_scalar(rng, 2) for _ in range(n)] for _ in range(rng.randint(0, n + 2))]
+        a = Subspace.span_of(vectors, n)
+        assert a == reference_span(vectors, n)
+        b = rng.choice([random_subspace(rng, n), a, Subspace.zero(n), Subspace.full(n)])
+        joined = a.join(b)
+        assert joined == reference_span(a.basis_vectors() + b.basis_vectors(), n)
+        dims.add((joined.dim > a.dim, joined.dim > b.dim))
+    assert len(dims) == 4
 
 
 def test_meet_examples():
