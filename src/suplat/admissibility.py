@@ -23,7 +23,6 @@ from enum import Enum
 
 from .contexts import Structure
 from .frozen import Frozen, setfield
-from .subspaces import Subspace
 from .valuation import TruthValue, ValuationReport
 
 
@@ -155,19 +154,19 @@ def _colorings(structure: Structure, tokens: Sequence[Sequence], join) -> list:
     tokens must be sliceable, with ``join(a + b)[len(join(a)):]`` equal to
     ``join(b)``, as it is for ``tuple`` and ``"".join``.  Contexts are
     processed in structure order and atoms in context order, so the result
-    list is stable; counts are independent of either order.  The distinct
-    atom ranges are numbered once and each atom becomes the bit of its
-    range.  The search pops frames from one stack; a frame is a depth
-    ``d``, the masks of ranges set true and set false by the choices in
-    the contexts before ``d``, the token chosen at ``d - 1``, which it
-    writes into ``chosen``, and the summed width of the tokens before
-    ``d``.  Frames pop depth-first, so ``chosen`` then holds exactly the
-    frame's ancestors' tokens.  Atom bit ``b`` of a context with mask ``m``
-    can be chosen iff ``b`` is not false and no other bit of ``m`` is true;
-    its frame holds ``true | b`` and ``false | m ^ b``.  A frame pushes its
-    admissible atoms in reverse, so they pop in atom order.  No recursion
-    is used, so the number of contexts is not bounded by the recursion
-    limit.
+    list is stable; counts are independent of either order.  Each atom is
+    the bit of its range's id in ``structure.range_ids``: the structure
+    numbers the distinct atom ranges once.  The search pops frames from one
+    stack; a frame is a depth ``d``, the masks of ranges set true and set
+    false by the choices in the contexts before ``d``, the token chosen at
+    ``d - 1``, which it writes into ``chosen``, and the summed width of the
+    tokens before ``d``.  Frames pop depth-first, so ``chosen`` then holds
+    exactly the frame's ancestors' tokens.  Atom bit ``b`` of a context with
+    mask ``m`` can be chosen iff ``b`` is not false and no other bit of
+    ``m`` is true; its frame holds ``true | b`` and ``false | m ^ b``.  A
+    frame pushes its admissible atoms in reverse, so they pop in atom order.
+    No recursion is used, so the number of contexts is not bounded by the
+    recursion limit.
 
     Each frontier state is expanded once.  The search below depth ``d``
     reads only the bits of ``live[d]``, the ranges of contexts ``d..``, so
@@ -179,10 +178,7 @@ def _colorings(structure: Structure, tokens: Sequence[Sequence], join) -> list:
     coloring of that span past that width.  A dead state has an empty
     span, so a later visit ends at once.
     """
-    index: dict[Subspace, int] = {}
-    contexts = [
-        [1 << index.setdefault(atom.range, len(index)) for atom in ctx.atoms] for ctx in structure.contexts
-    ]
+    contexts = [[1 << r for r in ids] for ids in structure.range_ids]
     masks = [sum(bits) for bits in contexts]  # the context laws make a context's bits distinct
     depth = len(contexts)
     live = [0] * (depth + 1)

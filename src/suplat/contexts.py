@@ -8,8 +8,9 @@ lies in the sum of its support's atoms (those whose projectors do not
 annihilate it), so it is a member iff its dimension is that sum's rank.
 With rank-1 atoms the members are exactly the invariant subspaces.
 This atom-sum rule is the only membership test; neither it nor the
-valuation hashes a subspace, and the coloring search hashes each atom
-range once, to number the distinct ranges.
+valuation hashes a subspace.  A structure numbers its distinct atom
+ranges once, for the coloring search, and keeps each atom's support in
+another context for ``eval`` and ``hasse``, which never read the numbering.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ class Context(Frozen):
         vector of s is tested against the atom's range basis with integer
         Hermitian inner products instead of a matrix-vector product.
         """
+        if s.ambient_dim != self.dimension:
+            raise DimensionMismatchError(f"subspace of C^{s.ambient_dim} against a context on C^{self.dimension}")
         basis = s.basis_vectors()
         return sum(
             1 << i for i, p in enumerate(self.atoms)
@@ -186,10 +189,6 @@ def is_lattice_member(s: Subspace, context: Context) -> bool:
     """True iff the subspace is a member of the context's atom-sum lattice:
     it lies in the sum of its support's atom ranges, so it equals that sum
     exactly when the dimensions agree."""
-    if s.ambient_dim != context.dimension:
-        raise DimensionMismatchError(
-            f"subspace of C^{s.ambient_dim} against a context on C^{context.dimension}"
-        )
     return s.dim == context.rank(context.support(s))
 
 
@@ -223,11 +222,34 @@ class Structure:
             raise StructureError(f"duplicate context name {dup!r}")
         self.ambient_dim = dim
         self.contexts = contexts
+        self._supports: dict[tuple[int, int], int] = {}  # (o, id of an atom range) -> its support in context o
 
     @property
     def lattices(self) -> tuple[InvariantLattice, ...]:
         """Every context's lattice, in context order."""
         return tuple(c.lattice for c in self.contexts)
+
+    @cached_property
+    def range_ids(self) -> tuple[tuple[int, ...], ...]:
+        """Each context's atoms as ids of the distinct atom ranges, numbered by ``Subspace``
+        equality in structure order; that hashes every basis, so only the coloring search reads it."""
+        index: dict[Subspace, int] = {}
+        return tuple(tuple(index.setdefault(a.range, len(index)) for a in c.atoms) for c in self.contexts)
+
+    def member_support(self, o: int, i: int, mask: int) -> int:
+        """Support in context ``o`` of the member of context ``i`` named by ``mask`` (the mask
+        itself if ``o == i``): the union of its atoms' supports, each computed on first request
+        and kept by its range object, which a repeated atom shares."""
+        if o == i:
+            return mask
+        support = 0
+        for a, atom in enumerate(self.contexts[i].atoms):
+            if mask >> a & 1:
+                key = (o, id(atom.range))  # the structure holds the range, so its id is not reused
+                if key not in self._supports:
+                    self._supports[key] = self.contexts[o].support(atom.range)
+                support |= self._supports[key]
+        return support
 
 
 def normalize_state(structure: Structure, state) -> tuple:

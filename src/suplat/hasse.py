@@ -84,6 +84,7 @@ def build_graph(report: ValuationReport, scope: str) -> HasseGraph:
     part of its key, iff that part's rank is s's dimension.
     """
     contexts = report.structure.contexts
+    support = report.structure.member_support  # kept by the structure, so report.value reuses it
     if scope == WHOLE_STRUCTURE_SCOPE:
         in_scope = range(len(contexts))
     else:
@@ -98,8 +99,8 @@ def build_graph(report: ValuationReport, scope: str) -> HasseGraph:
     for i in in_scope:
         lat = contexts[i].lattice
         keys = [0]
-        for atom in contexts[i].atoms:
-            atom_key = sum(c.support(atom.range) << offset for c, offset in zip(contexts, offsets))
+        for a in range(len(contexts[i].atoms)):
+            atom_key = sum(support(o, i, 1 << a) << offset for o, offset in enumerate(offsets[:-1]))
             keys += [x | atom_key for x in keys]
         spans.append((i, keys))
         for member, mask in zip(lat.members, lat.masks):

@@ -14,18 +14,17 @@ context is allocated iff the support is a single atom, and the state lies
 in the member named by mask m iff the support is a subset of m.  A report
 values a member named by (context index, atom mask); it is certified in
 an allocated context by the atom-sum membership rule, read off its atoms'
-supports there, so valuing it builds no lattice and hashes no member.
+supports there, which the structure computes once and keeps, so valuing
+it builds no lattice and hashes no member.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from enum import Enum
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 
 from .contexts import (
-    Context,
     Structure,
     _mask_label,
     allocates,
@@ -75,12 +74,12 @@ class ValuationReport(Frozen):
         setfield(self, "supports", supports)
 
     @cached_property
-    def _allocated_contexts(self) -> tuple[Context, ...]:
-        return tuple(c for c, s in zip(self.structure.contexts, self.supports) if allocates(s))
+    def _allocated(self) -> tuple[int, ...]:
+        return tuple(o for o, s in enumerate(self.supports) if allocates(s))
 
     @property
     def allocated(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self._allocated_contexts)
+        return tuple(self.structure.contexts[o].name for o in self._allocated)
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -101,29 +100,20 @@ class ValuationReport(Frozen):
         }
 
     def value(self, i: int, mask: int) -> TruthValue:
-        """Value of the member named by ``mask`` in the context at index ``i``; a gap
-        unless bivalent or its dimension is its support's rank in an allocated context."""
+        """Value of the member named by ``mask`` in the context at index ``i``; a gap unless
+        bivalent (Hilbert mode, a trivial member or an allocated context) or its dimension
+        is its support's rank in an allocated context."""
         context = self.structure.contexts[i]
         if not mask:
             return TruthValue.FALSE
         if mask == (1 << len(context.atoms)) - 1:
             return TruthValue.TRUE
-        certifiers = self._certifiers[i]
-        if certifiers is not None and not any(
-            o.rank(_union(atom_supports, mask)) == context.rank(mask) for o, atom_supports in certifiers
+        if self.mode is Mode.INVARIANT and not allocates(self.supports[i]) and not any(
+            self.structure.contexts[o].rank(self.structure.member_support(o, i, mask)) == context.rank(mask)
+            for o in self._allocated
         ):
             return TruthValue.GAP
         return TruthValue.TRUE if self.supports[i] & ~mask == 0 else TruthValue.FALSE
-
-    @cached_property
-    def _certifiers(self) -> list[list[tuple[Context, list[int]]] | None]:
-        """Per context, None if its members are bivalent (Hilbert mode, or the context
-        is allocated), else each allocated context with its supports of the atoms."""
-        return [
-            None if self.mode is Mode.HILBERT or allocates(s)
-            else [(o, [o.support(a.range) for a in c.atoms]) for o in self._allocated_contexts]
-            for c, s in zip(self.structure.contexts, self.supports)
-        ]
 
     def value_of(self, subspace: Subspace) -> TruthValue:
         """Truth value of any subspace proposition at the state.
@@ -137,15 +127,10 @@ class ValuationReport(Frozen):
                 f"subspace of C^{subspace.ambient_dim} in a structure on C^{self.structure.ambient_dim}"
             )
         if self.mode is Mode.INVARIANT and 0 < subspace.dim < subspace.ambient_dim and not any(
-            is_lattice_member(subspace, c) for c in self._allocated_contexts
+            is_lattice_member(subspace, self.structure.contexts[o]) for o in self._allocated
         ):
             return TruthValue.GAP
         return TruthValue.TRUE if subspace.contains_vector(self.state) else TruthValue.FALSE
-
-
-def _union(atom_supports: list[int], mask: int) -> int:
-    """Support of the member named by ``mask``: its atoms' supports, joined."""
-    return reduce(or_, (s for b, s in enumerate(atom_supports) if mask >> b & 1), 0)
 
 
 def evaluate(structure: Structure, state, subspace: Subspace, mode: Mode) -> TruthValue:
@@ -159,14 +144,10 @@ def evaluate_structure(structure: Structure, state, mode: Mode) -> ValuationRepo
     return ValuationReport(structure, v, mode, tuple(state_supports(structure, v)))
 
 
-def format_state(state) -> str:
-    return ",".join(format_scalar(x) for x in state)
-
-
 def report_to_text(report: ValuationReport) -> str:
     """Stable line-oriented rendering, usable as a golden-file format."""
     lines = [
-        f"state: {format_state(report.state)}",
+        f"state: {','.join(format_scalar(x) for x in report.state)}",
         f"mode: {report.mode.value}",
         f"allocated: {', '.join(report.allocated) if report.allocated else '(none)'}",
     ]

@@ -217,7 +217,9 @@ def test_ks_search_matches_brute_force_in_order(qubit, cabello):
 
 def test_ks_search_compares_no_subspaces_after_numbering(cabello, monkeypatch):
     # numbering the distinct atom ranges may compare each atom's range
-    # once; the search itself must run on the numbers alone
+    # once; the search itself must run on the numbers alone.  A new
+    # structure, since the built-in keeps the numbering of an earlier search.
+    structure = Structure(cabello.contexts)
     calls = []
     original = Subspace.__eq__
 
@@ -226,8 +228,10 @@ def test_ks_search_compares_no_subspaces_after_numbering(cabello, monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(Subspace, "__eq__", counting)
-    assert len(ks_search(cabello)) == 40
-    assert len(calls) <= sum(len(ctx.atoms) for ctx in cabello.contexts)
+    assert len(ks_search(structure)) == 40
+    assert 0 < len(calls) <= sum(len(ctx.atoms) for ctx in cabello.contexts)
+    calls.clear()
+    assert len(ks_search(structure)) == 40 and calls == []
 
 
 # The eighteen rays of Cabello, Estebaranz and Garcia-Alcaine (Phys. Lett. A

@@ -782,11 +782,22 @@ def test_hasse_of_a_small_context_beside_a_wide_one(capsys, tmp_path, monkeypatc
 
 
 def test_eval_and_hasse_hash_no_scalar(capsys, tmp_path, monkeypatch):
-    # Memberships and values come from atom masks, so no basis is hashed.
+    # Memberships and values come from atom masks, so no basis is hashed:
+    # only ks-search reads the structure's numbering of the atom ranges.
     n = 10
     path = tmp_path / "diag10.json"
     path.write_text(json.dumps({"dimension": n, "contexts": [
         {"name": "D", "projectors": _diag_projectors(n, [f"e{i}" for i in range(n)])},
+    ]}))
+    # E shares e1 with D and splits the rest of C^3 into (0,1,1) and (0,1,-1),
+    # so at e2 only D is allocated and E's members are certified across contexts.
+    shared = tmp_path / "shared.json"
+    half = [["0", "0", "0"], ["0", "1/2", "1/2"], ["0", "1/2", "1/2"]]
+    flip = [["0", "0", "0"], ["0", "1/2", "-1/2"], ["0", "-1/2", "1/2"]]
+    shared.write_text(json.dumps({"dimension": 3, "contexts": [
+        {"name": "D", "projectors": _diag_projectors(3, ["e1", "e2", "e3"])},
+        {"name": "E", "projectors": _diag_projectors(3, ["e1"]) + [
+            {"name": "p", "matrix": half}, {"name": "m", "matrix": flip}]},
     ]}))
     calls = []
     original = GaussianRational.__hash__
@@ -797,11 +808,23 @@ def test_eval_and_hasse_hash_no_scalar(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(GaussianRational, "__hash__", counting)
     state = "--state=" + ",".join(["1"] + ["0"] * (n - 1))
+    at_e2 = ["--state=0,1,0", "--mode", "invariant"]
+    outs = []
     for argv in (["eval", str(path), state, "--mode", "invariant"],
-                 ["hasse", str(path), state, "--mode", "invariant", "--scope", "D"]):
+                 ["hasse", str(path), state, "--mode", "invariant", "--scope", "D"],
+                 ["admissibility", str(shared)] + at_e2,
+                 ["hasse", str(shared)] + at_e2 + ["--scope", "all"]):
         code, out, err = run(capsys, *argv)
         assert (code, err, len(calls)) == (0, "", 0), argv
-    assert out.count("->") == n * 2 ** (n - 1)
+        outs.append(out)
+    assert outs[1].count("->") == n * 2 ** (n - 1)
+    assert outs[2].splitlines()[:2] == [
+        "context D: true=1 false=2 gap=0 rule1=satisfied rule2=satisfied",
+        "context E: true=0 false=1 gap=2 rule1=vacuous rule2=violated",
+    ]
+    # e1 and its complement are members of both lattices, each one node
+    assert '"D.1" [label="1" tooltip="D:1 E:1"' in outs[3]
+    assert '"D.2+3" [label="2+3" tooltip="D:2+3 E:2+3"' in outs[3]
 
 
 def test_hasse_failure_leaves_no_file(capsys, tmp_path):

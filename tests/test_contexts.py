@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from suplat import contexts
+from suplat.cli import main
 from suplat.contexts import (
     ContextError,
     DuplicateAtomNameError,
@@ -25,7 +27,7 @@ from suplat.contexts import (
     structure_to_dict,
     validate_context,
 )
-from suplat.datasets import builtin_structure
+from suplat.datasets import builtin_structure, dataset_names
 from suplat.linalg import DimensionMismatchError, ExactMatrix
 from suplat.operators import ProjectorError, kernel_of, range_of, validate_projector
 from suplat.subspaces import Subspace
@@ -264,6 +266,18 @@ def test_support_matches_projector_images():
     assert rank2 == {True, False} and bits == {0, 1}
 
 
+def test_support_checks_the_ambient_dimension(cabello):
+    # One check, in support: mismatched vectors would zip to a meaningless mask.
+    s1 = cabello.contexts[0]
+    for s in (Subspace.span_of([(1, 0, 0, 0, 1)], 5), Subspace.full(2)):
+        text = f"subspace of C^{s.ambient_dim} against a context on C^4"
+        for check in (s1.support, lambda s: is_lattice_member(s, s1)):
+            with pytest.raises(DimensionMismatchError) as exc:
+                check(s)
+            assert str(exc.value) == text
+        assert not s1.lattice.has_member(s)
+
+
 def test_membership_queries_match_the_hashed_index_oracle():
     # Each lattice is asked about every member of every lattice of its
     # structure, subspaces inside those members and random subspaces.
@@ -318,6 +332,90 @@ def test_structure_checks(qubit):
         Structure([])
     with pytest.raises(StructureError):
         Structure([qubit.contexts[0], qubit.contexts[0]])
+
+
+def _fresh(structure: Structure) -> Structure:
+    """The same contexts in a new structure, so no support is kept from another test."""
+    return Structure(structure.contexts)
+
+
+def _table_structures(seed: int) -> list[Structure]:
+    """The built-ins, random structures (some with rank-2 atoms, kept atoms
+    first) and picks of built-in contexts that repeat an atom, shuffled."""
+    rng = random.Random(seed)
+    structures = [_fresh(builtin_structure(name)) for name in dataset_names()]
+    structures += [random_structure(rng, rng.randint(3, 4)) for _ in range(10)]
+    for _ in range(6):
+        picks = rng.choices(builtin_structure(rng.choice(dataset_names())).contexts, k=rng.randint(2, 4))
+        structures.append(Structure([
+            validate_context(f"{c.name}_{i}", rng.sample(c.atoms, len(c.atoms))) for i, c in enumerate(picks)
+        ]))
+    return structures
+
+
+def test_member_support_matches_the_support_of_the_member():
+    # Every member of every context, spanned from its atoms' range rows by the
+    # reference elimination, against its support in every context.
+    higher_rank = 0
+    for structure in _table_structures(20181021):
+        n = structure.ambient_dim
+        for i, ctx in enumerate(structure.contexts):
+            higher_rank += any(p.rank > 1 for p in ctx.atoms)
+            for mask in range(1 << len(ctx.atoms)):
+                rows = [b for a, p in enumerate(ctx.atoms) if mask >> a & 1 for b in p.range.basis_vectors()]
+                member = reference_span(rows, n)
+                for o, other in enumerate(structure.contexts):
+                    assert structure.member_support(o, i, mask) == other.support(member), (o, i, mask)
+    assert higher_rank >= 3
+
+
+def _reference_range_ids(structure: Structure) -> tuple:
+    """Range ids by a linear scan for an equal, recomputed range: first occurrence first."""
+    seen: list[Subspace] = []
+    ids = []
+    for ctx in structure.contexts:
+        row = []
+        for atom in ctx.atoms:
+            r = range_of(atom)
+            if r not in seen:
+                seen.append(r)
+            row.append(seen.index(r))
+        ids.append(tuple(row))
+    return tuple(ids)
+
+
+def test_range_ids_number_the_distinct_ranges_in_first_occurrence_order(cabello):
+    repeats = 0
+    for structure in _table_structures(20181022):
+        ids = structure.range_ids
+        assert ids == _reference_range_ids(structure)
+        flat = [r for row in ids for r in row]
+        repeats += len(set(flat)) < len(flat)
+    assert repeats >= 10
+    # S1.P1 and S2.P1 are one ray, built twice
+    s1, s2, s6 = cabello.range_ids
+    assert s1 == (0, 1, 2, 3) and s2 == (0, 4, 5, 6) and s6 == (7, 8, 9, 10)
+    assert cabello.contexts[0].atoms[0] is not cabello.contexts[1].atoms[0]
+
+
+def test_hasse_computes_each_support_once(capsys, tmp_path, monkeypatch):
+    # A file, not --dataset: a built-in structure is kept, with its supports,
+    # for the whole process.  The loader shares S1.P1's range with S2.P1.
+    path = tmp_path / "cabello.json"
+    path.write_text(json.dumps(structure_to_dict(builtin_structure("cabello-3"))))
+    calls, held = Counter(), []  # held keeps every argument alive, so no id is reused
+    original = contexts.Context.support
+
+    def counting(self, s):
+        calls[id(self), id(s)] += 1
+        held.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(contexts.Context, "support", counting)
+    argv = ["hasse", str(path), "--state", "0,0,0,1", "--mode", "invariant", "--scope", "all"]
+    assert main(argv) == 0
+    assert "->" in capsys.readouterr().out
+    assert calls and max(calls.values()) == 1, calls
 
 
 def test_allocated_lattices(qubit, cabello):
