@@ -155,63 +155,63 @@ def _colorings(structure: Structure, tokens: Sequence[Sequence], join) -> list:
     ``join(b)``, as it is for ``tuple`` and ``"".join``.  Contexts are
     processed in structure order and atoms in context order, so the result
     list is stable; counts are independent of either order.  Each atom is
-    the bit of its range's id in ``structure.range_ids``: the structure
-    numbers the distinct atom ranges once.  The search pops frames from one
-    stack; a frame is a depth ``d``, the masks of ranges set true and set
-    false by the choices in the contexts before ``d``, the token chosen at
+    the bit of its range's id in ``structure.range_ids``.  The search pops
+    frames from one stack; a frame is a depth ``d``, the mask ``t`` of the
+    ranges set true in the contexts before ``d``, the token chosen at
     ``d - 1``, which it writes into ``chosen``, and the summed width of the
     tokens before ``d``.  Frames pop depth-first, so ``chosen`` then holds
-    exactly the frame's ancestors' tokens.  Atom bit ``b`` of a context with
-    mask ``m`` can be chosen iff ``b`` is not false and no other bit of
-    ``m`` is true; its frame holds ``true | b`` and ``false | m ^ b``.  A
-    frame pushes its admissible atoms in reverse, so they pop in atom order.
-    No recursion is used, so the number of contexts is not bounded by the
-    recursion limit.
+    exactly the frame's ancestors' tokens.  A range is false iff it shares
+    a context with a true one, so ``t`` is the whole state: bit ``b`` can be
+    chosen iff ``near[b] & t`` is empty, where ``near[b]`` is the other bits
+    of every context that holds ``b``, and its frame holds ``t | b``.  This
+    also drops a choice that leaves a context ahead no atom, so no coloring.
+    Admissible atoms are pushed in reverse, so they pop in atom order, and
+    nothing recurses, so the recursion limit does not bound the depth.
 
-    Each frontier state is expanded once.  The search below depth ``d``
-    reads only the bits of ``live[d]``, the ranges of contexts ``d..``, so
-    the state is keyed by ``(d, true & live[d], false & live[d])``, and
-    two prefixes with one key have the same completions in the same order.
-    The first visit pushes a close frame under its children, which records
-    the span of colorings the subtree appended and the width of the first
-    visitor's prefix; a later visit appends its own prefix joined to each
-    coloring of that span past that width.  A dead state has an empty
-    span, so a later visit ends at once.
+    Each frontier state is expanded once.  Below depth ``d`` the search
+    reads ``near`` only of the bits of ``live[d]``, the ranges of contexts
+    ``d..``, and each context before ``d`` has one true bit, so the state is
+    keyed by ``(d, t & live[d])``; two prefixes with one key have the same
+    completions in the same order.  The first visit pushes a close frame
+    under its children, which records the subtree's span of colorings and
+    the width of the first visitor's prefix; a later visit appends its own
+    prefix joined to each coloring of that span past that width.  A dead
+    state has an empty span, so a later visit ends at once.
     """
     contexts = [[1 << r for r in ids] for ids in structure.range_ids]
-    masks = [sum(bits) for bits in contexts]  # the context laws make a context's bits distinct
     depth = len(contexts)
     live = [0] * (depth + 1)
+    near: dict[int, int] = {}
     for d in reversed(range(depth)):
-        live[d] = live[d + 1] | masks[d]
+        mask = sum(contexts[d])  # the context laws make a context's bits distinct
+        live[d] = live[d + 1] | mask
+        for b in contexts[d]:
+            near[b] = near.get(b, 0) | mask ^ b
     widths = [[len(join([token])) for token in row] for row in tokens]
     chosen = [None] * depth
     colorings: list = []
-    spans: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    stack = [(0, 0, 0, None, 0)]
+    spans: dict[tuple[int, int], tuple[int, int, int]] = {}
+    stack = [(0, 0, None, 0)]
     while stack:
-        d, t, f, token, w = stack.pop()
-        if d < 0:  # a close frame: t is the state's key, f the start of its span
-            spans[t] = (f, len(colorings), w)
+        d, t, token, w = stack.pop()
+        if d < 0:  # a close frame: t is the state's key, token the start of its span
+            spans[t] = (token, len(colorings), w)
             continue
         chosen[d - 1] = token  # the root writes chosen[-1], which every full-depth frame rewrites
         if d == depth:
             colorings.append(join(chosen))
             continue
-        lv = live[d]
-        key = (d, t & lv, f & lv)
+        key = (d, t & live[d])
         span = spans.get(key)
         if span is not None:
             start, end, off = span
             head = join(chosen[:d])
             colorings.extend([head + c[off:] for c in colorings[start:end]])
             continue
-        stack.append((-1, key, len(colorings), None, w))
-        bits, mask, row, sizes = contexts[d], masks[d], tokens[d], widths[d]
-        for ai in reversed(range(len(bits))):
-            b = bits[ai]
-            if not (b & f or (mask ^ b) & t):
-                stack.append((d + 1, t | b, f | (mask ^ b), row[ai], w + sizes[ai]))
+        stack.append((-1, key, len(colorings), w))
+        for b, token, size in zip(reversed(contexts[d]), reversed(tokens[d]), reversed(widths[d])):
+            if not near[b] & t:
+                stack.append((d + 1, t | b, token, w + size))
     return colorings
 
 

@@ -6,7 +6,9 @@ import json
 import random
 import sys
 import time
-from math import prod
+from functools import lru_cache
+from itertools import combinations, product
+from math import gcd, prod
 
 import pytest
 
@@ -207,6 +209,17 @@ def test_ks_search_matches_brute_force_in_order(qubit, cabello):
         # meet conflicts after a context's first atom
         shuffled = [validate_context(c.name, rng.sample(c.atoms, len(c.atoms))) for c in structure.contexts]
         structures += [structure, Structure(shuffled)]
+    # bases of completed grid-3, each sharing a ray with an earlier pick, in
+    # shuffled order: a choice can leave a context ahead no atom before the
+    # search reaches it
+    completed = _completed_grid_3()[1].contexts
+    for k in [rng.randint(3, 7) for _ in range(12)]:
+        picks = [rng.choice(completed)]
+        while len(picks) < k:
+            seen = {a.name for c in picks for a in c.atoms}
+            picks.append(rng.choice([c for c in completed if c not in picks and seen & {a.name for a in c.atoms}]))
+        rng.shuffle(picks)
+        structures.append(Structure([validate_context(c.name, rng.sample(c.atoms, 3)) for c in picks]))
     pruned = 0
     for structure in structures:
         expected = brute_force_colorings(structure)
@@ -215,11 +228,12 @@ def test_ks_search_matches_brute_force_in_order(qubit, cabello):
     assert pruned >= 20
 
 
-def test_ks_search_compares_no_subspaces_after_numbering(cabello, monkeypatch):
+def test_ks_search_compares_no_subspaces_after_numbering(monkeypatch):
     # numbering the distinct atom ranges may compare each atom's range
-    # once; the search itself must run on the numbers alone.  A new
-    # structure, since the built-in keeps the numbering of an earlier search.
-    structure = Structure(cabello.contexts)
+    # once; the search itself must run on the numbers alone.  cabello-3 with
+    # each basis built on its own, so S1.P1 and S2.P1 are two equal ranges
+    # that the numbering must compare (the built-in shares one range).
+    structure = Structure(_ray_contexts([CABELLO_18[i] for i in (0, 1, 5)]))
     calls = []
     original = Subspace.__eq__
 
@@ -229,7 +243,7 @@ def test_ks_search_compares_no_subspaces_after_numbering(cabello, monkeypatch):
 
     monkeypatch.setattr(Subspace, "__eq__", counting)
     assert len(ks_search(structure)) == 40
-    assert 0 < len(calls) <= sum(len(ctx.atoms) for ctx in cabello.contexts)
+    assert 0 < len(calls) <= sum(len(ctx.atoms) for ctx in structure.contexts)
     calls.clear()
     assert len(ks_search(structure)) == 40 and calls == []
 
@@ -258,6 +272,43 @@ def _ray_contexts(bases, prefix: str = "C") -> list:
         )
         for i, basis in enumerate(bases)
     ]
+
+
+@lru_cache(maxsize=None)
+def _completed_grid_3() -> tuple[int, Structure]:
+    """The number of rays, and the structure of every orthogonal basis, of
+    grid-3 completed: its 49 rays of C^3 (coprime entries in {0, +-1, +-2},
+    the first nonzero one positive) and the primitive cross product of each
+    orthogonal pair, in basis order.  Each ray's projector is built once."""
+    def canonical(v):
+        g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
+        return tuple(x // g for x in v)
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    rays = [v for v in product((0, 1, -1, 2, -2), repeat=3) if any(v) and canonical(v) == v]
+    for (a1, a2, a3), (b1, b2, b3) in [(u, v) for u, v in combinations(rays, 2) if dot(u, v) == 0]:
+        c = canonical((a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1))
+        if c not in rays:
+            rays.append(c)
+    atoms = [projector_onto(Subspace.span_of([v], 3), name=f"r{i + 1}") for i, v in enumerate(rays)]
+    orthogonal = {(a, b) for a, b in combinations(range(len(rays)), 2) if dot(rays[a], rays[b]) == 0}
+    bases = [t for t in combinations(range(len(rays)), 3) if orthogonal.issuperset(combinations(t, 2))]
+    return len(rays), Structure([validate_context(f"C{i + 1}", [atoms[a] for a in t]) for i, t in enumerate(bases)])
+
+
+def test_ks_search_finds_no_coloring_of_completed_grid_3():
+    # a Kochen-Specker set where many prefixes agree with every context
+    # passed while a context ahead already holds two of their true rays; a
+    # search testing each choice in its own context alone filled any memory cap
+    rays, structure = _completed_grid_3()
+    assert (rays, len(structure.contexts)) == (109, 86)
+    start = time.perf_counter()
+    assert ks_search(structure) == []
+    assert ks_to_text(structure) == "solutions: 0\n"
+    assert ks_to_json(structure) == '{\n  "count": 0,\n  "solutions": []\n}\n'
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ks_search_finds_no_coloring_of_cabello_18(cabello):

@@ -29,7 +29,7 @@ from suplat.contexts import (
 )
 from suplat.datasets import builtin_structure, dataset_names
 from suplat.linalg import DimensionMismatchError, ExactMatrix
-from suplat.operators import ProjectorError, kernel_of, range_of, validate_projector
+from suplat.operators import ProjectorError, kernel_of, projector_onto, range_of, validate_projector
 from suplat.subspaces import Subspace
 
 from helpers import (
@@ -392,15 +392,24 @@ def test_range_ids_number_the_distinct_ranges_in_first_occurrence_order(cabello)
         flat = [r for row in ids for r in row]
         repeats += len(set(flat)) < len(flat)
     assert repeats >= 10
-    # S1.P1 and S2.P1 are one ray, built twice
-    s1, s2, s6 = cabello.range_ids
+    # cabello-3 with each atom's range spanned again: S1.P1 and S2.P1 are one
+    # ray, built twice as two equal ranges, and still get one id
+    twice = Structure([
+        validate_context(c.name, [projector_onto(Subspace.span_of(a.range.basis_vectors(), 4), a.name) for a in c.atoms])
+        for c in cabello.contexts
+    ])
+    assert twice.contexts[0].atoms[0].range is not twice.contexts[1].atoms[0].range
+    s1, s2, s6 = twice.range_ids
     assert s1 == (0, 1, 2, 3) and s2 == (0, 4, 5, 6) and s6 == (7, 8, 9, 10)
-    assert cabello.contexts[0].atoms[0] is not cabello.contexts[1].atoms[0]
+    # the built-in shares one projector per ray, as the loader does
+    assert cabello.contexts[0].atoms[0] is cabello.contexts[1].atoms[0]
+    assert cabello.range_ids == twice.range_ids
 
 
 def test_hasse_computes_each_support_once(capsys, tmp_path, monkeypatch):
-    # A file, not --dataset: a built-in structure is kept, with its supports,
-    # for the whole process.  The loader shares S1.P1's range with S2.P1.
+    # The loader and the built-in each share S1.P1's range with S2.P1, so
+    # both compute the same supports.  A built-in structure is kept, with its
+    # supports, for the whole process, so --dataset runs on a fresh one.
     path = tmp_path / "cabello.json"
     path.write_text(json.dumps(structure_to_dict(builtin_structure("cabello-3"))))
     calls, held = Counter(), []  # held keeps every argument alive, so no id is reused
@@ -412,10 +421,17 @@ def test_hasse_computes_each_support_once(capsys, tmp_path, monkeypatch):
         return original(self, s)
 
     monkeypatch.setattr(contexts.Context, "support", counting)
-    argv = ["hasse", str(path), "--state", "0,0,0,1", "--mode", "invariant", "--scope", "all"]
-    assert main(argv) == 0
-    assert "->" in capsys.readouterr().out
-    assert calls and max(calls.values()) == 1, calls
+    options = ["--state", "0,0,0,1", "--mode", "invariant", "--scope", "all"]
+    builtin_structure.cache_clear()
+    totals = []
+    for source in ([str(path)], ["--dataset", "cabello-3"]):
+        calls.clear()
+        assert main(["hasse", *source, *options]) == 0
+        assert "->" in capsys.readouterr().out
+        assert calls and max(calls.values()) == 1, (source, calls)
+        totals.append(sum(calls.values()))
+    # two equal range objects for the shared ray would cost S6 a second support
+    assert totals[0] == totals[1]
 
 
 def test_allocated_lattices(qubit, cabello):
