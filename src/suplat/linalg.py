@@ -1,15 +1,14 @@
 """Exact arithmetic over the Gaussian rationals, plus dense exact matrices.
 
-A scalar is a Gaussian rational ``(a + b*i) / d`` held as three
-arbitrary-precision ints in lowest terms.  Everything downstream (echelon
-forms, ranks, null spaces) is computed exactly, so canonical forms are
-unique and equality is structural.  No tolerances anywhere.
+A scalar is a Gaussian rational ``(a + b*i) / d`` held as three arbitrary-precision ints
+in lowest terms.  Everything downstream (echelon forms, ranks, null spaces) is computed
+exactly, so canonical forms are unique and equality is structural.  No tolerances
+anywhere.  Row elimination reads the triples, so each entry it changes is one new scalar.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import compress
 from math import gcd, lcm
 from numbers import Rational
 
@@ -480,29 +479,49 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols} {self})"
 
 
+def _minus_multiple(v, f: GaussianRational, w) -> list[GaussianRational]:
+    """The row ``v - f*w`` on the triples: an entry of ``v`` is kept where ``w`` is 0,
+    and each other entry is ``(a + bi)/d - (p + qi)(c + ei)/(r h)``, one ``_reduced``."""
+    p, q, r = f._a, f._b, f._d
+    out = []
+    for x, y in zip(v, w):
+        c, e = y._a, y._b
+        if c or e:
+            re, im, h, d = p * c - q * e, p * e + q * c, r * y._d, x._d
+            if d == h:
+                x = _reduced(x._a - re, x._b - im, d)
+            else:
+                x = _reduced(x._a * h - re * d, x._b * h - im * d, d * h)
+        out.append(x)
+    return out
+
+
 def _insert_rows(basis: ExactMatrix, pivots: tuple[int, ...], rows) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Gauss-Jordan elimination by insertion: the reduced echelon basis of the rows of
     ``basis`` (reduced, with pivot columns ``pivots``) and of ``rows``, and its pivots.
     A new row is reduced against the pivot rows and dropped if nothing is left; else it
     is scaled to a leading 1, cleared from the other rows and inserted in pivot order.
-    The rows are kept in one flat list, so a column is a slice."""
+    The rows are kept in one flat list, so a column is a slice.  Steps read the triples:
+    a zero test is ``a or b``, reducing and clearing are ``_minus_multiple``, and scaling
+    multiplies each nonzero entry by the lead's inverse ``d (a - bi) / (a^2 + b^2)``."""
     n = basis.cols
     flat, pivots = list(basis.entries), list(pivots)
     for v in rows:
         for k, c in enumerate(pivots):
             f = v[c]
-            if f:
-                v = [a - f * b for a, b in zip(v, flat[k * n : k * n + n])]
-        lead = next(compress(range(n), v), None)
+            if f._a or f._b:
+                v = _minus_multiple(v, f, flat[k * n : k * n + n])
+        lead = next((j for j, x in enumerate(v) if x._a or x._b), None)
         if lead is None:
             continue
-        f = v[lead]
-        if f != _ONE:
-            f = f.inverse()
-            v = [e * f for e in v]
-        for k in compress(range(0, len(flat), n), flat[lead::n]):
+        a, b, d = v[lead]._a, v[lead]._b, v[lead]._d
+        if b or a != d:  # the leading entry is not 1
+            p, q, m = d * a, d * b, a * a + b * b
+            v = [_reduced(x._a * p + x._b * q, x._b * p - x._a * q, x._d * m) if x._a or x._b else x for x in v]
+        for k in range(0, len(flat), n):
             f = flat[k + lead]
-            flat[k : k + n] = [a - f * b for a, b in zip(flat[k : k + n], v)]
+            if f._a or f._b:
+                flat[k : k + n] = _minus_multiple(flat[k : k + n], f, v)
         pivots = sorted(pivots + [lead])
         k = pivots.index(lead) * n
         flat[k:k] = v

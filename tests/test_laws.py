@@ -17,6 +17,7 @@ import pytest
 from suplat.contexts import (
     ContextError,
     IncompleteSumError,
+    InvariantLattice,
     NotOrthogonalError,
     structure_from_dict,
     structure_to_dict,
@@ -32,6 +33,7 @@ from helpers import (
     gram_schmidt,
     inverse,
     matrix_sum,
+    random_context,
     random_invertible,
     random_matrix,
     random_nonzero_scalar,
@@ -97,6 +99,13 @@ def test_validate_projector_matches_definition():
         assert range_of(p) == Subspace.span_of(columns, m.rows)
     assert len(outcomes) == 3  # accepted, not Hermitian, not idempotent all occur
     assert several_pivots
+    # Hermitian, with trace(P*P) = 1, and its first column reduces to (1, 1), which P
+    # maps to (1, 0), 1 at the pivot: a law check that stopped there would accept it.
+    reflection = ExactMatrix.from_rows([["1/2", "1/2"], ["1/2", "-1/2"]])
+    with pytest.raises(NotIdempotentError):
+        validate_projector(reflection)
+    assert reference_projector_law(reflection) is NotIdempotentError
+    assert validate_projector(ExactMatrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])).rank == 1
 
 
 def _big_scalar(rng: random.Random) -> GaussianRational:
@@ -221,3 +230,27 @@ def test_context_laws_multiply_no_matrices(monkeypatch):
         structure_from_dict(data)
     with pytest.raises(NotOrthogonalError, match="atoms 'a' and 'd' are not orthogonal"):
         validate_context("skew", atoms)
+
+
+def test_lattice_build_and_projector_laws_compute_no_scalar_arithmetic(monkeypatch):
+    """The row elimination reads the scalars' integer triples: building a lattice and
+    checking a projector call no scalar operator, not even a zero test or ``==``."""
+    rng = random.Random(32)
+    contexts = [random_context(rng, rng.randint(2, 5), "A") for _ in range(12)]
+    atoms = [a for c in contexts for a in c.atoms]
+    assert {a.rank for a in atoms} == {1, 2, 3}
+    dense = [a for a in atoms if all(a.matrix.entries) and any(e.imag for e in a.matrix.entries)]
+    assert {a.rank for a in dense} == {1, 2, 3}  # dense complex entries at every rank
+    members = [InvariantLattice(c).members for c in contexts]
+
+    def refuse(*args):
+        raise AssertionError("a scalar operator was called")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__", "inverse",
+                 "__bool__", "__eq__"):
+        monkeypatch.setattr(GaussianRational, name, refuse)
+    lattices = [InvariantLattice(c) for c in contexts]
+    projectors = [validate_projector(a.matrix, name=a.name) for a in atoms]
+    monkeypatch.undo()
+    assert [lattice.members for lattice in lattices] == members
+    assert projectors == atoms
