@@ -4,6 +4,7 @@ A scalar is a Gaussian rational ``(a + b*i) / d`` held as three arbitrary-precis
 in lowest terms.  Everything downstream (echelon forms, ranks, null spaces) is computed
 exactly, so canonical forms are unique and equality is structural.  No tolerances
 anywhere.  Row elimination reads the triples, so each entry it changes is one new scalar.
+The scalar operators are the library's numeric protocol; no command calls them.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ class GaussianRational:
     """Immutable complex scalar ``(a + b*i) / d`` held as three ints.
 
     The triple is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so equal
-    scalars always have identical representations.  Each of ``+ - * /``
-    and ``inverse`` costs a few int products and one ``math.gcd``;
-    negation and conjugation need none.  ``real`` and ``imag`` are
-    read-only Fraction views for callers that want the parts.
+    scalars always have identical representations.  The operators are the
+    library's numeric protocol, one formula each on the triples: ``+``,
+    ``*`` and ``inverse`` reduce once, ``-`` adds the negation and ``/``
+    multiplies by the inverse.  No command calls them: the commands read
+    the triples.  ``real`` and ``imag`` are read-only Fraction views.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -77,34 +79,19 @@ class GaussianRational:
         return None
 
     def __add__(self, other: object) -> GaussianRational:
-        if type(other) is not GaussianRational:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        c, e, f = other._a, other._b, other._d
-        if not (c or e):
-            return self
-        a, b, d = self._a, self._b, self._d
-        if not (a or b):
-            return other
-        if d == f:
-            return _reduced(a + c, b + e, d)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b, d, c, e, f = self._a, self._b, self._d, other._a, other._b, other._d
         return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> GaussianRational:
-        if type(other) is not GaussianRational:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        c, e, f = other._a, other._b, other._d
-        if not (c or e):
-            return self
-        a, b, d = self._a, self._b, self._d
-        if d == f:
-            return _reduced(a - c, b - e, d)
-        return _reduced(a * f - c * d, b * f - e * d, d * f)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other: object) -> GaussianRational:
         w = self._coerce(other)
@@ -113,29 +100,19 @@ class GaussianRational:
         return w - self
 
     def __mul__(self, other: object) -> GaussianRational:
-        if type(other) is not GaussianRational:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        a, b = self._a, self._b
-        c, e = other._a, other._b
-        if not (a or b) or not (c or e):
-            return _ZERO
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> GaussianRational:
-        if type(other) is not GaussianRational:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
-        c, e, f = other._a, other._b, other._d
-        if not (c or e):
-            raise ZeroDivisionError("division by the zero scalar")
-        a, b = self._a, self._b
-        return _reduced(f * (a * c + b * e), f * (b * c - a * e), self._d * (c * c + e * e))
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other: object) -> GaussianRational:
         w = self._coerce(other)
@@ -199,7 +176,7 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # \d would match any Unicode digit
 
 
 def _read_rational(text: str, pos: int) -> tuple[int, int, int] | None:
@@ -415,14 +392,8 @@ class ExactMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            left = self.row(i)
-            for j in range(other.cols):
-                acc = _ZERO
-                for k in range(self.cols):
-                    acc = acc + left[k] * other.entry(k, j)
-                out.append(acc)
+        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
+        out = [_reduced(*_dot(r, c)) for r in self.row_list() for c in columns]
         return ExactMatrix(self.rows, other.cols, out)
 
     def conjugate(self) -> ExactMatrix:
@@ -435,15 +406,7 @@ class ExactMatrix:
             raise DimensionMismatchError(
                 f"vector of length {len(v)} cannot multiply a {self.rows}x{self.cols} matrix"
             )
-        out = []
-        for i in range(self.rows):
-            acc = _ZERO
-            row = self.row(i)
-            for k in range(self.cols):
-                if v[k]:
-                    acc = acc + row[k] * v[k]
-            out.append(acc)
-        return tuple(out)
+        return tuple(_reduced(*_dot(r, v)) for r in self.row_list())
 
     def rref(self) -> tuple[ExactMatrix, tuple[int, ...], int]:
         """(reduced matrix, pivot columns, rank): the row space's unique reduced row echelon

@@ -117,8 +117,8 @@ def projector_onto(s: Subspace, name: str = "P") -> Projector:
             u = [x - c * y for x, y in zip(u, w)]
         norm = _inner(u, u)
         done.append((u, norm))
-        scaled = [x / norm for x in u]
-        entries = [e + x * y.conjugate() for e, (x, y) in zip(entries, product(scaled, u))]
+        scaled = [x / norm if x else x for x in u]
+        entries = [e + x * y.conjugate() if x and y else e for e, (x, y) in zip(entries, product(scaled, u))]
     return Projector(name, ExactMatrix(n, n, entries), s)
 
 

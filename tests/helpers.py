@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
+from math import gcd
 
 from suplat.contexts import (
     Context,
@@ -439,3 +441,27 @@ def reference_report(structure: Structure, state, mode: Mode) -> tuple[Reference
     if mode is Mode.HILBERT and not any(val is TruthValue.TRUE for m, val in values.items() if not m.is_full()):
         notes = ("state lies in no nontrivial member; containment renders them all false",)
     return ReferenceReport(structure, v, mode, tuple(lat.name for lat in allocated), entries, notes), values
+
+
+@lru_cache(maxsize=None)
+def completed_grid_3() -> tuple[int, Structure]:
+    """The number of rays, and the structure of every orthogonal basis, of
+    grid-3 completed: its 49 rays of C^3 (coprime entries in {0, +-1, +-2},
+    the first nonzero one positive) and the primitive cross product of each
+    orthogonal pair, in basis order.  Each ray's projector is built once."""
+    def canonical(v):
+        g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
+        return tuple(x // g for x in v)
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    rays = [v for v in product((0, 1, -1, 2, -2), repeat=3) if any(v) and canonical(v) == v]
+    for (a1, a2, a3), (b1, b2, b3) in [(u, v) for u, v in combinations(rays, 2) if dot(u, v) == 0]:
+        c = canonical((a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1))
+        if c not in rays:
+            rays.append(c)
+    atoms = [projector_onto(Subspace.span_of([v], 3), name=f"r{i + 1}") for i, v in enumerate(rays)]
+    orthogonal = {(a, b) for a, b in combinations(range(len(rays)), 2) if dot(rays[a], rays[b]) == 0}
+    bases = [t for t in combinations(range(len(rays)), 3) if orthogonal.issuperset(combinations(t, 2))]
+    return len(rays), Structure([validate_context(f"C{i + 1}", [atoms[a] for a in t]) for i, t in enumerate(bases)])

@@ -28,6 +28,13 @@ MUTANTS = [
     ("linalg.py", "p, q, m = d * a, d * b, a * a + b * b", "p, q, m = d * a, -d * b, a * a + b * b"),
     ("linalg.py", "p * e + q * c", "p * e - q * c"),
     ("linalg.py", "if b or a != d:  # the leading entry is not 1", "if b:"),
+    # The scalar operators and matrix products, one formula each.
+    ("linalg.py", "b * f + e * d", "b * f - e * d"),
+    ("linalg.py", "a * e + b * c", "a * e - b * c"),
+    ("linalg.py", "self + -other", "self + other"),
+    ("linalg.py", "other.inverse()", "other.conjugate()"),
+    ("linalg.py", "_dot(r, c)", "_dot(r, c, -1)"),
+    ("linalg.py", "_dot(r, v)", "_dot(r, v, -1)"),
     # Output bytes and valuation.
     ("linalg.py", 'sep = "" if b < 0 else "+"', 'sep = "+"'),
     ("hasse.py", "HasseGraph(tuple(nodes), tuple(edges))", "HasseGraph(tuple(nodes), tuple(reversed(edges)))"),

@@ -6,9 +6,7 @@ import json
 import random
 import sys
 import time
-from functools import lru_cache
-from itertools import combinations, product
-from math import gcd, prod
+from math import prod
 
 import pytest
 
@@ -16,6 +14,7 @@ from helpers import (
     atom_range_lists,
     brute_force_coloring_count,
     brute_force_colorings,
+    completed_grid_3,
     forced_coloring,
     random_structure,
     reference_ks_dict,
@@ -212,7 +211,7 @@ def test_ks_search_matches_brute_force_in_order(qubit, cabello):
     # bases of completed grid-3, each sharing a ray with an earlier pick, in
     # shuffled order: a choice can leave a context ahead no atom before the
     # search reaches it
-    completed = _completed_grid_3()[1].contexts
+    completed = completed_grid_3()[1].contexts
     for k in [rng.randint(3, 7) for _ in range(12)]:
         picks = [rng.choice(completed)]
         while len(picks) < k:
@@ -274,35 +273,11 @@ def _ray_contexts(bases, prefix: str = "C") -> list:
     ]
 
 
-@lru_cache(maxsize=None)
-def _completed_grid_3() -> tuple[int, Structure]:
-    """The number of rays, and the structure of every orthogonal basis, of
-    grid-3 completed: its 49 rays of C^3 (coprime entries in {0, +-1, +-2},
-    the first nonzero one positive) and the primitive cross product of each
-    orthogonal pair, in basis order.  Each ray's projector is built once."""
-    def canonical(v):
-        g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
-        return tuple(x // g for x in v)
-
-    def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
-
-    rays = [v for v in product((0, 1, -1, 2, -2), repeat=3) if any(v) and canonical(v) == v]
-    for (a1, a2, a3), (b1, b2, b3) in [(u, v) for u, v in combinations(rays, 2) if dot(u, v) == 0]:
-        c = canonical((a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1))
-        if c not in rays:
-            rays.append(c)
-    atoms = [projector_onto(Subspace.span_of([v], 3), name=f"r{i + 1}") for i, v in enumerate(rays)]
-    orthogonal = {(a, b) for a, b in combinations(range(len(rays)), 2) if dot(rays[a], rays[b]) == 0}
-    bases = [t for t in combinations(range(len(rays)), 3) if orthogonal.issuperset(combinations(t, 2))]
-    return len(rays), Structure([validate_context(f"C{i + 1}", [atoms[a] for a in t]) for i, t in enumerate(bases)])
-
-
 def test_ks_search_finds_no_coloring_of_completed_grid_3():
     # a Kochen-Specker set where many prefixes agree with every context
     # passed while a context ahead already holds two of their true rays; a
     # search testing each choice in its own context alone filled any memory cap
-    rays, structure = _completed_grid_3()
+    rays, structure = completed_grid_3()
     assert (rays, len(structure.contexts)) == (109, 86)
     start = time.perf_counter()
     assert ks_search(structure) == []

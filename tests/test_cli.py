@@ -197,6 +197,23 @@ def test_validate_checks_what_only_resembles_a_validated_matrix(capsys, tmp_path
     assert err == f"error: contexts[1].projectors[0].{location}\n"
 
 
+def test_validate_rejects_non_ascii_digit(capsys, tmp_path):
+    # "١" is ARABIC-INDIC DIGIT ONE: once read as 1, so the file validated
+    data = structure_to_dict(builtin_structure("pauli-qubit"))
+    data["contexts"][0]["projectors"][0]["matrix"][0][0] = "١"
+    path = tmp_path / "digit.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: contexts[0].projectors[0].matrix[0][0]: expected imaginary unit 'i' (position 0 in '١')\n"
+
+
+def test_state_rejects_non_ascii_digit(capsys):
+    code, out, err = run(capsys, "eval", "--dataset", "pauli-qubit", "--state", "١,0", "--mode", "invariant")
+    assert (code, out) == (1, "")
+    assert err == "error: --state component 1: expected imaginary unit 'i' (position 0 in '١')\n"
+
+
 def test_validate_names_empty_literal(capsys, tmp_path):
     data = structure_to_dict(builtin_structure("pauli-qubit"))
     data["contexts"][0]["projectors"][0]["matrix"][0][1] = ""
@@ -825,6 +842,36 @@ def test_eval_and_hasse_hash_no_scalar(capsys, tmp_path, monkeypatch):
     # e1 and its complement are members of both lattices, each one node
     assert '"D.1" [label="1" tooltip="D:1 E:1"' in outs[3]
     assert '"D.2+3" [label="2+3" tooltip="D:2+3 E:2+3"' in outs[3]
+
+
+def test_commands_call_no_scalar_arithmetic(capsys, tmp_path, monkeypatch):
+    # Every command runs on atom masks and the scalars' integer triples, so
+    # the operators are library API only: with each of them refused, every
+    # call prints what it printed before.  The exported file is written
+    # first, because building a projector does call them.
+    cabello = tmp_path / "cabello.json"
+    cabello.write_text(json.dumps(structure_to_dict(builtin_structure("cabello-3"))))
+    argvs = []
+    for path, state in ((str(cabello), "0,0,0,1"), (ROTATED, "1,-2+2i,-1/2+2i,1/2+i")):
+        scopes = ["all"] + [c.name for c in load_structure(path).contexts]
+        argvs += [["validate", path]] + [["lattice", path, "--format", f] for f in ("text", "structured")]
+        for command in ("eval", "admissibility"):
+            for mode in ("invariant", "hilbert"):
+                argvs += [[command, path, "--state", state, "--mode", mode, "--format", f]
+                          for f in ("text", "structured")]
+        argvs += [["hasse", path, "--state", state, "--mode", "invariant", "--scope", s] for s in scopes]
+        argvs += [["ks-search", path, "--format", f] for f in ("text", "structured")]
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 and err == "" for code, _, err in expected)
+
+    def refuse(*args):
+        raise AssertionError("a scalar operator was called")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                 "__rtruediv__", "inverse", "__neg__", "conjugate"):
+        monkeypatch.setattr(GaussianRational, name, refuse)
+    for argv, before in zip(argvs, expected):
+        assert run(capsys, *argv) == before, argv
 
 
 def test_hasse_failure_leaves_no_file(capsys, tmp_path):

@@ -96,6 +96,11 @@ def test_round_trip_corpus():
         ("--1", 0),
         ("1.5", 1),
         ("1 + i", 1),
+        # digits are ASCII: any other decimal digit is not a numeral
+        ("\u0663", 0),
+        ("1\u0662", 1),
+        ("1/\u0662", 1),
+        ("1+\uff12i", 2),
     ],
 )
 def test_syntax_errors_report_position(text, position):
