@@ -26,6 +26,7 @@ from .contexts import Structure, structure_from_dict, structure_to_dict
 from .datasets import builtin_structure, dataset_names
 from .hasse import emit_dot
 from .linalg import parse_scalar
+from .subspaces import _Literals
 from .valuation import (
     Mode,
     evaluate_structure,
@@ -146,17 +147,19 @@ def _formatted(fmt: str, to_text, to_dict, *objects) -> str:
 
 
 def _lattices_to_text(lattices) -> str:
+    literals = _Literals()  # one per call: each distinct entry is rendered once
     return "".join(
         f"lattice {lat.name}: {len(lat.members)} members\n"
-        + "".join(f"  {label} = {member}\n" for member, label in zip(lat.members, lat.labels()))
+        + "".join(f"  {label} = {literals.text(m.basis)}\n" for m, label in zip(lat.members, lat.labels()))
         for lat in lattices
     )
 
 
 def _lattices_to_dict(lattices) -> dict:
+    literals = _Literals()
     return {
         lat.name: [
-            {"label": label, "dim": m.dim, "basis": m.basis_literals()}
+            {"label": label, "dim": m.dim, "basis": literals.rows(m.basis)}
             for m, label in zip(lat.members, lat.labels())
         ]
         for lat in lattices

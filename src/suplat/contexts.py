@@ -19,9 +19,9 @@ from functools import cached_property
 
 from .frozen import Frozen, setfield
 from .linalg import DimensionMismatchError, ExactMatrix, _insert_rows, _is_orthogonal
-from .linalg import as_scalar, format_scalar, parse_scalar
+from .linalg import as_scalar, parse_scalar
 from .operators import Projector, ProjectorError, validate_projector
-from .subspaces import Subspace, _sort_order
+from .subspaces import Subspace, _Literals, _sort_order
 
 
 class ContextError(ValueError):
@@ -175,9 +175,17 @@ class InvariantLattice:
             raise KeyError(s)
         return self.masks.index(self.context.support(s))
 
+    @cached_property
+    def mask_labels(self) -> list[str]:
+        """Each member's label by atom mask, built by doubling: that of ``m | 1 << a`` is m's plus ``+<a+1>``."""
+        labels = ["0"]
+        for top in map(str, range(1, len(self.context.atoms) + 1)):
+            labels += [top] + [f"{label}+{top}" for label in labels[1:]]
+        return labels
+
     def labels(self) -> list[str]:
         """Every member's label, in member order."""
-        return [_mask_label(m) for m in self.masks]
+        return list(map(self.mask_labels.__getitem__, self.masks))
 
 
 def _mask_label(mask: int) -> str:
@@ -287,21 +295,13 @@ def allocated_lattices(structure: Structure, state) -> list[InvariantLattice]:
 
 def structure_to_dict(structure: Structure) -> dict:
     """Serializable description; inverse of :func:`structure_from_dict`."""
+    literals = _Literals()
     return {
         "dimension": structure.ambient_dim,
         "contexts": [
             {
                 "name": c.name,
-                "projectors": [
-                    {
-                        "name": p.name,
-                        "matrix": [
-                            [format_scalar(p.matrix.entry(i, j)) for j in range(p.dimension)]
-                            for i in range(p.dimension)
-                        ],
-                    }
-                    for p in c.atoms
-                ],
+                "projectors": [{"name": p.name, "matrix": literals.rows(p.matrix)} for p in c.atoms],
             }
             for c in structure.contexts
         ],

@@ -105,17 +105,20 @@ def build_graph(report: ValuationReport, scope: str) -> HasseGraph:
         spans.append((i, keys))
         for member, mask in zip(lat.members, lat.masks):
             first.setdefault(keys[mask], (i, mask, member))
-    node_keys = list(first)
-    node_keys = [node_keys[j] for j in _sort_order([first[s][2] for s in node_keys])]
+    node_keys = list(first)  # one lattice's members are in member order, each with its own key
+    if len(in_scope) > 1:
+        node_keys = [node_keys[j] for j in _sort_order([first[s][2] for s in node_keys])]
     position = {s: j for j, s in enumerate(node_keys)}
+    labels = {o: contexts[o].lattice.mask_labels for o in in_scope}  # other contexts' lattices stay unbuilt
     nodes, edges = [], []
     for j, s in enumerate(node_keys):
         i, mask, member = first[s]
         parts = [(s >> offset) & ((1 << len(c.atoms)) - 1) for c, offset in zip(contexts, offsets)]
         memberships = tuple(
-            f"{c.name}:{_mask_label(part)}" for c, part in zip(contexts, parts) if c.rank(part) == member.dim
+            f"{c.name}:{labels[o][part] if o in labels else _mask_label(part)}"
+            for o, (c, part) in enumerate(zip(contexts, parts)) if c.rank(part) == member.dim
         )
-        label = _mask_label(mask)
+        label = labels[i][mask]
         shared = len(memberships) >= 2 and not member.is_zero() and not member.is_full()
         truth = report.value(i, mask)
         nodes.append(HasseNode(f"{contexts[i].name}.{label}", member, label, truth, shared, memberships))

@@ -10,7 +10,7 @@ The scalar operators are the library's numeric protocol; no command calls them.
 from __future__ import annotations
 
 import re
-from math import gcd, lcm
+from math import gcd
 from numbers import Rational
 
 
@@ -196,8 +196,9 @@ def _read_imag_tail(text: str, pos: int) -> tuple[int, int, int]:
     # imaginary part: optional rational coefficient, then the unit "i"
     rat = _read_rational(text, pos)
     num, den, p = (1, 1, pos) if rat is None else rat
-    if p >= len(text) or text[p] != "i":
-        raise ScalarSyntaxError(text, p, "expected imaginary unit 'i'")
+    if text[p : p + 1] != "i":
+        expected = "a number or imaginary unit 'i'" if rat is None else "imaginary unit 'i'"
+        raise ScalarSyntaxError(text, p, f"expected {expected}")
     return num, den, p + 1
 
 
@@ -262,21 +263,6 @@ def format_scalar(value: GaussianRational) -> str:
         return imag
     sep = "" if b < 0 else "+"
     return _format_rational(a, d) + sep + imag
-
-
-def _integer_entry_keys(matrices) -> list[tuple[int, ...]]:
-    """Each matrix's entries as the ints ``a*L/d, b*L/d``, row by row.
-
-    ``L`` is the lcm of every denominator in the set.  Scaling by one
-    positive L keeps the order of real parts and of imaginary parts, so
-    among matrices of one shape these keys order the matrices by their
-    entries row by row, each entry by its real part and then its
-    imaginary part, with no Fraction built or compared.
-    """
-    dens = {e._d for m in matrices for e in m.entries}
-    common = lcm(*dens)
-    scale = {d: common // d for d in dens}
-    return [tuple([x for e in m.entries for x in (e._a * scale[e._d], e._b * scale[e._d])]) for m in matrices]
 
 
 def _is_hermitian(entries, n: int) -> bool:

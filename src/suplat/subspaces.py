@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import compress, count
+from math import lcm
+from operator import attrgetter
 
 from .frozen import Frozen, setfield
 from .linalg import (
@@ -19,7 +21,7 @@ from .linalg import (
     ExactMatrix,
     GaussianRational,
     _insert_rows,
-    _integer_entry_keys,
+    _triple,
     format_scalar,
 )
 
@@ -77,7 +79,7 @@ class Subspace(Frozen):
 
     def basis_literals(self) -> list[list[str]]:
         """Basis rows rendered as canonical scalar literals."""
-        return [[format_scalar(e) for e in row] for row in self.basis.row_list()]
+        return _Literals().rows(self.basis)
 
     def _require_same_ambient(self, other: Subspace) -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -113,20 +115,41 @@ class Subspace(Frozen):
         return self.orthocomplement().join(other.orthocomplement()).orthocomplement()
 
     def __str__(self) -> str:
-        if self.dim == 0:
-            return "{0}"
-        rows = ", ".join(
-            "(" + ", ".join(format_scalar(e) for e in row) + ")" for row in self.basis.row_list()
-        )
-        return "span{" + rows + "}"
+        return _Literals().text(self.basis)
+
+
+class _Literals(dict):
+    """Canonical literals by triple ``(a, b, d)``, each rendered on its first lookup, and
+    the basis renderers that read them: one table renders each distinct entry once."""
+
+    def __missing__(self, key: tuple[int, int, int]) -> str:
+        text = self[key] = format_scalar(_triple(*key))
+        return text
+
+    def rows(self, basis: ExactMatrix) -> list[list[str]]:
+        n, keys = basis.cols, list(map(attrgetter("_a", "_b", "_d"), basis.entries))
+        return [list(map(self.__getitem__, keys[k : k + n])) for k in range(0, len(keys), n)]
+
+    def text(self, basis: ExactMatrix) -> str:
+        rows = ", ".join("(" + ", ".join(row) + ")" for row in self.rows(basis))
+        return "span{" + rows + "}" if rows else "{0}"
 
 
 def _sort_order(subspaces: Sequence[Subspace]) -> list[int]:
-    """Indices that sort the subspaces by dimension, then by basis entries.
-
-    Entries are compared row by row, each by its real part and then its
-    imaginary part; the sort is stable, so equal subspaces keep their
-    input order.
+    """Indices that sort subspaces of one ambient dimension by dimension, then by basis
+    entries row by row, each by its real and then its imaginary part; ties keep input order.
+    The key is the dimension, then ``1, -x, re, im`` for each nonzero entry at flat index x
+    with ``(re, im) > (0, 0)`` and ``-1, x, re, im`` for the others (parts scaled to ints by
+    the lcm of the set's denominators), then ``0``: the first index where two bases differ
+    decides by the sign there, and a key's end sits between the signs, as a missing entry is 0.
     """
-    keys = _integer_entry_keys([s.basis for s in subspaces])
-    return sorted(range(len(keys)), key=lambda i: (subspaces[i].dim, keys[i]))
+    common = lcm(*{e._d for s in subspaces for e in s.basis.entries})
+    keys = []
+    for s in subspaces:
+        key = [s.dim]
+        for x, e in enumerate(s.basis.entries):
+            if e._a or e._b:
+                a, b = e._a * common // e._d, e._b * common // e._d
+                key += (1, -x, a, b) if a > 0 or a == 0 and b > 0 else (-1, x, a, b)
+        keys.append(key + [0])
+    return sorted(range(len(keys)), key=keys.__getitem__)

@@ -26,7 +26,6 @@ from functools import cached_property
 
 from .contexts import (
     Structure,
-    _mask_label,
     allocates,
     is_lattice_member,
     normalize_state,
@@ -94,7 +93,7 @@ class ValuationReport(Frozen):
     def entries(self) -> Mapping[str, TruthValue]:
         """Every member's value by name, in lattice and member order."""
         return {
-            f"{lat.name}.{_mask_label(mask)}": self.value(i, mask)
+            f"{lat.name}.{lat.mask_labels[mask]}": self.value(i, mask)
             for i, lat in enumerate(self.structure.lattices)
             for mask in lat.masks
         }

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from suplat.contexts import (
     Context,
@@ -109,6 +109,20 @@ def reference_sort_key(s: Subspace) -> tuple:
     row by row, each by its real part and then its imaginary part.  The
     oracle for the integer keys of :func:`suplat.subspaces._sort_order`."""
     return (s.dim, tuple((e.real, e.imag) for e in s.basis.entries))
+
+
+def dense_entry_keys(matrices) -> list[tuple[int, ...]]:
+    """Each matrix's entries as the ints ``a*L/d, b*L/d``, row by row, zeros included,
+    with ``L`` the lcm of every denominator in the set: the dense key that the sparse
+    key of :func:`suplat.subspaces._sort_order` replaced, kept as its oracle."""
+    common = lcm(*{e._d for m in matrices for e in m.entries})
+    return [tuple(x for e in m.entries for x in (e._a * common // e._d, e._b * common // e._d)) for m in matrices]
+
+
+def dense_sort_order(subspaces) -> list[int]:
+    """Indices that sort the subspaces by dimension, then by their dense keys; stable."""
+    keys = dense_entry_keys([s.basis for s in subspaces])
+    return sorted(range(len(keys)), key=lambda i: (subspaces[i].dim, keys[i]))
 
 
 def reference_rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:

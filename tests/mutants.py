@@ -35,6 +35,11 @@ MUTANTS = [
     ("linalg.py", "other.inverse()", "other.conjugate()"),
     ("linalg.py", "_dot(r, c)", "_dot(r, c, -1)"),
     ("linalg.py", "_dot(r, v)", "_dot(r, v, -1)"),
+    # The member order: the sparse key, and one sort per call.
+    ("subspaces.py", "(1, -x, a, b)", "(1, x, a, b)"),
+    ("subspaces.py", "key + [0]", "key + [2]"),
+    ("subspaces.py", "if a > 0 or a == 0 and b > 0 else", "if a > 0 else"),
+    ("hasse.py", "if len(in_scope) > 1:", "if False:"),
     # Output bytes and valuation.
     ("linalg.py", 'sep = "" if b < 0 else "+"', 'sep = "+"'),
     ("hasse.py", "HasseGraph(tuple(nodes), tuple(edges))", "HasseGraph(tuple(nodes), tuple(reversed(edges)))"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import fractions
 import io
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from suplat import cli, contexts
+from suplat import cli, contexts, hasse, linalg
 from suplat.admissibility import ks_to_text
 from suplat.cli import build_parser, load_structure, main
 from suplat.contexts import structure_to_dict
@@ -205,13 +206,13 @@ def test_validate_rejects_non_ascii_digit(capsys, tmp_path):
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "validate", str(path))
     assert (code, out) == (1, "")
-    assert err == "error: contexts[0].projectors[0].matrix[0][0]: expected imaginary unit 'i' (position 0 in '١')\n"
+    assert err == "error: contexts[0].projectors[0].matrix[0][0]: expected a number or imaginary unit 'i' (position 0 in '١')\n"
 
 
 def test_state_rejects_non_ascii_digit(capsys):
     code, out, err = run(capsys, "eval", "--dataset", "pauli-qubit", "--state", "١,0", "--mode", "invariant")
     assert (code, out) == (1, "")
-    assert err == "error: --state component 1: expected imaginary unit 'i' (position 0 in '١')\n"
+    assert err == "error: --state component 1: expected a number or imaginary unit 'i' (position 0 in '١')\n"
 
 
 def test_validate_names_empty_literal(capsys, tmp_path):
@@ -756,6 +757,51 @@ def test_hasse_scope_builds_only_the_drawn_lattice(capsys, tmp_path, monkeypatch
         built.clear()
         code, out, err = run(capsys, *args)
         assert (code, err, built) == (0, "", ["S1", "S2", "S6"]), args
+
+
+def test_hasse_of_one_context_sorts_no_node(capsys, monkeypatch):
+    # One lattice's members are in member order already, each under its own
+    # key, so only the merged diagram sorts its nodes.
+    sources = [(["--dataset", "cabello-3"], "0,0,0,1", ("S1", "S2", "S6")),
+               ([ROTATED], "1,-2+2i,-1/2+2i,1/2+i", ("A", "B", "C"))]
+    argvs = [
+        ["hasse", *source, "--state", state, "--mode", mode, "--scope", scope]
+        for source, state, scopes in sources for scope in scopes for mode in ("invariant", "hilbert")
+    ]
+    drawn = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(subspaces):
+        raise AssertionError("nodes sorted")
+
+    monkeypatch.setattr(hasse, "_sort_order", refuse)
+    for argv, expected in zip(argvs, drawn):
+        assert expected[0] == 0 and run(capsys, *argv) == expected, argv
+    with pytest.raises(AssertionError, match="nodes sorted"):
+        main(["hasse", ROTATED, "--state", "1,0,0,0", "--mode", "invariant", "--scope", "all"])
+
+
+def test_lattice_formats_each_distinct_entry_once(capsys, tmp_path, monkeypatch):
+    k = 7
+    path = tmp_path / "diag7.json"
+    path.write_text(json.dumps({"dimension": k, "contexts": [
+        {"name": "D", "projectors": _diag_projectors(k, [f"e{i}" for i in range(k)])}]}))
+    argvs = [["lattice", source, "--format", fmt] for source in (ROTATED, str(path)) for fmt in ("text", "structured")]
+    printed = [run(capsys, *argv) for argv in argvs]
+    original = linalg.format_scalar
+    calls = collections.Counter()
+
+    def counting(z):
+        calls[z._a, z._b, z._d] += 1
+        return original(z)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("suplat")]:
+        if getattr(module, "format_scalar", None) is original:
+            monkeypatch.setattr(module, "format_scalar", counting)
+    for argv, expected in zip(argvs, printed):
+        calls.clear()
+        assert expected[0] == 0 and run(capsys, *argv) == expected, argv
+        assert set(calls.values()) == {1}, argv
+    assert set(calls) == {(0, 0, 1), (1, 0, 1)}  # diag-7's 128 members print two distinct entries
 
 
 def test_hasse_of_a_small_context_beside_a_wide_one(capsys, tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from suplat.contexts import (
     StructureError,
     TrivialAtomError,
     ZeroStateError,
+    _mask_label,
     allocated_lattices,
     is_lattice_member,
     shared_members,
@@ -118,6 +119,20 @@ def test_invariant_lattice_rank2_atoms():
     assert len(lattice.members) == 4
     # lexicographic basis order puts span{e3,e4} before span{e1,e2}
     assert lattice.labels() == ["0", "2", "1", "1+2"]
+
+
+def test_label_table_matches_mask_label():
+    # The doubling table names every mask as _mask_label does, one string per mask.
+    for k in range(2, 8):
+        names = [f"e{i}" for i in range(k)]
+        structure = structure_from_dict({"dimension": k, "contexts": [{"name": "D", "projectors": [
+            {"name": name, "matrix": [["1" if r == c == i else "0" for c in range(k)] for r in range(k)]}
+            for i, name in enumerate(names)
+        ]}]})
+        lattice = structure.contexts[0].lattice
+        assert lattice.mask_labels == [_mask_label(m) for m in range(1 << k)]
+        assert lattice.labels() == [_mask_label(m) for m in lattice.masks]
+    assert _mask_label(0b101) == "1+3"
 
 
 def test_lattice_members_in_sort_key_order():

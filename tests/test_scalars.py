@@ -110,6 +110,27 @@ def test_syntax_errors_report_position(text, position):
 
 
 @pytest.mark.parametrize(
+    "text,position,expected",
+    [
+        # neither a number nor "i" where the literal fails
+        ("\u0661", 0, "a number or imaginary unit 'i'"),
+        ("x", 0, "a number or imaginary unit 'i'"),
+        (" 1", 0, "a number or imaginary unit 'i'"),
+        ("-", 0, "a number or imaginary unit 'i'"),
+        ("1+x", 2, "a number or imaginary unit 'i'"),
+        ("1+", 2, "a number or imaginary unit 'i'"),
+        # a number that no "i" follows
+        ("1+2", 3, "imaginary unit 'i'"),
+        ("1-1/2x", 5, "imaginary unit 'i'"),
+    ],
+)
+def test_syntax_error_names_what_was_expected(text, position, expected):
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar(text)
+    assert str(err.value) == f"expected {expected} (position {position} in {text!r})"
+
+
+@pytest.mark.parametrize(
     "text,position",
     [("1+-2i", 2), ("1--2i", 2), ("1+-i", 2), ("1--i", 2), ("1-+2i", 2), ("1++i", 2), ("1/2+-1/2i", 4)],
 )

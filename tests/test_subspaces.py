@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,8 @@ from suplat.linalg import DimensionMismatchError, ExactMatrix, GaussianRational
 from suplat.subspaces import Subspace, _sort_order
 
 from helpers import (
+    dense_sort_order,
+    random_context,
     random_invertible,
     random_scalar,
     random_state,
@@ -212,7 +215,13 @@ def test_sort_key_orders_by_dimension_first():
     assert ordered[1] == span(["0", "1"])
 
 
+def _assert_sparse_order_is_dense_order(items):
+    expected = sorted(range(len(items)), key=lambda i: reference_sort_key(items[i]))
+    assert _sort_order(items) == dense_sort_order(items) == expected
+
+
 def test_integer_sort_order_matches_sort_key():
+    # The sparse key orders as the dense oracle and the Fraction oracle do.
     rng = random.Random(1996)
     kinds = set()
     for _ in range(60):
@@ -223,9 +232,39 @@ def test_integer_sort_order_matches_sort_key():
         kinds.update(f"dim {s.dim}" for s in items)
         kinds.update("complex" for s in items for e in s.basis.entries if e.imag)
         kinds.update("fraction" for s in items for e in s.basis.entries if e.real.denominator > 1)
-        expected = sorted(range(len(items)), key=lambda i: reference_sort_key(items[i]))
-        assert _sort_order(items) == expected
-    assert {"dim 1", "dim 2", "complex", "fraction"} <= kinds
+        _assert_sparse_order_is_dense_order(items)
+    # Members of random contexts, shuffled, with repeats: atoms of rank 1-3
+    # and dense complex entries.
+    for _ in range(40):
+        context = random_context(rng, rng.randint(2, 6), "A")
+        kinds.update(f"rank {p.rank}" for p in context.atoms)
+        items = list(context.lattice.members)
+        items += rng.sample(items, min(3, len(items)))
+        rng.shuffle(items)
+        _assert_sparse_order_is_dense_order(items)
+    assert {"dim 1", "dim 2", "complex", "fraction", "rank 1", "rank 2", "rank 3"} <= kinds
+    # Parts near 10^30 over mixed denominators, some of them near 10^30 too.
+    big = 10**30
+    for _ in range(40):
+        def part():
+            return Fraction(rng.choice((1, -1)) * (big + rng.randint(-2, 2)), rng.choice((1, 2, 3, 7, big + 1)))
+
+        items = [
+            span(*[[GaussianRational(part(), part()) if rng.random() < 0.7 else 0 for _ in range(3)]
+                   for _ in range(rng.randint(1, 2))])
+            for _ in range(8)
+        ]
+        _assert_sparse_order_is_dense_order(items + items[:2])
+    # The sign boundary (re == 0, im of either sign) against zero and against
+    # each other, and same-dimension bases whose nonzeros are a prefix of
+    # another's, so a key's end meets an entry of either sign.
+    boundary = ["0", "i", "-i", "1/2i", "-1/3i", "1", "-1", "1+i", "-1-i", "1-i", "-1+i"]
+    items = [span(["1", x, y]) for x in boundary for y in boundary]
+    items += [span(["1", "0", "0"], ["0", "1", x]) for x in boundary]
+    items += [span(["0", "1", x]) for x in boundary]
+    for _ in range(20):
+        rng.shuffle(items)
+        _assert_sparse_order_is_dense_order(items)
     assert _sort_order([]) == []
 
 
