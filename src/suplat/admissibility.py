@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from enum import Enum
 
 from .contexts import Structure
-from .frozen import Frozen, setfield
+from .frozen import Frozen
 from .valuation import TruthValue, ValuationReport
 
 
@@ -55,16 +55,6 @@ def rule2_status(values: Sequence[TruthValue]) -> RuleStatus:
 class ContextAdmissibility(Frozen):
     __slots__ = ("context", "true_count", "false_count", "gap_count", "rule1", "rule2")
 
-    def __init__(
-        self, context: str, true_count: int, false_count: int, gap_count: int, rule1: RuleStatus, rule2: RuleStatus
-    ) -> None:
-        setfield(self, "context", context)
-        setfield(self, "true_count", true_count)
-        setfield(self, "false_count", false_count)
-        setfield(self, "gap_count", gap_count)
-        setfield(self, "rule1", rule1)
-        setfield(self, "rule2", rule2)
-
     @property
     def no_true_atom(self) -> bool:
         """All atoms bivalent but none true; flagged rather than judged."""
@@ -73,9 +63,6 @@ class ContextAdmissibility(Frozen):
 
 class AdmissibilityReport(Frozen):
     __slots__ = ("per_context",)
-
-    def __init__(self, per_context: tuple[ContextAdmissibility, ...]) -> None:
-        setfield(self, "per_context", per_context)
 
     @property
     def rule1_ok(self) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .frozen import Frozen, setfield
+from .frozen import Frozen
 from .linalg import DimensionMismatchError, ExactMatrix, _insert_rows, _is_orthogonal
 from .linalg import as_scalar, parse_scalar
 from .operators import Projector, ProjectorError, validate_projector
@@ -60,10 +60,6 @@ class Context(Frozen):
     """A named resolution of the identity into orthogonal nontrivial atoms."""
 
     __slots__ = ("name", "atoms", "__dict__")
-
-    def __init__(self, name: str, atoms: tuple[Projector, ...]) -> None:
-        setfield(self, "name", name)
-        setfield(self, "atoms", atoms)
 
     @property
     def dimension(self) -> int:

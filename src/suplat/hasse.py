@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from itertools import accumulate
 
 from .contexts import _mask_label
-from .frozen import Frozen, setfield
+from .frozen import Frozen
 from .subspaces import Subspace, _sort_order
 from .valuation import TruthValue, ValuationReport
 
@@ -33,24 +33,9 @@ class UnknownScopeError(ValueError):
 class HasseNode(Frozen):
     __slots__ = ("node_id", "subspace", "label", "truth", "shared", "memberships")
 
-    def __init__(
-        self, node_id: str, subspace: Subspace, label: str, truth: TruthValue, shared: bool,
-        memberships: tuple[str, ...],
-    ) -> None:
-        setfield(self, "node_id", node_id)
-        setfield(self, "subspace", subspace)
-        setfield(self, "label", label)
-        setfield(self, "truth", truth)
-        setfield(self, "shared", shared)
-        setfield(self, "memberships", memberships)
-
 
 class HasseGraph(Frozen):
     __slots__ = ("nodes", "edges")
-
-    def __init__(self, nodes: tuple[HasseNode, ...], edges: tuple[tuple[int, int], ...]) -> None:
-        setfield(self, "nodes", nodes)
-        setfield(self, "edges", edges)
 
 
 def transitive_reduction(members: Sequence[Subspace]) -> list[tuple[int, int]]:
@@ -153,18 +138,19 @@ def render_dot(graph: HasseGraph, name: str, cluster: str | None = None) -> str:
         lines.append(f"  subgraph {_quote('cluster_' + cluster)} {{")
         lines.append(f"    label={_quote(cluster)};")
         indent = "    "
-    for node in graph.nodes:
+    ids = [_quote(node.node_id) for node in graph.nodes]
+    for node, node_id in zip(graph.nodes, ids):
         attrs = [f"label={_quote(node.label)}"]
         if cluster is None:
             attrs.append(f"tooltip={_quote(' '.join(node.memberships))}")
         attrs.append(_TRUTH_STYLE[node.truth])
         if node.shared:
             attrs.append("color=grey penwidth=3")
-        lines.append(f'{indent}{_quote(node.node_id)} [{" ".join(attrs)}];')
+        lines.append(f'{indent}{node_id} [{" ".join(attrs)}];')
     if cluster is not None:
         lines.append("  }")
     for i, j in graph.edges:
-        lines.append(f"  {_quote(graph.nodes[i].node_id)} -> {_quote(graph.nodes[j].node_id)};")
+        lines.append(f"  {ids[i]} -> {ids[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

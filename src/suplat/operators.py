@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .frozen import Frozen, setfield
+from .frozen import Frozen
 from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _insert_rows, _is_hermitian, _reduced
 from .subspaces import Subspace
 
@@ -35,19 +35,6 @@ class Projector(Frozen):
     """
 
     __slots__ = ("name", "matrix", "range")
-
-    def __init__(self, name: str, matrix: ExactMatrix, range: Subspace) -> None:
-        setfield(self, "name", name)
-        setfield(self, "matrix", matrix)
-        setfield(self, "range", range)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name, self.matrix, self.range) == (other.name, other.matrix, other.range)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.matrix, self.range))
 
     @property
     def rank(self) -> int:

@@ -15,7 +15,7 @@ from itertools import compress, count
 from math import lcm
 from operator import attrgetter
 
-from .frozen import Frozen, setfield
+from .frozen import Frozen
 from .linalg import (
     DimensionMismatchError,
     ExactMatrix,
@@ -30,18 +30,6 @@ class Subspace(Frozen):
     """A subspace of C^ambient_dim; ``basis`` rows are an RREF spanning set."""
 
     __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis: ExactMatrix) -> None:
-        setfield(self, "ambient_dim", ambient_dim)
-        setfield(self, "basis", basis)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.ambient_dim, self.basis) == (other.ambient_dim, other.basis)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
 
     @staticmethod
     def span_of(vectors, ambient_dim: int) -> Subspace:

@@ -31,8 +31,8 @@ from .contexts import (
     normalize_state,
     state_supports,
 )
-from .frozen import Frozen, setfield
-from .linalg import DimensionMismatchError, GaussianRational, format_scalar
+from .frozen import Frozen
+from .linalg import DimensionMismatchError, format_scalar
 from .subspaces import Subspace
 
 
@@ -63,14 +63,6 @@ class ValuationReport(Frozen):
     __slots__ = ("structure", "state", "mode", "supports", "__dict__")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self, structure: Structure, state: tuple[GaussianRational, ...], mode: Mode, supports: tuple[int, ...]
-    ) -> None:
-        setfield(self, "structure", structure)
-        setfield(self, "state", state)
-        setfield(self, "mode", mode)
-        setfield(self, "supports", supports)
 
     @cached_property
     def _allocated(self) -> tuple[int, ...]:

@@ -45,6 +45,10 @@ MUTANTS = [
     ("hasse.py", "HasseGraph(tuple(nodes), tuple(edges))", "HasseGraph(tuple(nodes), tuple(reversed(edges)))"),
     ("admissibility.py", "{i + 1}\" for i in range(len(ctx.atoms))", "{i + 1}\" for i in reversed(range(len(ctx.atoms)))"),
     ("valuation.py", ") == context.rank(mask)", ") >= context.rank(mask)"),
+    ("hasse.py", "{ids[i]} -> {ids[j]}", "{ids[i]} -> {ids[i]}"),
+    # The value types' one constructor.
+    ("frozen.py", "zip(fields, values)", "zip(reversed(fields), values)"),
+    ("frozen.py", "if named or len(values) != len(fields):", "if named:"),
 ]
 
 

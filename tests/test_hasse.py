@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from suplat import hasse
 from suplat.contexts import Context, Structure, validate_context
 from suplat.hasse import (
     HasseGraph,
@@ -198,3 +199,18 @@ def test_edges_point_upward(cabello):
     for i, j in graph.edges:
         assert graph.nodes[i].subspace.dim < graph.nodes[j].subspace.dim
         assert graph.nodes[i].subspace.is_subspace_of(graph.nodes[j].subspace)
+
+
+def test_dot_quotes_each_node_id_once(cabello, monkeypatch):
+    calls = []
+    quote = hasse._quote
+    monkeypatch.setattr(hasse, "_quote", lambda text: calls.append(text) or quote(text))
+    report = evaluate_structure(cabello, ["0", "0", "0", "1"], Mode.INVARIANT)
+    # Per node: the id and the label, plus the tooltip outside a cluster.
+    # Fixed: the graph name, plus the cluster's name and label.
+    for scope, per_node, fixed in (("S1", 2, 3), ("all", 3, 1)):
+        graph = build_graph(report, scope)
+        assert len(graph.edges) > len(graph.nodes)
+        calls.clear()
+        emit_dot(report, scope)
+        assert len(calls) <= per_node * len(graph.nodes) + fixed

@@ -9,6 +9,7 @@ import pytest
 
 from suplat.admissibility import AdmissibilityReport, ContextAdmissibility, RuleStatus, check_admissibility
 from suplat.contexts import Context
+from suplat.frozen import Frozen
 from suplat.hasse import HasseGraph, HasseNode, build_graph
 from suplat.operators import Projector, projector_onto
 from suplat.subspaces import Subspace
@@ -90,3 +91,34 @@ def test_context_admissibility_takes_keywords():
     )
     assert row == ContextAdmissibility("S1", 1, 3, 0, RuleStatus.SATISFIED, RuleStatus.SATISFIED)
     assert row != ContextAdmissibility("S1", 1, 3, 0, RuleStatus.SATISFIED, RuleStatus.VACUOUS)
+
+
+def test_slots_are_the_only_list_of_fields():
+    assert set(Frozen.__subclasses__()) == set(FIELDS)
+    for kind, fields in FIELDS.items():
+        assert fields == tuple(name for name in kind.__slots__ if name != "__dict__")
+        assert "__init__" not in vars(kind)
+        by_identity = kind is ValuationReport
+        assert ("__eq__" in vars(kind), "__hash__" in vars(kind)) == (by_identity, by_identity)
+
+
+@pytest.mark.parametrize("kind", list(FIELDS), ids=lambda kind: kind.__name__)
+def test_misfit_fields_raise_before_any_is_set(kind, cabello):
+    a = _pairs(cabello)[kind][0]
+    fields = FIELDS[kind]
+    values = tuple(getattr(a, name) for name in fields)
+    named = dict(zip(fields, values))
+    assert a.__reduce__() == (kind, values)
+    assert repr(a).startswith(f"{kind.__qualname__}({fields[0]}=")
+    misfits = [
+        (values[:-1], {}),  # missing, by position
+        ((), {name: named[name] for name in fields[1:]}),  # missing, by name
+        ((*values, values[0]), {}),  # extra positional value
+        (values, {"colour": values[0]}),  # unknown name
+        (values[:1], named),  # the first field by position and by name
+    ]
+    for args, kwargs in misfits:
+        blank = kind.__new__(kind)
+        with pytest.raises(TypeError, match=f"^{kind.__qualname__} takes the fields {', '.join(fields)} "):
+            blank.__init__(*args, **kwargs)
+        assert not any(hasattr(blank, name) for name in fields)
