@@ -4,7 +4,8 @@ A scalar is a Gaussian rational ``(a + b*i) / d`` held as three arbitrary-precis
 in lowest terms.  Everything downstream (echelon forms, ranks, null spaces) is computed
 exactly, so canonical forms are unique and equality is structural.  No tolerances
 anywhere.  Row elimination reads the triples, so each entry it changes is one new scalar.
-The scalar operators are the library's numeric protocol; no command calls them.
+The scalar operators are the library's numeric protocol; no command on a structure file
+calls them, though building a ``--dataset`` structure's projectors does.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ class GaussianRational:
     scalars always have identical representations.  The operators are the
     library's numeric protocol, one formula each on the triples: ``+``,
     ``*`` and ``inverse`` reduce once, ``-`` adds the negation and ``/``
-    multiplies by the inverse.  No command calls them: the commands read
-    the triples.  ``real`` and ``imag`` are read-only Fraction views.
+    multiplies by the inverse.  No command on a structure file calls them:
+    the commands read the triples.  Only building a built-in dataset's
+    projectors does.  ``real`` and ``imag`` are read-only Fraction views.
     """
 
     __slots__ = ("_a", "_b", "_d")

@@ -457,25 +457,43 @@ def reference_report(structure: Structure, state, mode: Mode) -> tuple[Reference
     return ReferenceReport(structure, v, mode, tuple(lat.name for lat in allocated), entries, notes), values
 
 
+def _canonical(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive integer ray through v whose first nonzero entry is positive."""
+    g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _grid_3_rays() -> list[tuple[int, int, int]]:
+    """grid-3's 49 rays of C^3: coprime entries in {0, +-1, +-2}, the first nonzero one positive."""
+    return [v for v in product((0, 1, -1, 2, -2), repeat=3) if any(v) and _canonical(v) == v]
+
+
+def _ray_structure(rays: list[tuple[int, ...]]) -> tuple[int, Structure]:
+    """The number of rays, and the structure of every orthogonal basis of
+    them, in basis order.  Each ray's projector is built once."""
+    dim = len(rays[0])
+    atoms = [projector_onto(Subspace.span_of([v], dim), name=f"r{i + 1}") for i, v in enumerate(rays)]
+    orthogonal = {(a, b) for a, b in combinations(range(len(rays)), 2) if _dot(rays[a], rays[b]) == 0}
+    bases = [t for t in combinations(range(len(rays)), dim) if orthogonal.issuperset(combinations(t, 2))]
+    return len(rays), Structure([validate_context(f"C{i + 1}", [atoms[a] for a in t]) for i, t in enumerate(bases)])
+
+
+def grid_3() -> tuple[int, Structure]:
+    """grid-3: its 49 rays and 26 orthogonal bases, which have 31104 colorings."""
+    return _ray_structure(_grid_3_rays())
+
+
 @lru_cache(maxsize=None)
 def completed_grid_3() -> tuple[int, Structure]:
-    """The number of rays, and the structure of every orthogonal basis, of
-    grid-3 completed: its 49 rays of C^3 (coprime entries in {0, +-1, +-2},
-    the first nonzero one positive) and the primitive cross product of each
-    orthogonal pair, in basis order.  Each ray's projector is built once."""
-    def canonical(v):
-        g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
-        return tuple(x // g for x in v)
-
-    def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
-
-    rays = [v for v in product((0, 1, -1, 2, -2), repeat=3) if any(v) and canonical(v) == v]
-    for (a1, a2, a3), (b1, b2, b3) in [(u, v) for u, v in combinations(rays, 2) if dot(u, v) == 0]:
-        c = canonical((a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1))
+    """grid-3 completed: its 49 rays and the primitive cross product of each
+    orthogonal pair, 109 rays with 86 bases and no coloring."""
+    rays = _grid_3_rays()
+    for (a1, a2, a3), (b1, b2, b3) in [(u, v) for u, v in combinations(rays, 2) if _dot(u, v) == 0]:
+        c = _canonical((a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1))
         if c not in rays:
             rays.append(c)
-    atoms = [projector_onto(Subspace.span_of([v], 3), name=f"r{i + 1}") for i, v in enumerate(rays)]
-    orthogonal = {(a, b) for a, b in combinations(range(len(rays)), 2) if dot(rays[a], rays[b]) == 0}
-    bases = [t for t in combinations(range(len(rays)), 3) if orthogonal.issuperset(combinations(t, 2))]
-    return len(rays), Structure([validate_context(f"C{i + 1}", [atoms[a] for a in t]) for i, t in enumerate(bases)])
+    return _ray_structure(rays)

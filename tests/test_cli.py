@@ -22,15 +22,17 @@ from suplat import cli, contexts, hasse, linalg
 from suplat.admissibility import ks_to_text
 from suplat.cli import build_parser, load_structure, main
 from suplat.contexts import structure_to_dict
-from suplat.datasets import builtin_structure
+from suplat.datasets import builtin_structure, dataset_names
 from suplat.linalg import ExactMatrix, GaussianRational
 from suplat.subspaces import Subspace
 from suplat.valuation import Mode, report_to_text
 
-from helpers import reference_report
+from helpers import completed_grid_3, grid_3, reference_report
 
 
 GOLDEN = Path(__file__).parent / "golden"
+# A child process's environment, with this checkout's src/ on its path.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 BUILTIN_STATES = (("pauli-qubit", "qubit_state10", "1,0"), ("cabello-3", "cabello_state0001", "0,0,0,1"))
 
 
@@ -146,6 +148,17 @@ def test_validate_locates_damaged_shared_atom(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(path))
     assert (code, out) == (1, "")
     assert err == "error: contexts[1].projectors[0]: projector 'P1': matrix squared differs from the matrix\n"
+
+
+def test_validate_rejects_a_reflection(capsys, tmp_path):
+    # [[1, 0], [0, -1]] is Hermitian with eigenvalues 1 and -1: no projector.
+    data = structure_to_dict(builtin_structure("pauli-qubit"))
+    data["contexts"][0]["projectors"][0]["matrix"] = [["1", "0"], ["0", "-1"]]
+    path = tmp_path / "reflection.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: contexts[0].projectors[0]: projector 'z+': matrix squared differs from the matrix\n"
 
 
 @pytest.mark.parametrize("damage, law", [
@@ -572,6 +585,23 @@ def test_ks_search_matches_golden(capsys, name, fmt, suffix):
     code, out, err = run(capsys, "ks-search", "--dataset", name, "--format", fmt)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{name}_ks_search.{suffix}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--state=0,0,0,1", "--mode", "invariant"],
+    ["admissibility", "--state=0,0,0,1", "--mode", "invariant"],
+    ["hasse", "--state=0,0,0,1", "--mode", "invariant", "--scope", "all"],
+    ["ks-search"],
+], ids=lambda argv: argv[0])
+def test_exported_file_matches_the_dataset(capsys, tmp_path, argv):
+    # S1 and S2 share their first atom: the built-in as one projector, the
+    # loaded file as two equal ones.  Ranges numbered by object identity
+    # once gave 64 colorings from the built-in and 40 from the file.
+    path = tmp_path / "cabello.json"
+    path.write_text(run(capsys, "datasets", "export", "cabello-3")[1])
+    from_file = run(capsys, *argv, str(path))
+    assert from_file[0] == 0 and from_file[2] == ""
+    assert from_file == run(capsys, *argv, "--dataset", "cabello-3")
 
 
 def test_ks_search_structured(capsys):
@@ -1017,12 +1047,11 @@ def test_failed_hasse_write_keeps_the_target(tmp_path):
     out_dir.mkdir()
     target = out_dir / "graph.dot"
     target.write_bytes(b"ORIGINAL CONTENT\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     state = "--state=" + ",".join(["1"] + ["0"] * (k - 1))
     proc = subprocess.run(
         [sys.executable, "-m", "suplat.cli", "hasse", str(path), state, "--mode", "invariant",
          "--scope", "D", "-o", str(target)],
-        capture_output=True, env=env,
+        capture_output=True, env=CHILD_ENV,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192)),
     )
     assert proc.returncode == 1
@@ -1032,26 +1061,195 @@ def test_failed_hasse_write_keeps_the_target(tmp_path):
 
 
 def test_closed_stdout_ends_quietly(tmp_path):
-    # 80 KB to 1.4 MB of output, more than a pipe buffer holds, so a write
-    # after the reader has gone fails.  Unbuffered, stdout's buffer is a raw
-    # file that may take part of a write; the rest must still be written.
+    # Each command's output is cut after one line, and it must write nothing
+    # to stderr.  lattice, eval and hasse write 80 KB to 1.4 MB, more than a
+    # pipe buffer holds, so a write after the reader has gone fails and they
+    # must exit 1; export may end before the reader goes, so it may exit 0 or
+    # 1.  Unbuffered, stdout's buffer is a raw file that may take part of a
+    # write; the rest must still be written.
     k = 12
     path = tmp_path / "diag12.json"
     path.write_text(json.dumps({"dimension": k, "contexts": [{"name": "D", "projectors": _diag_projectors(
         k, [f"e{i}" for i in range(k)])}]}))
     state = "--state=" + ",".join(["1"] + ["0"] * (k - 1))
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    for argv, first_line, unbuffered in (
-        (["lattice"], b"lattice D: 4096 members\n", {}),
-        (["eval", state, "--mode", "invariant"], b"state: 1,0,0,0,0,0,0,0,0,0,0,0\n", {"PYTHONUNBUFFERED": "1"}),
-        (["hasse", state, "--mode", "invariant", "--scope", "D"], b'digraph "D" {\n', {"PYTHONUNBUFFERED": "1"}),
-    ):
-        with subprocess.Popen([sys.executable, "-m", "suplat.cli", argv[0], str(path), *argv[1:]],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, **unbuffered}) as proc:
-            assert proc.stdout.readline() == first_line
-            proc.stdout.close()
-            err = proc.stderr.read()
-        assert (proc.returncode, err) == (1, b""), argv
+    commands = (
+        (["lattice", str(path)], b"lattice D: 4096 members\n", {1}),
+        (["eval", str(path), state, "--mode", "invariant"], b"state: 1,0,0,0,0,0,0,0,0,0,0,0\n", {1}),
+        (["hasse", str(path), state, "--mode", "invariant", "--scope", "D"], b'digraph "D" {\n', {1}),
+        (["datasets", "export", "cabello-3"], b"{\n", {0, 1}),
+    )
+    env = {name: value for name, value in CHILD_ENV.items() if name != "PYTHONUNBUFFERED"}
+    for argv, first_line, codes in commands:
+        with contextlib.ExitStack() as stack:  # the buffered and the unbuffered run side by side
+            runs = [(unbuffered, stack.enter_context(subprocess.Popen(
+                [sys.executable, "-m", "suplat.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**env, **unbuffered},
+            ))) for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"})]
+            for unbuffered, proc in runs:
+                assert proc.stdout.readline() == first_line
+                proc.stdout.close()
+                err = proc.stderr.read()
+                assert (proc.wait() in codes, err) == (True, b""), (argv, unbuffered, proc.returncode)
+
+
+def test_ks_search_lists_the_colorings_of_grid_3(tmp_path):
+    # 4.6 MB of structured output; the whole call, start-up included, has 10 s.
+    rays, structure = grid_3()
+    assert (rays, len(structure.contexts)) == (49, 26)
+    path = tmp_path / "grid3.json"
+    path.write_text(json.dumps(structure_to_dict(structure)))
+    done = subprocess.run([sys.executable, "-m", "suplat.cli", "ks-search", str(path), "--format", "structured"],
+                          capture_output=True, env=CHILD_ENV, timeout=10)
+    assert (done.returncode, done.stderr) == (0, b"")
+    found = json.loads(done.stdout)
+    assert found["count"] == len(found["solutions"]) == 31104
+
+
+def test_ks_search_decides_completed_grid_3_under_a_memory_cap(tmp_path):
+    # The set has no coloring, and the search must say so well inside an
+    # address space of 400000 KiB (what ulimit -v 400000 sets) and 60 s.
+    rays, structure = completed_grid_3()
+    assert (rays, len(structure.contexts)) == (109, 86)
+    path = tmp_path / "completed.json"
+    path.write_text(json.dumps(structure_to_dict(structure)))
+    cap = 400000 * 1024
+    for fmt, expected in (("text", b"solutions: 0\n"), ("structured", b'{\n  "count": 0,\n  "solutions": []\n}\n')):
+        done = subprocess.run(
+            [sys.executable, "-m", "suplat.cli", "ks-search", str(path), "--format", fmt],
+            capture_output=True, env=CHILD_ENV, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert (done.returncode, done.stderr, done.stdout) == (0, b"", expected), fmt
+
+
+# Every command whose output must not depend on the hash seed, with its exit
+# code.  Files are named relative to the working directory, where
+# test_output_is_the_same_under_two_hash_seeds writes them.
+HASH_SEED_COMMANDS = [
+    (0, ["datasets", "list"]),
+    (0, ["datasets", "export", "pauli-qubit"]),
+    (0, ["datasets", "export", "cabello-3"]),
+    (0, ["lattice", "--dataset", "pauli-qubit", "--format", "structured"]),
+    (0, ["validate", "qubit.json"]),
+    (1, ["validate", "signs.json"]),
+    (1, ["validate", "scaled.json"]),
+    (1, ["validate", "reflection.json"]),
+    (1, ["validate", "incomplete.json"]),
+    (1, ["validate", "linebreak.json"]),
+    *[(0, [*argv, source]) for argv in (
+        ["eval", "--mode", "invariant", "--state=0,0,0,1"],
+        ["admissibility", "--mode", "invariant", "--state=0,0,0,1"],
+        ["hasse", "--mode", "invariant", "--scope", "all", "--state=0,0,0,1"],
+        ["ks-search"],
+    ) for source in ("cabello.json", "--dataset=cabello-3")],
+    (0, ["lattice", "--dataset", "cabello-3", "--context", "S1"]),
+    (0, ["eval", "--dataset", "pauli-qubit", "--state", "1,0", "--mode", "invariant"]),
+    (0, ["admissibility", "--dataset", "cabello-3", "--state", "0,0,0,1", "--mode", "invariant"]),
+    (0, ["hasse", "--dataset", "cabello-3", "--state", "0,0,0,1", "--mode", "invariant", "--scope", "all",
+         "-o", "cabello.dot"]),
+    *[(0, ["ks-search", "--dataset", name, "--format", fmt])
+      for fmt in ("text", "structured") for name in ("pauli-qubit", "cabello-3")],
+    (0, ["hasse", "--dataset", "pauli-qubit", "--state", "1,0", "--mode", "invariant", "--scope", "all"]),
+    (0, ["hasse", "--dataset", "cabello-3", "--state", "0,0,0,1", "--mode", "invariant", "--scope", "all"]),
+    (0, ["hasse", "--dataset", "cabello-3", "--state", "0,0,0,1", "--mode", "invariant", "--scope", "S6"]),
+    (0, ["hasse", "--dataset", "pauli-qubit", "--state", "1,0", "--mode", "invariant", "--scope", "Sigma_x"]),
+    (0, ["lattice", "--dataset", "cabello-3", "--context", "S6", "--format", "structured"]),
+    *[(0, [command, "--dataset", name, "--state", state, "--mode", mode, "--format", fmt])
+      for name, state in (("pauli-qubit", "1,0"), ("cabello-3", "0,0,0,1"))
+      for command in ("eval", "admissibility")
+      for mode, fmt in (("hilbert", "text"), ("invariant", "structured"))],
+]
+
+# Prints as JSON each canary set of argv[1] in its iteration order.
+CANARY_CHILD = "import json, sys; json.dump([list(set(names)) for names in json.loads(sys.argv[1])], sys.stdout)"
+
+# Runs the commands of argv[2] through main, each on freshly built datasets
+# as in a new process, and prints as JSON each canary set of argv[1] in its
+# iteration order, then each command's exit code, stdout (and its -o file)
+# and stderr.
+HASH_SEED_CHILD = """
+import contextlib, io, json, sys
+from suplat.cli import main
+from suplat.datasets import builtin_structure
+runs = []
+for argv in json.loads(sys.argv[2]):
+    builtin_structure.cache_clear()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if "-o" in argv:
+        with open(argv[argv.index("-o") + 1], encoding="utf-8") as dot:
+            out.write(dot.read())
+    runs.append([code, out.getvalue(), err.getvalue()])
+json.dump([[list(set(names)) for names in json.loads(sys.argv[1])], runs], sys.stdout)
+"""
+
+
+def canary_orders(canaries, seed):
+    done = subprocess.run(
+        [sys.executable, "-c", CANARY_CHILD, json.dumps(canaries)],
+        capture_output=True, check=True, env=dict(CHILD_ENV, PYTHONHASHSEED=str(seed)),
+    )
+    return json.loads(done.stdout)
+
+
+def seed_that_reorders(canaries):
+    """The first seed from 2 to 20 that iterates every canary set in another order than seed 1."""
+    first = canary_orders(canaries, 1)
+    for seed in range(2, 21):
+        if all(a != b for a, b in zip(first, canary_orders(canaries, seed), strict=True)):
+            return seed
+    raise AssertionError(f"no seed from 2 to 20 reorders every canary set of seed 1: {first}")
+
+
+def test_output_is_the_same_under_two_hash_seeds(capsys, tmp_path):
+    # Seed 1 and the seed chosen here iterate each canary set of compared
+    # names (the datasets, and each one's contexts) in different orders, so
+    # output that follows the order of a set of names differs between the two
+    # children.  The seed is chosen at run time because the hash function,
+    # and so each seed's orders, changes between Python versions.
+    exported = {name: run(capsys, "datasets", "export", name)[1] for name in dataset_names()}
+    reflection = json.loads(exported["pauli-qubit"])
+    scaled, incomplete, linebreak = (json.loads(exported["cabello-3"]) for _ in range(3))
+    reflection["contexts"][0]["projectors"][0]["matrix"] = [["1", "0"], ["0", "-1"]]
+    atom = scaled["contexts"][1]["projectors"][0]
+    atom["matrix"] = [["2" if lit == "1" else lit for lit in row] for row in atom["matrix"]]
+    incomplete["contexts"][1]["projectors"].pop()
+    linebreak["contexts"][1]["name"] = "S\n2"
+    files = {
+        "qubit.json": exported["pauli-qubit"],
+        "cabello.json": exported["cabello-3"],
+        "signs.json": exported["pauli-qubit"].replace('"-1/2i"', '"0+-1/2i"'),
+        "reflection.json": json.dumps(reflection),
+        "scaled.json": json.dumps(scaled),
+        "incomplete.json": json.dumps(incomplete),
+        "linebreak.json": json.dumps(linebreak),
+    }
+    canaries = [dataset_names(), *([c.name for c in builtin_structure(name).contexts] for name in dataset_names())]
+    seeds = (1, seed_that_reorders(canaries))
+    child_argv = [sys.executable, "-c", HASH_SEED_CHILD, json.dumps(canaries),
+                  json.dumps([argv for _, argv in HASH_SEED_COMMANDS])]
+    with contextlib.ExitStack() as stack:
+        children = []
+        for seed in seeds:
+            cwd = tmp_path / str(seed)
+            cwd.mkdir()
+            for name, text in files.items():
+                (cwd / name).write_text(text, encoding="utf-8")
+            children.append(stack.enter_context(subprocess.Popen(
+                child_argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=cwd,
+                env=dict(CHILD_ENV, PYTHONHASHSEED=str(seed)),
+            )))
+        results = []
+        for child in children:
+            out, err = child.communicate(timeout=60)
+            assert (child.returncode, err) == (0, b"")
+            results.append(json.loads(out))
+    (orders, runs), (other_orders, other_runs) = results
+    assert all(a != b for a, b in zip(orders, other_orders, strict=True)), (orders, other_orders)
+    assert [code for code, _, _ in runs] == [code for code, _ in HASH_SEED_COMMANDS]
+    assert all(err == "" for code, _, err in runs if code == 0)
+    assert runs == other_runs
 
 
 class CountingStdout(io.StringIO):
