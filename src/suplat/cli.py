@@ -147,7 +147,7 @@ def _formatted(fmt: str, to_text, to_dict, *objects) -> str:
 
 
 def _lattices_to_text(lattices) -> str:
-    literals = _Literals()  # one per call: each distinct entry is rendered once
+    literals = _Literals()  # one per call: each distinct entry and row object is rendered once
     return "".join(
         f"lattice {lat.name}: {len(lat.members)} members\n"
         + "".join(f"  {label} = {literals.text(m.basis)}\n" for m, label in zip(lat.members, lat.labels()))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .frozen import Frozen
-from .linalg import DimensionMismatchError, ExactMatrix, _insert_rows, _is_orthogonal
+from .linalg import DimensionMismatchError, _insert_rows, _is_orthogonal, _matrix
 from .linalg import as_scalar, parse_scalar
 from .operators import Projector, ProjectorError, validate_projector
 from .subspaces import Subspace, _Literals, _sort_order
@@ -142,18 +142,19 @@ class InvariantLattice:
     Members are canonical subspaces sorted by dimension and then by
     lexicographic basis order; ``masks`` aligns each member with its atom
     mask (bit i set when atom i's range is a summand).  A member is built by
-    inserting its top atom's range rows into the member without that atom.
+    inserting its top atom's range rows into the member without that atom,
+    whose rows it shares where the insertion leaves them alone.
     """
 
     def __init__(self, context: Context) -> None:
         self.context = context
-        rows = [p.range.basis_vectors() for p in context.atoms]
-        sums, pivots = [Subspace.zero(context.dimension)], [()]  # pivot columns of each mask's basis
+        n, rows = context.dimension, [p.range.basis.grid for p in context.atoms]
+        sums, pivots = [Subspace.zero(n)], [()]  # pivot columns of each mask's basis
         for mask in range(1, 1 << len(rows)):
             top = mask.bit_length() - 1
             rest = mask ^ 1 << top  # smaller, so its member is built
-            basis, cols = _insert_rows(sums[rest].basis, pivots[rest], rows[top])
-            sums.append(Subspace(context.dimension, basis))
+            basis, cols = _insert_rows(sums[rest].basis.grid, pivots[rest], rows[top])
+            sums.append(Subspace(n, _matrix(n, basis)))
             pivots.append(cols)
         self.masks: tuple[int, ...] = tuple(_sort_order(sums))
         self.members: tuple[Subspace, ...] = tuple(sums[m] for m in self.masks)
@@ -381,7 +382,7 @@ def structure_from_dict(data) -> Structure:
             key = tuple(map(tuple, raw_matrix))
             known = projectors.get(key)
             if known is None:
-                matrix = ExactMatrix(dimension, dimension, [scalars[lit] for row in key for lit in row])
+                matrix = _matrix(dimension, [tuple([scalars[lit] for lit in row]) for row in key])
                 try:
                     known = projectors[key] = validate_projector(matrix, name=pname)
                 except ProjectorError as err:

@@ -267,10 +267,10 @@ def format_scalar(value: GaussianRational) -> str:
     return _format_rational(a, d) + sep + imag
 
 
-def _is_hermitian(entries, n: int) -> bool:
-    """True iff the n x n row-major entries equal their adjoint, read off the canonical
+def _is_hermitian(rows) -> bool:
+    """True iff the square matrix with these rows equals its adjoint, read off the canonical
     triples: entry (i, j) is conj(entry (j, i)) iff (a, b, d) = (a', -b', d')."""
-    pairs = ((entries[i * n + j], entries[j * n + i]) for i in range(n) for j in range(i, n))
+    pairs = ((r[j], rows[j][i]) for i, r in enumerate(rows) for j in range(i, len(rows)))
     return all(x._a == y._a and x._b == -y._b and x._d == y._d for x, y in pairs)
 
 
@@ -310,9 +310,10 @@ _SCALAR_TYPE = {GaussianRational}
 
 
 class ExactMatrix:
-    """Immutable row-major matrix over the Gaussian rationals."""
+    """Immutable matrix over the Gaussian rationals; ``grid`` holds its rows, a tuple of row
+    tuples, and ``rows`` and ``cols`` its shape.  The constructor takes the entries row by row."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "grid")
 
     def __init__(self, rows: int, cols: int, entries) -> None:
         if rows < 0 or cols < 0:
@@ -327,7 +328,7 @@ class ExactMatrix:
             )
         self.rows = rows
         self.cols = cols
-        self.entries = flat
+        self.grid = tuple(flat[k * cols : k * cols + cols] for k in range(rows))
 
     @classmethod
     def from_rows(cls, rows) -> ExactMatrix:
@@ -352,13 +353,13 @@ class ExactMatrix:
         return cls(rows, cols, [_ZERO] * (rows * cols))
 
     def entry(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i * self.cols + j]
+        return self.grid[i][j]
 
     def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self.grid[i]
 
     def row_list(self) -> list[tuple[GaussianRational, ...]]:
-        return [self.row(i) for i in range(self.rows)]
+        return list(self.grid)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -366,11 +367,11 @@ class ExactMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.grid == other.grid
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.grid))
 
     def __mul__(self, other: object) -> ExactMatrix:
         """Matrix product; a scalar factor is not supported."""
@@ -380,12 +381,11 @@ class ExactMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
-        out = [_reduced(*_dot(r, c)) for r in self.row_list() for c in columns]
-        return ExactMatrix(self.rows, other.cols, out)
+        columns = [[r[j] for r in other.grid] for j in range(other.cols)]
+        return _matrix(other.cols, [tuple(_reduced(*_dot(r, c)) for c in columns) for r in self.grid])
 
     def conjugate(self) -> ExactMatrix:
-        return ExactMatrix(self.rows, self.cols, [a.conjugate() for a in self.entries])
+        return _matrix(self.cols, [tuple(a.conjugate() for a in r) for r in self.grid])
 
     def apply(self, vector) -> tuple[GaussianRational, ...]:
         """Multiply by a column vector given as a flat sequence."""
@@ -394,14 +394,14 @@ class ExactMatrix:
             raise DimensionMismatchError(
                 f"vector of length {len(v)} cannot multiply a {self.rows}x{self.cols} matrix"
             )
-        return tuple(_reduced(*_dot(r, v)) for r in self.row_list())
+        return tuple(_reduced(*_dot(r, v)) for r in self.grid)
 
     def rref(self) -> tuple[ExactMatrix, tuple[int, ...], int]:
         """(reduced matrix, pivot columns, rank): the row space's unique reduced row echelon
         form, pivots left to right, each leading entry a 1 alone in its column, zero rows last."""
-        reduced, pivots = _insert_rows(ExactMatrix(0, self.cols, ()), (), self.row_list())
-        pad = (_ZERO,) * ((self.rows - reduced.rows) * self.cols)
-        return ExactMatrix(self.rows, self.cols, reduced.entries + pad), pivots, reduced.rows
+        reduced, pivots = _insert_rows((), (), self.grid)
+        pad = [(_ZERO,) * self.cols] * (self.rows - len(reduced))
+        return _matrix(self.cols, reduced + pad), pivots, len(reduced)
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -419,18 +419,24 @@ class ExactMatrix:
             v[f] = _ONE
             for i, p in enumerate(pivots):
                 v[p] = -reduced.entry(i, f)
-            basis.extend(v)
-        return ExactMatrix(len(free), self.cols, basis)
+            basis.append(tuple(v))
+        return _matrix(self.cols, basis)
 
     def __str__(self) -> str:
-        grid = [[format_scalar(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
-        return "[" + "; ".join(" ".join(row) for row in grid) + "]"
+        return "[" + "; ".join(" ".join(map(format_scalar, row)) for row in self.grid) + "]"
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols} {self})"
 
 
-def _minus_multiple(v, f: GaussianRational, w) -> list[GaussianRational]:
+def _matrix(cols: int, rows) -> ExactMatrix:
+    """The matrix with these rows, tuples of scalars ``cols`` long: no check, no copy of a row."""
+    m = _new(ExactMatrix)
+    m.rows, m.cols, m.grid = len(rows), cols, tuple(rows)
+    return m
+
+
+def _minus_multiple(v, f: GaussianRational, w) -> tuple[GaussianRational, ...]:
     """The row ``v - f*w`` on the triples: an entry of ``v`` is kept where ``w`` is 0,
     and each other entry is ``(a + bi)/d - (p + qi)(c + ei)/(r h)``, one ``_reduced``."""
     p, q, r = f._a, f._b, f._d
@@ -444,38 +450,35 @@ def _minus_multiple(v, f: GaussianRational, w) -> list[GaussianRational]:
             else:
                 x = _reduced(x._a * h - re * d, x._b * h - im * d, d * h)
         out.append(x)
-    return out
+    return tuple(out)
 
 
-def _insert_rows(basis: ExactMatrix, pivots: tuple[int, ...], rows) -> tuple[ExactMatrix, tuple[int, ...]]:
+def _insert_rows(basis, pivots: tuple[int, ...], rows) -> tuple[list[tuple], tuple[int, ...]]:
     """Gauss-Jordan elimination by insertion: the reduced echelon basis of the rows of
-    ``basis`` (reduced, with pivot columns ``pivots``) and of ``rows``, and its pivots.
-    A new row is reduced against the pivot rows and dropped if nothing is left; else it
-    is scaled to a leading 1, cleared from the other rows and inserted in pivot order.
-    The rows are kept in one flat list, so a column is a slice.  Steps read the triples:
-    a zero test is ``a or b``, reducing and clearing are ``_minus_multiple``, and scaling
-    multiplies each nonzero entry by the lead's inverse ``d (a - bi) / (a^2 + b^2)``."""
-    n = basis.cols
-    flat, pivots = list(basis.entries), list(pivots)
+    ``basis`` (reduced, with pivot columns ``pivots``) and of ``rows``, all tuples, as a list
+    of rows, and its pivots.  A new row is reduced against the pivot rows and dropped if
+    nothing is left; else it is scaled to a leading 1, cleared from the other rows and
+    inserted in pivot order.  A row that no step changes stays the same object, so a lattice
+    member shares each row it does not clear with the member it was built from.  Steps read
+    the triples: a zero test is ``a or b``, reducing and clearing are ``_minus_multiple``, and
+    scaling multiplies each nonzero entry by the lead's inverse ``d (a - bi) / (a^2 + b^2)``."""
+    basis, pivots = list(basis), list(pivots)
     for v in rows:
         for k, c in enumerate(pivots):
             f = v[c]
             if f._a or f._b:
-                v = _minus_multiple(v, f, flat[k * n : k * n + n])
+                v = _minus_multiple(v, f, basis[k])
         lead = next((j for j, x in enumerate(v) if x._a or x._b), None)
         if lead is None:
             continue
         a, b, d = v[lead]._a, v[lead]._b, v[lead]._d
         if b or a != d:  # the leading entry is not 1
             p, q, m = d * a, d * b, a * a + b * b
-            v = [_reduced(x._a * p + x._b * q, x._b * p - x._a * q, x._d * m) if x._a or x._b else x for x in v]
-        for k in range(0, len(flat), n):
-            f = flat[k + lead]
+            v = tuple([_reduced(x._a * p + x._b * q, x._b * p - x._a * q, x._d * m) if x._a or x._b else x for x in v])
+        for k, w in enumerate(basis):
+            f = w[lead]
             if f._a or f._b:
-                flat[k : k + n] = _minus_multiple(flat[k : k + n], f, v)
+                basis[k] = _minus_multiple(w, f, v)
         pivots = sorted(pivots + [lead])
-        k = pivots.index(lead) * n
-        flat[k:k] = v
-    m = _new(ExactMatrix)  # entries are scalars already: no type check
-    m.rows, m.cols, m.entries = len(pivots), n, tuple(flat)
-    return m, tuple(pivots)
+        basis.insert(pivots.index(lead), v)
+    return basis, tuple(pivots)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 from .frozen import Frozen
-from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _insert_rows, _is_hermitian, _reduced
+from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _insert_rows, _is_hermitian, _matrix, _reduced
 from .subspaces import Subspace
 
 
@@ -63,17 +63,16 @@ def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
         NotSquareError, NotHermitianError, NotIdempotentError: naming the
         offending projector and the violated law.
     """
-    n, e = matrix.rows, matrix.entries
+    n, rows = matrix.rows, matrix.grid
     if matrix.cols != n:
         raise NotSquareError(f"projector {name!r}: matrix is {matrix.rows}x{matrix.cols}, not square")
-    if not _is_hermitian(e, n):
+    if not _is_hermitian(rows):
         raise NotHermitianError(f"projector {name!r}: matrix is not equal to its adjoint")
-    image, pivots = _insert_rows(ExactMatrix(0, n, ()), (), [e[j::n] for j in range(n)])  # the columns
-    basis = image.row_list()
-    dots = ((i == k, _dot(e[c * n : c * n + n], b)) for i, c in enumerate(pivots) for k, b in enumerate(basis))
+    basis, pivots = _insert_rows((), (), list(zip(*rows)))  # the columns
+    dots = ((i == k, _dot(rows[c], b)) for i, c in enumerate(pivots) for k, b in enumerate(basis))
     if any(im or a != d * one for one, (a, im, d) in dots):
         raise NotIdempotentError(f"projector {name!r}: matrix squared differs from the matrix")
-    return Projector(name, matrix, Subspace(n, image))
+    return Projector(name, matrix, Subspace(n, _matrix(n, basis)))
 
 
 def range_of(p: Projector) -> Subspace:

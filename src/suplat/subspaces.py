@@ -21,6 +21,7 @@ from .linalg import (
     ExactMatrix,
     GaussianRational,
     _insert_rows,
+    _matrix,
     _triple,
     format_scalar,
 )
@@ -41,8 +42,8 @@ class Subspace(Frozen):
                 raise DimensionMismatchError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        coerced = ExactMatrix(len(rows), ambient_dim, [x for v in rows for x in v]).row_list()
-        return Subspace(ambient_dim, _insert_rows(ExactMatrix(0, ambient_dim, ()), (), coerced)[0])
+        coerced = ExactMatrix(len(rows), ambient_dim, [x for v in rows for x in v]).grid
+        return Subspace(ambient_dim, _matrix(ambient_dim, _insert_rows((), (), coerced)[0]))
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
@@ -63,7 +64,7 @@ class Subspace(Frozen):
         return self.dim == self.ambient_dim
 
     def basis_vectors(self) -> list[tuple[GaussianRational, ...]]:
-        return self.basis.row_list()
+        return list(self.basis.grid)
 
     def basis_literals(self) -> list[list[str]]:
         """Basis rows rendered as canonical scalar literals."""
@@ -85,8 +86,9 @@ class Subspace(Frozen):
     def join(self, other: Subspace) -> Subspace:
         """Smallest subspace containing both: other's rows inserted into self's reduced rows."""
         self._require_same_ambient(other)
-        pivots = tuple(next(compress(count(), row)) for row in self.basis_vectors())
-        return Subspace(self.ambient_dim, _insert_rows(self.basis, pivots, other.basis_vectors())[0])
+        pivots = tuple(next(compress(count(), row)) for row in self.basis.grid)
+        rows = _insert_rows(self.basis.grid, pivots, other.basis.grid)[0]
+        return Subspace(self.ambient_dim, _matrix(self.ambient_dim, rows))
 
     def orthocomplement(self) -> Subspace:
         """All vectors Hermitian-orthogonal to the subspace.
@@ -108,36 +110,49 @@ class Subspace(Frozen):
 
 class _Literals(dict):
     """Canonical literals by triple ``(a, b, d)``, each rendered on its first lookup, and
-    the basis renderers that read them: one table renders each distinct entry once."""
+    the basis renderers that read them.  ``text`` renders a row object once per table, keyed
+    by ``id``: a table lives for one call, in which every row it renders stays alive."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.row_texts: dict[int, str] = {}
 
     def __missing__(self, key: tuple[int, int, int]) -> str:
         text = self[key] = format_scalar(_triple(*key))
         return text
 
     def rows(self, basis: ExactMatrix) -> list[list[str]]:
-        n, keys = basis.cols, list(map(attrgetter("_a", "_b", "_d"), basis.entries))
-        return [list(map(self.__getitem__, keys[k : k + n])) for k in range(0, len(keys), n)]
+        return [list(map(self.__getitem__, map(attrgetter("_a", "_b", "_d"), r))) for r in basis.grid]
+
+    def row_text(self, row) -> str:
+        text = self.row_texts.get(id(row))
+        if text is None:
+            literals = map(self.__getitem__, map(attrgetter("_a", "_b", "_d"), row))
+            text = self.row_texts[id(row)] = "(" + ", ".join(literals) + ")"
+        return text
 
     def text(self, basis: ExactMatrix) -> str:
-        rows = ", ".join("(" + ", ".join(row) + ")" for row in self.rows(basis))
-        return "span{" + rows + "}" if rows else "{0}"
+        return "span{" + ", ".join(map(self.row_text, basis.grid)) + "}" if basis.rows else "{0}"
 
 
 def _sort_order(subspaces: Sequence[Subspace]) -> list[int]:
     """Indices that sort subspaces of one ambient dimension by dimension, then by basis
     entries row by row, each by its real and then its imaginary part; ties keep input order.
-    The key is the dimension, then ``1, -x, re, im`` for each nonzero entry at flat index x
-    with ``(re, im) > (0, 0)`` and ``-1, x, re, im`` for the others (parts scaled to ints by
-    the lcm of the set's denominators), then ``0``: the first index where two bases differ
-    decides by the sign there, and a key's end sits between the signs, as a missing entry is 0.
+    The key is the dimension, then one key per row object, made once and kept by ``id``: ``1,
+    -j, re, im`` for each nonzero entry at column j with ``(re, im) > (0, 0)`` and ``-1, j, re,
+    im`` for the others (parts scaled to ints by the lcm of the set's denominators), then ``0``:
+    in the first row where two bases differ, the first column where they differ decides by the
+    sign there, and a row key's end sits between the signs, as a missing entry is 0.
     """
-    common = lcm(*{e._d for s in subspaces for e in s.basis.entries})
-    keys = []
-    for s in subspaces:
-        key = [s.dim]
-        for x, e in enumerate(s.basis.entries):
+    rows = {id(r): r for s in subspaces for r in s.basis.grid}
+    common = lcm(*{e._d for r in rows.values() for e in r})
+    row_keys = {}
+    for x, r in rows.items():
+        key = row_keys[x] = []
+        for j, e in enumerate(r):
             if e._a or e._b:
                 a, b = e._a * common // e._d, e._b * common // e._d
-                key += (1, -x, a, b) if a > 0 or a == 0 and b > 0 else (-1, x, a, b)
-        keys.append(key + [0])
+                key += (1, -j, a, b) if a > 0 or a == 0 and b > 0 else (-1, j, a, b)
+        key.append(0)
+    keys = [[s.dim, *map(row_keys.__getitem__, map(id, s.basis.grid))] for s in subspaces]
     return sorted(range(len(keys)), key=keys.__getitem__)

@@ -108,15 +108,16 @@ def reference_sort_key(s: Subspace) -> tuple:
     """The member order from Fractions: dimension, then the basis entries
     row by row, each by its real part and then its imaginary part.  The
     oracle for the integer keys of :func:`suplat.subspaces._sort_order`."""
-    return (s.dim, tuple((e.real, e.imag) for e in s.basis.entries))
+    return (s.dim, tuple((e.real, e.imag) for row in s.basis.grid for e in row))
 
 
 def dense_entry_keys(matrices) -> list[tuple[int, ...]]:
     """Each matrix's entries as the ints ``a*L/d, b*L/d``, row by row, zeros included,
     with ``L`` the lcm of every denominator in the set: the dense key that the sparse
     key of :func:`suplat.subspaces._sort_order` replaced, kept as its oracle."""
-    common = lcm(*{e._d for m in matrices for e in m.entries})
-    return [tuple(x for e in m.entries for x in (e._a * common // e._d, e._b * common // e._d)) for m in matrices]
+    entries = [[e for row in m.grid for e in row] for m in matrices]
+    common = lcm(*{e._d for es in entries for e in es})
+    return [tuple(x for e in es for x in (e._a * common // e._d, e._b * common // e._d)) for es in entries]
 
 
 def dense_sort_order(subspaces) -> list[int]:
@@ -169,7 +170,7 @@ def reference_span(vectors, ambient_dim: int) -> Subspace:
     """The subspace spanned by the vectors, read off :func:`reference_rref`."""
     rows = [list(v) for v in vectors]
     reduced, _, rank = reference_rref(ExactMatrix(len(rows), ambient_dim, [x for v in rows for x in v]))
-    return Subspace(ambient_dim, ExactMatrix(rank, ambient_dim, reduced.entries[: rank * ambient_dim]))
+    return Subspace(ambient_dim, ExactMatrix(rank, ambient_dim, [e for row in reduced.grid[:rank] for e in row]))
 
 
 def reference_contains(s: Subspace, vector) -> bool:
@@ -349,7 +350,7 @@ def adjoint(m: ExactMatrix) -> ExactMatrix:
 
 def matrix_sum(first: ExactMatrix, *rest: ExactMatrix) -> ExactMatrix:
     """The entrywise sum of matrices of one shape."""
-    terms = zip(first.entries, *(m.entries for m in rest))
+    terms = zip(*([e for row in m.grid for e in row] for m in (first, *rest)))
     return ExactMatrix(first.rows, first.cols, [sum(es, GaussianRational(0)) for es in terms])
 
 
@@ -386,7 +387,7 @@ def reference_context_error(name: str, atoms):
     """
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):
-            if any((atoms[i].matrix * atoms[j].matrix).entries):
+            if any(map(any, (atoms[i].matrix * atoms[j].matrix).grid)):
                 return NotOrthogonalError, (
                     f"context {name!r}: atoms {atoms[i].name!r} and {atoms[j].name!r}"
                     " are not orthogonal"

@@ -28,6 +28,9 @@ MUTANTS = [
     ("linalg.py", "p, q, m = d * a, d * b, a * a + b * b", "p, q, m = d * a, -d * b, a * a + b * b"),
     ("linalg.py", "p * e + q * c", "p * e - q * c"),
     ("linalg.py", "if b or a != d:  # the leading entry is not 1", "if b:"),
+    # A row the insertion need not clear is kept as the same object, so lattice members share it.
+    ("linalg.py", "            if f._a or f._b:\n                basis[k] = _minus_multiple(w, f, v)",
+     "            if True:\n                basis[k] = _minus_multiple(w, f, v)"),
     # The scalar operators and matrix products, one formula each.
     ("linalg.py", "b * f + e * d", "b * f - e * d"),
     ("linalg.py", "a * e + b * c", "a * e - b * c"),
@@ -35,13 +38,16 @@ MUTANTS = [
     ("linalg.py", "other.inverse()", "other.conjugate()"),
     ("linalg.py", "_dot(r, c)", "_dot(r, c, -1)"),
     ("linalg.py", "_dot(r, v)", "_dot(r, v, -1)"),
-    # The member order: the sparse key, and one sort per call.
-    ("subspaces.py", "(1, -x, a, b)", "(1, x, a, b)"),
-    ("subspaces.py", "key + [0]", "key + [2]"),
+    # The member order: the sparse key of each row, and one sort per call.
+    ("subspaces.py", "(1, -j, a, b)", "(1, j, a, b)"),
+    ("subspaces.py", "key.append(0)", "key.append(2)"),
+    ("subspaces.py", "        key.append(0)\n", ""),
     ("subspaces.py", "if a > 0 or a == 0 and b > 0 else", "if a > 0 else"),
     ("hasse.py", "if len(in_scope) > 1:", "if False:"),
     # Output bytes and valuation.
     ("linalg.py", 'sep = "" if b < 0 else "+"', 'sep = "+"'),
+    # A row's text is kept by the id of the row, so only for one call, while the row lives.
+    ("subspaces.py", "self.row_texts: dict[int, str] = {}", 'self.row_texts = globals().setdefault("_ROW_TEXTS", {})'),
     ("hasse.py", "HasseGraph(tuple(nodes), tuple(edges))", "HasseGraph(tuple(nodes), tuple(reversed(edges)))"),
     ("admissibility.py", "{i + 1}\" for i in range(len(ctx.atoms))", "{i + 1}\" for i in reversed(range(len(ctx.atoms)))"),
     ("valuation.py", ") == context.rank(mask)", ") >= context.rank(mask)"),

@@ -1106,13 +1106,14 @@ def test_ks_search_lists_the_colorings_of_grid_3(tmp_path):
 
 
 def test_ks_search_decides_completed_grid_3_under_a_memory_cap(tmp_path):
-    # The set has no coloring, and the search must say so well inside an
-    # address space of 400000 KiB (what ulimit -v 400000 sets) and 60 s.
+    # The set has no coloring, and the search must say so inside an address
+    # space of 100000 KiB (what ulimit -v 100000 sets) and 60 s.  Both formats
+    # also finish under 30000 KiB, so the cap leaves about threefold headroom.
     rays, structure = completed_grid_3()
     assert (rays, len(structure.contexts)) == (109, 86)
     path = tmp_path / "completed.json"
     path.write_text(json.dumps(structure_to_dict(structure)))
-    cap = 400000 * 1024
+    cap = 100000 * 1024
     for fmt, expected in (("text", b"solutions: 0\n"), ("structured", b'{\n  "count": 0,\n  "solutions": []\n}\n')):
         done = subprocess.run(
             [sys.executable, "-m", "suplat.cli", "ks-search", str(path), "--format", fmt],

@@ -29,7 +29,7 @@ from suplat.contexts import (
     validate_context,
 )
 from suplat.datasets import builtin_structure, dataset_names
-from suplat.linalg import DimensionMismatchError, ExactMatrix
+from suplat.linalg import DimensionMismatchError, ExactMatrix, _insert_rows
 from suplat.operators import ProjectorError, kernel_of, projector_onto, range_of, validate_projector
 from suplat.subspaces import Subspace
 
@@ -146,6 +146,29 @@ def test_lattice_members_in_sort_key_order():
             members = list(lattice.members)
             assert members == sorted(members, key=reference_sort_key)
     assert {"rank 1", "rank 2"} <= seen
+
+
+def test_lattice_members_share_the_rows_their_build_leaves_alone():
+    # Each insertion returns the rows it does not change as the same objects,
+    # so diag-12's 4096 members, 24576 rows in all, hold only the atoms' 12.
+    n = 12
+    context = validate_context("D", [named(diag(*(int(i == k) for i in range(n))), f"e{k}") for k in range(n)])
+    atom_rows = {id(r) for p in context.atoms for r in p.range.basis.grid}
+    members = context.lattice.members
+    assert len(members) == 4096 and sum(m.dim for m in members) == 24576
+    assert {id(r) for m in members for r in m.basis.grid} == atom_rows and len(atom_rows) == n
+    # A row is cleared, and so replaced, only where the inserted row's pivot
+    # column holds a nonzero entry.
+    def grid(*rows):
+        return list(ExactMatrix.from_rows(rows).grid)
+
+    r0, r1, v, w = grid([1, 0, 0, 0], [0, 0, 1, 2], [0, 1, 1, 0], [0, 0, 0, 1])
+    rows, pivots = _insert_rows([r0, r1], (0, 2), [v])
+    assert pivots == (0, 1, 2) and rows == grid([1, 0, 0, 0], [0, 1, 0, -2], [0, 0, 1, 2])
+    assert rows[0] is r0 and rows[2] is r1
+    after, pivots = _insert_rows(rows, pivots, [w])
+    assert pivots == (0, 1, 2, 3) and after == grid([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
+    assert after[0] is r0 and after[3] is w and rows[2] is r1  # the input list is not changed
 
 
 def _coordinate_context(rng: random.Random, n: int, name: str):

@@ -64,7 +64,7 @@ def _candidate_matrix(rng: random.Random, n: int) -> ExactMatrix:
     if kind == 1:  # scaled: a projector only for the factors 0 and 1
         c = rng.choice([GaussianRational(1), GaussianRational(-1), GaussianRational(2),
                         GaussianRational(0, 1), random_nonzero_scalar(rng)])
-        return ExactMatrix(n, n, [c * e for e in p.entries])
+        return ExactMatrix(n, n, [c * e for row in p.grid for e in row])
     if kind == 2:  # Hermitian perturbation of a projector
         return matrix_sum(p, _hermitian(rng, n))
     if kind == 3:
@@ -95,7 +95,7 @@ def test_validate_projector_matches_definition():
             continue
         p = validate_projector(m)
         assert p.rank == m.rank()
-        columns = [m.entries[j::m.cols] for j in range(m.cols)]
+        columns = list(zip(*m.grid))
         assert range_of(p) == Subspace.span_of(columns, m.rows)
     assert len(outcomes) == 3  # accepted, not Hermitian, not idempotent all occur
     assert several_pivots
@@ -239,7 +239,7 @@ def test_lattice_build_and_projector_laws_compute_no_scalar_arithmetic(monkeypat
     contexts = [random_context(rng, rng.randint(2, 5), "A") for _ in range(12)]
     atoms = [a for c in contexts for a in c.atoms]
     assert {a.rank for a in atoms} == {1, 2, 3}
-    dense = [a for a in atoms if all(a.matrix.entries) and any(e.imag for e in a.matrix.entries)]
+    dense = [a for a in atoms if all(map(all, a.matrix.grid)) and any(e.imag for r in a.matrix.grid for e in r)]
     assert {a.rank for a in dense} == {1, 2, 3}  # dense complex entries at every rank
     members = [InvariantLattice(c).members for c in contexts]
 

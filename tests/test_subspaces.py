@@ -7,13 +7,17 @@ from fractions import Fraction
 
 import pytest
 
+from suplat import hasse
+from suplat.hasse import build_graph
 from suplat.linalg import DimensionMismatchError, ExactMatrix, GaussianRational
 from suplat.subspaces import Subspace, _sort_order
+from suplat.valuation import Mode, evaluate_structure
 
 from helpers import (
     dense_sort_order,
     random_context,
     random_invertible,
+    random_structure,
     random_scalar,
     random_state,
     random_subspace,
@@ -230,8 +234,9 @@ def test_integer_sort_order_matches_sort_key():
         items = [random_subspace(rng, n, span=rng.choice((1, 2, 9))) for _ in range(rng.randint(0, 12))]
         items += rng.sample(items, min(2, len(items)))
         kinds.update(f"dim {s.dim}" for s in items)
-        kinds.update("complex" for s in items for e in s.basis.entries if e.imag)
-        kinds.update("fraction" for s in items for e in s.basis.entries if e.real.denominator > 1)
+        entries = [e for s in items for row in s.basis.grid for e in row]
+        kinds.update("complex" for e in entries if e.imag)
+        kinds.update("fraction" for e in entries if e.real.denominator > 1)
         _assert_sparse_order_is_dense_order(items)
     # Members of random contexts, shuffled, with repeats: atoms of rank 1-3
     # and dense complex entries.
@@ -266,6 +271,47 @@ def test_integer_sort_order_matches_sort_key():
         rng.shuffle(items)
         _assert_sparse_order_is_dense_order(items)
     assert _sort_order([]) == []
+
+
+def test_row_keys_order_shared_rows_as_the_dense_key(monkeypatch):
+    # Lattice members share row objects with one another and, through kept
+    # atoms, with other contexts' members; each row is keyed once by id.
+    rng = random.Random(35)
+    sorted_lists, ranks, complex_dense = [], set(), False
+    original = hasse._sort_order
+
+    def checked(subspaces):
+        sorted_lists.append(subspaces)
+        return original(subspaces)
+
+    monkeypatch.setattr(hasse, "_sort_order", checked)
+    for _ in range(10):
+        structure = random_structure(rng, rng.randint(2, 4))
+        n = structure.ambient_dim
+        for lattice in structure.lattices:
+            ranks.update(p.rank for p in lattice.context.atoms)
+            complex_dense |= any(all(row) and any(e.imag for e in row)
+                                 for p in lattice.context.atoms for row in p.range.basis.grid)
+            members = list(lattice.members)
+            rng.shuffle(members)
+            _assert_sparse_order_is_dense_order(members + members[:3])
+        build_graph(evaluate_structure(structure, random_state(rng, n), Mode.INVARIANT), "all")
+    assert {1, 2} <= ranks and complex_dense and len(sorted_lists) == 10
+    for merged in sorted_lists:  # the merged nodes of hasse --scope all
+        _assert_sparse_order_is_dense_order(merged)
+    # One row ends in zeros where the other, equal before, has a negative
+    # entry: a row key without its closing 0 would put the first row lower.
+    pairs = [
+        (span(["1", "0", "-1"]), span(["1", "0", "0"])),
+        (span(["1", "2", "0", "-1/2"], ["0", "0", "1", "0"]), span(["1", "2", "0", "0"], ["0", "0", "1", "0"])),
+        (span(["1", "0", "-i"], ["0", "1", "0"]), span(["1", "0", "0"], ["0", "1", "0"])),
+        (span(["1", "0", "0", "0"], ["0", "1", "0", "-1"]), span(["1", "0", "0", "0"], ["0", "1", "0", "0"])),
+        (span(["1", "0", "-1", "0"], ["0", "1", "0", "1"]), span(["1", "0", "0", "5"], ["0", "1", "0", "1"])),
+    ]
+    for low, high in pairs:
+        assert low.dim == high.dim
+        assert _sort_order([low, high]) == dense_sort_order([low, high]) == [0, 1]
+        assert _sort_order([high, low]) == dense_sort_order([high, low]) == [1, 0]
 
 
 def test_str_rendering():
