@@ -74,10 +74,9 @@ class Context(Frozen):
         """
         if s.ambient_dim != self.dimension:
             raise DimensionMismatchError(f"subspace of C^{s.ambient_dim} against a context on C^{self.dimension}")
-        basis = s.basis_vectors()
         return sum(
             1 << i for i, p in enumerate(self.atoms)
-            if not all(_is_orthogonal(r, b) for r in p.range.basis_vectors() for b in basis)
+            if not all(_is_orthogonal(r, b) for r in p.range.basis for b in s.basis)
         )
 
     @cached_property
@@ -126,7 +125,7 @@ def validate_context(name: str, projectors) -> Context:
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
         raise DuplicateAtomNameError(f"context {name!r}: duplicate atom name {dup!r}")
-    ranges = [(p.name, p.range.basis_vectors()) for p in atoms]
+    ranges = [(p.name, p.range.basis) for p in atoms]
     for i, (a, rows_a) in enumerate(ranges):
         for b, rows_b in ranges[i + 1:]:
             if not all(_is_orthogonal(u, v) for u in rows_a for v in rows_b):
@@ -148,13 +147,13 @@ class InvariantLattice:
 
     def __init__(self, context: Context) -> None:
         self.context = context
-        n, rows = context.dimension, [p.range.basis.grid for p in context.atoms]
+        n, rows = context.dimension, [p.range.basis for p in context.atoms]
         sums, pivots = [Subspace.zero(n)], [()]  # pivot columns of each mask's basis
         for mask in range(1, 1 << len(rows)):
             top = mask.bit_length() - 1
             rest = mask ^ 1 << top  # smaller, so its member is built
-            basis, cols = _insert_rows(sums[rest].basis.grid, pivots[rest], rows[top])
-            sums.append(Subspace(n, _matrix(n, basis)))
+            basis, cols = _insert_rows(sums[rest].basis, pivots[rest], rows[top])
+            sums.append(Subspace(n, basis))
             pivots.append(cols)
         self.masks: tuple[int, ...] = tuple(_sort_order(sums))
         self.members: tuple[Subspace, ...] = tuple(sums[m] for m in self.masks)
@@ -168,9 +167,11 @@ class InvariantLattice:
 
     def index_of(self, s: Subspace) -> int:
         """Position of a member, whose atom mask is its support; KeyError for a non-member."""
-        if not self.has_member(s):
-            raise KeyError(s)
-        return self.masks.index(self.context.support(s))
+        if s.ambient_dim == self.context.dimension:
+            support = self.context.support(s)
+            if s.dim == self.context.rank(support):
+                return self.masks.index(support)
+        raise KeyError(s)
 
     @cached_property
     def mask_labels(self) -> list[str]:
@@ -298,7 +299,7 @@ def structure_to_dict(structure: Structure) -> dict:
         "contexts": [
             {
                 "name": c.name,
-                "projectors": [{"name": p.name, "matrix": literals.rows(p.matrix)} for p in c.atoms],
+                "projectors": [{"name": p.name, "matrix": literals.rows(p.matrix.grid)} for p in c.atoms],
             }
             for c in structure.contexts
         ],

@@ -3,7 +3,9 @@
 A scalar is a Gaussian rational ``(a + b*i) / d`` held as three arbitrary-precision ints
 in lowest terms.  Everything downstream (echelon forms, ranks, null spaces) is computed
 exactly, so canonical forms are unique and equality is structural.  No tolerances
-anywhere.  Row elimination reads the triples, so each entry it changes is one new scalar.
+anywhere.  A row is a tuple of scalars, and a matrix holds a tuple of rows.  Row
+elimination (``_insert_rows``) takes and returns rows, not matrices, and reads the
+triples, so each entry it changes is one new scalar.
 The scalar operators are the library's numeric protocol; no command on a structure file
 calls them, though building a ``--dataset`` structure's projectors does.
 """
@@ -11,8 +13,11 @@ calls them, though building a ``--dataset`` structure's projectors does.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from math import gcd
 from numbers import Rational
+
+from .frozen import Frozen, setfield
 
 
 class ScalarError(ValueError):
@@ -310,65 +315,48 @@ _SCALAR_TYPE = {GaussianRational}
 
 
 class ExactMatrix:
-    """Immutable matrix over the Gaussian rationals; ``grid`` holds its rows, a tuple of row
-    tuples, and ``rows`` and ``cols`` its shape.  The constructor takes the entries row by row."""
+    """Immutable matrix over the Gaussian rationals: ``grid`` holds its rows, a tuple of row
+    tuples, and ``rows`` and ``cols`` its shape.  The constructor takes the rows, whose
+    entries may be ints, Fractions, scalar literals or scalars, and reads ``cols`` off them;
+    with no rows, ``cols`` must be given.  It compares and hashes by its fields, which
+    cannot be assigned, and copies and pickles through the constructor."""
 
     __slots__ = ("rows", "cols", "grid")
+    __setattr__, __delattr__ = Frozen.__setattr__, Frozen.__delattr__
 
-    def __init__(self, rows: int, cols: int, entries) -> None:
-        if rows < 0 or cols < 0:
+    def __init__(self, grid, cols: int | None = None) -> None:
+        grid = tuple(map(tuple, grid))
+        if cols is None:
+            if not grid:
+                raise ValueError("a matrix with no rows needs its column count")
+            cols = len(grid[0])
+        if cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        flat = tuple(entries)
+        for r in grid:
+            if len(r) != cols:
+                raise DimensionMismatchError(f"a row of {len(r)} entries in a matrix of {cols} columns")
         # Checking types in C is cheaper than calling as_scalar on each entry.
-        if not set(map(type, flat)) <= _SCALAR_TYPE:
-            flat = tuple(map(as_scalar, flat))
-        if len(flat) != rows * cols:
-            raise DimensionMismatchError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(flat)}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self.grid = tuple(flat[k * cols : k * cols + cols] for k in range(rows))
+        if not set(map(type, chain.from_iterable(grid))) <= _SCALAR_TYPE:
+            grid = tuple(tuple(map(as_scalar, r)) for r in grid)
+        setfield(self, "rows", len(grid))
+        setfield(self, "cols", cols)
+        setfield(self, "grid", grid)
 
-    @classmethod
-    def from_rows(cls, rows) -> ExactMatrix:
-        """Build from a nonempty sequence of equal-length rows.
+    def __reduce__(self) -> tuple:
+        return ExactMatrix, (self.grid, self.cols)
 
-        Entries may be ints, Fractions, scalar literals or scalars.
-        """
-        rows = [tuple(r) for r in rows]
-        if not rows:
-            raise ValueError("from_rows needs at least one row; use ExactMatrix(0, n, ())")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise DimensionMismatchError("rows have unequal lengths")
-        return cls(len(rows), width, [e for r in rows for e in r])
+    @staticmethod
+    def identity(n: int) -> ExactMatrix:
+        return _matrix(n, [tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)])
 
-    @classmethod
-    def identity(cls, n: int) -> ExactMatrix:
-        return cls(n, n, [_ONE if i == j else _ZERO for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> ExactMatrix:
-        return cls(rows, cols, [_ZERO] * (rows * cols))
-
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.grid[i][j]
-
-    def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self.grid[i]
-
-    def row_list(self) -> list[tuple[GaussianRational, ...]]:
-        return list(self.grid)
+    @staticmethod
+    def zeros(rows: int, cols: int) -> ExactMatrix:
+        return _matrix(cols, [(_ZERO,) * cols] * rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.grid == other.grid
-        )
+        return self.rows == other.rows and self.cols == other.cols and self.grid == other.grid
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.grid))
@@ -400,7 +388,7 @@ class ExactMatrix:
         """(reduced matrix, pivot columns, rank): the row space's unique reduced row echelon
         form, pivots left to right, each leading entry a 1 alone in its column, zero rows last."""
         reduced, pivots = _insert_rows((), (), self.grid)
-        pad = [(_ZERO,) * self.cols] * (self.rows - len(reduced))
+        pad = ((_ZERO,) * self.cols,) * (self.rows - len(reduced))
         return _matrix(self.cols, reduced + pad), pivots, len(reduced)
 
     def rank(self) -> int:
@@ -418,7 +406,7 @@ class ExactMatrix:
             v = [_ZERO] * self.cols
             v[f] = _ONE
             for i, p in enumerate(pivots):
-                v[p] = -reduced.entry(i, f)
+                v[p] = -reduced.grid[i][f]
             basis.append(tuple(v))
         return _matrix(self.cols, basis)
 
@@ -432,7 +420,9 @@ class ExactMatrix:
 def _matrix(cols: int, rows) -> ExactMatrix:
     """The matrix with these rows, tuples of scalars ``cols`` long: no check, no copy of a row."""
     m = _new(ExactMatrix)
-    m.rows, m.cols, m.grid = len(rows), cols, tuple(rows)
+    setfield(m, "rows", len(rows))
+    setfield(m, "cols", cols)
+    setfield(m, "grid", tuple(rows))
     return m
 
 
@@ -453,9 +443,9 @@ def _minus_multiple(v, f: GaussianRational, w) -> tuple[GaussianRational, ...]:
     return tuple(out)
 
 
-def _insert_rows(basis, pivots: tuple[int, ...], rows) -> tuple[list[tuple], tuple[int, ...]]:
+def _insert_rows(basis, pivots: tuple[int, ...], rows) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """Gauss-Jordan elimination by insertion: the reduced echelon basis of the rows of
-    ``basis`` (reduced, with pivot columns ``pivots``) and of ``rows``, all tuples, as a list
+    ``basis`` (reduced, with pivot columns ``pivots``) and of ``rows``, all tuples, as a tuple
     of rows, and its pivots.  A new row is reduced against the pivot rows and dropped if
     nothing is left; else it is scaled to a leading 1, cleared from the other rows and
     inserted in pivot order.  A row that no step changes stays the same object, so a lattice
@@ -481,4 +471,4 @@ def _insert_rows(basis, pivots: tuple[int, ...], rows) -> tuple[list[tuple], tup
                 basis[k] = _minus_multiple(w, f, v)
         pivots = sorted(pivots + [lead])
         basis.insert(pivots.index(lead), v)
-    return basis, tuple(pivots)
+    return tuple(basis), tuple(pivots)

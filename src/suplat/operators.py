@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import product
-
 from .frozen import Frozen
-from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _insert_rows, _is_hermitian, _matrix, _reduced
+from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _insert_rows, _is_hermitian, _reduced
 from .subspaces import Subspace
 
 
@@ -72,7 +70,7 @@ def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
     dots = ((i == k, _dot(rows[c], b)) for i, c in enumerate(pivots) for k, b in enumerate(basis))
     if any(im or a != d * one for one, (a, im, d) in dots):
         raise NotIdempotentError(f"projector {name!r}: matrix squared differs from the matrix")
-    return Projector(name, matrix, Subspace(n, _matrix(n, basis)))
+    return Projector(name, matrix, Subspace(n, basis))
 
 
 def range_of(p: Projector) -> Subspace:
@@ -94,9 +92,9 @@ def projector_onto(s: Subspace, name: str = "P") -> Projector:
     projectors onto them.  With no basis rows it is the zero matrix.
     """
     n = s.ambient_dim
-    entries = [_ZERO] * (n * n)
+    grid = [(_ZERO,) * n] * n
     done: list[tuple[list[GaussianRational], GaussianRational]] = []
-    for b in s.basis_vectors():
+    for b in s.basis:
         u = list(b)
         for w, norm in done:
             c = _inner(w, b) / norm
@@ -104,8 +102,8 @@ def projector_onto(s: Subspace, name: str = "P") -> Projector:
         norm = _inner(u, u)
         done.append((u, norm))
         scaled = [x / norm if x else x for x in u]
-        entries = [e + x * y.conjugate() if x and y else e for e, (x, y) in zip(entries, product(scaled, u))]
-    return Projector(name, ExactMatrix(n, n, entries), s)
+        grid = [tuple(e + x * y.conjugate() if x and y else e for e, y in zip(row, u)) for row, x in zip(grid, scaled)]
+    return Projector(name, ExactMatrix(grid, n), s)
 
 
 def _inner(u, v) -> GaussianRational:

@@ -1,8 +1,10 @@
 """Closed linear subspaces of C^n in canonical form, with lattice operations.
 
 A subspace is identified by the reduced row echelon basis of any spanning
-set, which is unique, so equality and hashing are structural.  A join
-inserts the other's rows into the reduced rows (``linalg._insert_rows``).
+set, which is unique, so equality and hashing are structural.  The basis
+is held as a tuple of row tuples, the rows that ``linalg._insert_rows``
+returns, so no subspace builds a matrix.  A join inserts the other's rows
+into the reduced rows.
 Meet is routed through orthocomplements (de Morgan) because the
 intersection of row spaces has no direct canonical construction, and the
 order is read off the join: a <= b iff dim(a v b) = dim b.
@@ -19,7 +21,6 @@ from .frozen import Frozen
 from .linalg import (
     DimensionMismatchError,
     ExactMatrix,
-    GaussianRational,
     _insert_rows,
     _matrix,
     _triple,
@@ -28,7 +29,7 @@ from .linalg import (
 
 
 class Subspace(Frozen):
-    """A subspace of C^ambient_dim; ``basis`` rows are an RREF spanning set."""
+    """A subspace of C^ambient_dim; ``basis`` is its RREF spanning set, a tuple of row tuples."""
 
     __slots__ = ("ambient_dim", "basis")
 
@@ -42,29 +43,26 @@ class Subspace(Frozen):
                 raise DimensionMismatchError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        coerced = ExactMatrix(len(rows), ambient_dim, [x for v in rows for x in v]).grid
-        return Subspace(ambient_dim, _matrix(ambient_dim, _insert_rows((), (), coerced)[0]))
+        coerced = ExactMatrix(rows, ambient_dim).grid
+        return Subspace(ambient_dim, _insert_rows((), (), coerced)[0])
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, ExactMatrix(0, ambient_dim, ()))
+        return Subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, ExactMatrix.identity(ambient_dim))
+        return Subspace(ambient_dim, ExactMatrix.identity(ambient_dim).grid)
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.basis)
 
     def is_zero(self) -> bool:
         return self.dim == 0
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
-
-    def basis_vectors(self) -> list[tuple[GaussianRational, ...]]:
-        return list(self.basis.grid)
 
     def basis_literals(self) -> list[list[str]]:
         """Basis rows rendered as canonical scalar literals."""
@@ -86,18 +84,18 @@ class Subspace(Frozen):
     def join(self, other: Subspace) -> Subspace:
         """Smallest subspace containing both: other's rows inserted into self's reduced rows."""
         self._require_same_ambient(other)
-        pivots = tuple(next(compress(count(), row)) for row in self.basis.grid)
-        rows = _insert_rows(self.basis.grid, pivots, other.basis.grid)[0]
-        return Subspace(self.ambient_dim, _matrix(self.ambient_dim, rows))
+        pivots = tuple(next(compress(count(), row)) for row in self.basis)
+        return Subspace(self.ambient_dim, _insert_rows(self.basis, pivots, other.basis)[0])
 
     def orthocomplement(self) -> Subspace:
         """All vectors Hermitian-orthogonal to the subspace.
 
         v is in the complement iff conj(b) . v = 0 for every basis row b,
-        so the complement is the null space of the conjugated basis.
+        so the complement is the null space of the conjugated basis, the one
+        place a subspace's rows become a matrix.
         """
-        kernel = self.basis.conjugate().null_space()
-        return Subspace.span_of(kernel.row_list(), self.ambient_dim)
+        kernel = _matrix(self.ambient_dim, self.basis).conjugate().null_space()
+        return Subspace.span_of(kernel.grid, self.ambient_dim)
 
     def meet(self, other: Subspace) -> Subspace:
         """Intersection, computed as the complement of the join of complements."""
@@ -121,8 +119,8 @@ class _Literals(dict):
         text = self[key] = format_scalar(_triple(*key))
         return text
 
-    def rows(self, basis: ExactMatrix) -> list[list[str]]:
-        return [list(map(self.__getitem__, map(attrgetter("_a", "_b", "_d"), r))) for r in basis.grid]
+    def rows(self, rows) -> list[list[str]]:
+        return [list(map(self.__getitem__, map(attrgetter("_a", "_b", "_d"), r))) for r in rows]
 
     def row_text(self, row) -> str:
         text = self.row_texts.get(id(row))
@@ -131,8 +129,8 @@ class _Literals(dict):
             text = self.row_texts[id(row)] = "(" + ", ".join(literals) + ")"
         return text
 
-    def text(self, basis: ExactMatrix) -> str:
-        return "span{" + ", ".join(map(self.row_text, basis.grid)) + "}" if basis.rows else "{0}"
+    def text(self, rows) -> str:
+        return "span{" + ", ".join(map(self.row_text, rows)) + "}" if rows else "{0}"
 
 
 def _sort_order(subspaces: Sequence[Subspace]) -> list[int]:
@@ -144,7 +142,7 @@ def _sort_order(subspaces: Sequence[Subspace]) -> list[int]:
     in the first row where two bases differ, the first column where they differ decides by the
     sign there, and a row key's end sits between the signs, as a missing entry is 0.
     """
-    rows = {id(r): r for s in subspaces for r in s.basis.grid}
+    rows = {id(r): r for s in subspaces for r in s.basis}
     common = lcm(*{e._d for r in rows.values() for e in r})
     row_keys = {}
     for x, r in rows.items():
@@ -154,5 +152,5 @@ def _sort_order(subspaces: Sequence[Subspace]) -> list[int]:
                 a, b = e._a * common // e._d, e._b * common // e._d
                 key += (1, -j, a, b) if a > 0 or a == 0 and b > 0 else (-1, j, a, b)
         key.append(0)
-    keys = [[s.dim, *map(row_keys.__getitem__, map(id, s.basis.grid))] for s in subspaces]
+    keys = [[s.dim, *map(row_keys.__getitem__, map(id, s.basis))] for s in subspaces]
     return sorted(range(len(keys)), key=keys.__getitem__)

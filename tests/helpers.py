@@ -108,14 +108,14 @@ def reference_sort_key(s: Subspace) -> tuple:
     """The member order from Fractions: dimension, then the basis entries
     row by row, each by its real part and then its imaginary part.  The
     oracle for the integer keys of :func:`suplat.subspaces._sort_order`."""
-    return (s.dim, tuple((e.real, e.imag) for row in s.basis.grid for e in row))
+    return (s.dim, tuple((e.real, e.imag) for row in s.basis for e in row))
 
 
-def dense_entry_keys(matrices) -> list[tuple[int, ...]]:
-    """Each matrix's entries as the ints ``a*L/d, b*L/d``, row by row, zeros included,
+def dense_entry_keys(grids) -> list[tuple[int, ...]]:
+    """Each grid's entries as the ints ``a*L/d, b*L/d``, row by row, zeros included,
     with ``L`` the lcm of every denominator in the set: the dense key that the sparse
     key of :func:`suplat.subspaces._sort_order` replaced, kept as its oracle."""
-    entries = [[e for row in m.grid for e in row] for m in matrices]
+    entries = [[e for row in grid for e in row] for grid in grids]
     common = lcm(*{e._d for es in entries for e in es})
     return [tuple(x for e in es for x in (e._a * common // e._d, e._b * common // e._d)) for es in entries]
 
@@ -138,7 +138,7 @@ def reference_rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:
         nonzero entry in its column, zero rows trail.
     """
     one = GaussianRational(1)
-    work = [list(m.row(i)) for i in range(m.rows)]
+    work = [list(row) for row in m.grid]
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
@@ -162,15 +162,13 @@ def reference_rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:
         r += 1
         if r == m.rows:
             break
-    flat = [e for row in work for e in row]
-    return ExactMatrix(m.rows, m.cols, flat), tuple(pivots), r
+    return ExactMatrix(work, m.cols), tuple(pivots), r
 
 
 def reference_span(vectors, ambient_dim: int) -> Subspace:
     """The subspace spanned by the vectors, read off :func:`reference_rref`."""
-    rows = [list(v) for v in vectors]
-    reduced, _, rank = reference_rref(ExactMatrix(len(rows), ambient_dim, [x for v in rows for x in v]))
-    return Subspace(ambient_dim, ExactMatrix(rank, ambient_dim, [e for row in reduced.grid[:rank] for e in row]))
+    reduced, _, rank = reference_rref(ExactMatrix(vectors, ambient_dim))
+    return Subspace(ambient_dim, reduced.grid[:rank])
 
 
 def reference_contains(s: Subspace, vector) -> bool:
@@ -179,7 +177,7 @@ def reference_contains(s: Subspace, vector) -> bool:
     v = [as_scalar(x) for x in vector]
     if len(v) != s.ambient_dim:
         raise DimensionMismatchError(f"vector of length {len(v)} in ambient dimension {s.ambient_dim}")
-    for row in s.basis.row_list():
+    for row in s.basis:
         pivot = next(j for j, e in enumerate(row) if e)
         c = v[pivot]
         if c:
@@ -194,7 +192,7 @@ def is_invariant(s: Subspace, p: Projector) -> bool:
         raise DimensionMismatchError(
             f"subspace of C^{s.ambient_dim} under a projector on C^{p.dimension}"
         )
-    return all(reference_contains(s, p.matrix.apply(row)) for row in s.basis.row_list())
+    return all(reference_contains(s, p.matrix.apply(row)) for row in s.basis)
 
 
 def random_fraction(rng: random.Random, span: int = 4) -> Fraction:
@@ -214,7 +212,7 @@ def random_nonzero_scalar(rng: random.Random, span: int = 4) -> GaussianRational
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, span: int = 3) -> ExactMatrix:
-    return ExactMatrix(rows, cols, [random_scalar(rng, span) for _ in range(rows * cols)])
+    return ExactMatrix([[random_scalar(rng, span) for _ in range(cols)] for _ in range(rows)], cols)
 
 
 def random_invertible(rng: random.Random, n: int, span: int = 3) -> ExactMatrix:
@@ -259,10 +257,10 @@ def random_context(rng: random.Random, n: int, name: str, keep=()) -> Context:
     Half the time every new block is one vector (rank-1 atoms); otherwise
     blocks of two or more vectors give atoms of higher rank.
     """
-    kept = Subspace.span_of([b for p in keep for b in p.range.basis_vectors()], n)
+    kept = Subspace.span_of([b for p in keep for b in p.range.basis], n)
     complement = kept.orthocomplement().basis
-    m = complement.rows
-    vectors = gram_schmidt((random_invertible(rng, m, span=2) * complement).row_list())
+    m = len(complement)
+    vectors = gram_schmidt((random_invertible(rng, m, span=2) * ExactMatrix(complement, n)).grid)
     if rng.random() < 0.5:
         cuts = list(range(1, m))
     else:  # without kept atoms, at least one cut: a context needs two atoms
@@ -345,24 +343,23 @@ def reference_ks_text(structure: Structure, solutions) -> str:
 
 def adjoint(m: ExactMatrix) -> ExactMatrix:
     """The conjugate transpose: entry (j, i) of the result is conj(m[i, j])."""
-    return ExactMatrix(m.cols, m.rows, [m.entry(i, j).conjugate() for j in range(m.cols) for i in range(m.rows)])
+    return ExactMatrix([[r[j].conjugate() for r in m.grid] for j in range(m.cols)], m.rows)
 
 
 def matrix_sum(first: ExactMatrix, *rest: ExactMatrix) -> ExactMatrix:
     """The entrywise sum of matrices of one shape."""
-    terms = zip(*([e for row in m.grid for e in row] for m in (first, *rest)))
-    return ExactMatrix(first.rows, first.cols, [sum(es, GaussianRational(0)) for es in terms])
+    rows = zip(*(m.grid for m in (first, *rest)))
+    return ExactMatrix([[sum(es, GaussianRational(0)) for es in zip(*rs)] for rs in rows], first.cols)
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
     """The X with m X = X m = 1 for a square m, read off the reduced form of [m | 1]."""
     n = m.rows
-    eye = ExactMatrix.identity(n)
-    augmented = ExactMatrix(n, 2 * n, [e for i in range(n) for e in m.row(i) + eye.row(i)])
+    augmented = ExactMatrix([r + e for r, e in zip(m.grid, ExactMatrix.identity(n).grid)], 2 * n)
     reduced, pivots, _ = augmented.rref()
     if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return ExactMatrix(n, n, [e for i in range(n) for e in reduced.row(i)[n:]])
+    return ExactMatrix([r[n:] for r in reduced.grid], n)
 
 
 def reference_projector_law(m: ExactMatrix):

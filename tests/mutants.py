@@ -57,6 +57,15 @@ MUTANTS = [
     # The value types' one constructor.
     ("frozen.py", "zip(fields, values)", "zip(reversed(fields), values)"),
     ("frozen.py", "if named or len(values) != len(fields):", "if named:"),
+    # The matrix's one constructor, over rows, and its read-only fields.
+    ("linalg.py", "            if len(r) != cols:\n", "            if False:\n"),
+    ("linalg.py", "if not set(map(type, chain.from_iterable(grid))) <= _SCALAR_TYPE:", "if False:"),
+    ("linalg.py", "    __setattr__, __delattr__ = Frozen.__setattr__, Frozen.__delattr__\n", "    __delattr__ = Frozen.__delattr__\n"),
+    ("linalg.py", "return ExactMatrix, (self.grid, self.cols)", "return ExactMatrix, (self.grid,)"),
+    # A lattice member's basis is the rows the elimination returns, wrapped in no matrix.
+    ("contexts.py", "sums.append(Subspace(n, basis))", "sums.append(Subspace(n, _matrix(n, basis).grid))"),
+    # One support per index lookup.
+    ("contexts.py", "return self.masks.index(support)", "return self.masks.index(self.context.support(s))"),
 ]
 
 

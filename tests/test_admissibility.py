@@ -159,7 +159,7 @@ def test_ks_search_order_invariance(cabello):
 
 def test_ks_search_prunes_conflicts():
     # two contexts sharing two atom ranges: conflicting picks must drop out
-    e = ExactMatrix.from_rows
+    e = ExactMatrix
     a1 = validate_projector(e([["1", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]), "a1")
     a2 = validate_projector(e([["0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]), "a2")
     a3 = validate_projector(e([["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "0"]]), "a3")

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from suplat import contexts
+from suplat import contexts, linalg, operators, subspaces
 from suplat.cli import main
 from suplat.contexts import (
     ContextError,
@@ -48,7 +48,7 @@ from helpers import (
 def diag(*entries):
     n = len(entries)
     rows = [[str(entries[i]) if i == j else "0" for j in range(n)] for i in range(n)]
-    return validate_projector(ExactMatrix.from_rows(rows))
+    return validate_projector(ExactMatrix(rows))
 
 
 def named(p, name):
@@ -109,10 +109,10 @@ def test_invariant_lattice_cabello(cabello):
 
 
 def test_invariant_lattice_rank2_atoms():
-    top = validate_projector(ExactMatrix.from_rows(
+    top = validate_projector(ExactMatrix(
         [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]
     ), name="12")
-    bottom = validate_projector(ExactMatrix.from_rows(
+    bottom = validate_projector(ExactMatrix(
         [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
     ), name="34")
     lattice = InvariantLattice(validate_context("split", [top, bottom]))
@@ -153,14 +153,14 @@ def test_lattice_members_share_the_rows_their_build_leaves_alone():
     # so diag-12's 4096 members, 24576 rows in all, hold only the atoms' 12.
     n = 12
     context = validate_context("D", [named(diag(*(int(i == k) for i in range(n))), f"e{k}") for k in range(n)])
-    atom_rows = {id(r) for p in context.atoms for r in p.range.basis.grid}
+    atom_rows = {id(r) for p in context.atoms for r in p.range.basis}
     members = context.lattice.members
     assert len(members) == 4096 and sum(m.dim for m in members) == 24576
-    assert {id(r) for m in members for r in m.basis.grid} == atom_rows and len(atom_rows) == n
+    assert {id(r) for m in members for r in m.basis} == atom_rows and len(atom_rows) == n
     # A row is cleared, and so replaced, only where the inserted row's pivot
     # column holds a nonzero entry.
     def grid(*rows):
-        return list(ExactMatrix.from_rows(rows).grid)
+        return ExactMatrix(rows).grid
 
     r0, r1, v, w = grid([1, 0, 0, 0], [0, 0, 1, 2], [0, 1, 1, 0], [0, 0, 0, 1])
     rows, pivots = _insert_rows([r0, r1], (0, 2), [v])
@@ -168,7 +168,62 @@ def test_lattice_members_share_the_rows_their_build_leaves_alone():
     assert rows[0] is r0 and rows[2] is r1
     after, pivots = _insert_rows(rows, pivots, [w])
     assert pivots == (0, 1, 2, 3) and after == grid([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
-    assert after[0] is r0 and after[3] is w and rows[2] is r1  # the input list is not changed
+    assert after[0] is r0 and after[3] is w and rows[2] is r1  # the input rows are not changed
+
+
+def test_lattice_members_joins_and_projector_ranges_build_no_matrix(monkeypatch):
+    # A subspace's basis is the tuple of rows the elimination returns, so building
+    # a lattice, joining members and validating a projector wrap no rows in a matrix.
+    rng = random.Random(36)
+    structure = random_structure(rng, 5)
+    expected = [lattice.members for lattice in structure.lattices]
+    atoms = [a for c in structure.contexts for a in c.atoms]
+    calls = []
+
+    def counting(function):
+        def wrapper(*args, **kwargs):
+            calls.append(function.__qualname__)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counting(ExactMatrix.__init__))
+    for module in (linalg, subspaces, contexts, operators):
+        if hasattr(module, "_matrix"):
+            monkeypatch.setattr(module, "_matrix", counting(linalg._matrix))
+    lattices = [InvariantLattice(c) for c in structure.contexts]
+    joins = [a.join(b) for members in expected for a in members[1:4] for b in members[-4:]]
+    projectors = [validate_projector(a.matrix, name=a.name) for a in atoms]
+    assert calls == []
+    monkeypatch.undo()
+    assert [lattice.members for lattice in lattices] == expected and projectors == atoms
+    assert joins == [a.join(b) for members in expected for a in members[1:4] for b in members[-4:]]
+    for s in [m for members in expected for m in members] + joins:
+        assert type(s.basis) is tuple and {type(r) for r in s.basis} <= {tuple}
+
+
+def test_index_of_computes_each_support_once(cabello, monkeypatch):
+    calls = []
+    support = contexts.Context.support
+
+    def counting(self, s):
+        calls.append(s)
+        return support(self, s)
+
+    monkeypatch.setattr(contexts.Context, "support", counting)
+    for lattice in cabello.lattices:
+        members = set(lattice.members)
+        for m in [m for other in cabello.lattices for m in other.members]:
+            calls.clear()
+            if m in members:
+                assert lattice.members[lattice.index_of(m)] == m
+            else:
+                with pytest.raises(KeyError):
+                    lattice.index_of(m)
+            assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(KeyError):  # another ambient dimension: no support to compute
+        cabello.lattices[0].index_of(Subspace.full(3))
+    assert calls == []
 
 
 def _coordinate_context(rng: random.Random, n: int, name: str):
@@ -193,7 +248,7 @@ def test_lattice_members_match_the_reference_elimination(qubit, cabello):
     ranks = set()
     for context in contexts:
         lattice, n = InvariantLattice(context), context.dimension
-        columns = [[[p.matrix.entry(i, j) for i in range(n)] for j in range(n)] for p in context.atoms]
+        columns = [[[p.matrix.grid[i][j] for i in range(n)] for j in range(n)] for p in context.atoms]
         by_mask = {
             mask: reference_span([c for i, cols in enumerate(columns) if mask >> i & 1 for c in cols], n)
             for mask in range(1 << len(context.atoms))
@@ -265,8 +320,8 @@ def test_membership_rule_is_the_atom_sum_lattice():
         rank1 = all(p.rank == 1 for p in context.atoms)
         candidates = list(lattice.members) + [random_subspace(rng, context.dimension) for _ in range(4)]
         for member in rng.sample(lattice.members[1:], 3):  # spans of vectors inside members
-            rows = random_matrix(rng, rng.randint(1, member.dim), member.dim) * member.basis
-            candidates.append(Subspace.span_of(rows.row_list(), context.dimension))
+            rows = random_matrix(rng, rng.randint(1, member.dim), member.dim) * ExactMatrix(member.basis)
+            candidates.append(Subspace.span_of(rows.grid, context.dimension))
         for s in candidates:
             member = is_lattice_member(s, context)
             assert (s in oracle) == member
@@ -293,12 +348,12 @@ def test_support_matches_projector_images():
         for _ in range(3):  # spans of vectors inside a random sum of atom ranges
             mask = rng.randrange(1, 1 << len(context.atoms))
             member = Subspace.span_of([b for i, p in enumerate(context.atoms) if mask >> i & 1
-                                       for b in p.range.basis_vectors()], n)
-            rows = random_matrix(rng, rng.randint(1, member.dim), member.dim) * member.basis
-            candidates.append(Subspace.span_of(rows.row_list(), n))
+                                       for b in p.range.basis], n)
+            rows = random_matrix(rng, rng.randint(1, member.dim), member.dim) * ExactMatrix(member.basis)
+            candidates.append(Subspace.span_of(rows.grid, n))
         for s in candidates:
             expected = sum(1 << i for i, p in enumerate(context.atoms)
-                           if any(any(p.matrix.apply(b)) for b in s.basis_vectors()))
+                           if any(any(p.matrix.apply(b)) for b in s.basis))
             assert context.support(s) == expected
             bits.update(expected >> i & 1 for i in range(len(context.atoms)))
     assert rank2 == {True, False} and bits == {0, 1}
@@ -327,8 +382,8 @@ def test_membership_queries_match_the_hashed_index_oracle():
         candidates = [m for lat in structure.lattices for m in lat.members]
         for member in rng.sample(candidates, 4):
             if member.dim:
-                rows = random_matrix(rng, rng.randint(1, member.dim), member.dim) * member.basis
-                candidates.append(Subspace.span_of(rows.row_list(), n))
+                rows = random_matrix(rng, rng.randint(1, member.dim), member.dim) * ExactMatrix(member.basis)
+                candidates.append(Subspace.span_of(rows.grid, n))
         candidates += [random_subspace(rng, n) for _ in range(4)]
         for lattice in structure.lattices:
             oracle = member_index(lattice)
@@ -400,7 +455,7 @@ def test_member_support_matches_the_support_of_the_member():
         for i, ctx in enumerate(structure.contexts):
             higher_rank += any(p.rank > 1 for p in ctx.atoms)
             for mask in range(1 << len(ctx.atoms)):
-                rows = [b for a, p in enumerate(ctx.atoms) if mask >> a & 1 for b in p.range.basis_vectors()]
+                rows = [b for a, p in enumerate(ctx.atoms) if mask >> a & 1 for b in p.range.basis]
                 member = reference_span(rows, n)
                 for o, other in enumerate(structure.contexts):
                     assert structure.member_support(o, i, mask) == other.support(member), (o, i, mask)
@@ -433,7 +488,7 @@ def test_range_ids_number_the_distinct_ranges_in_first_occurrence_order(cabello)
     # cabello-3 with each atom's range spanned again: S1.P1 and S2.P1 are one
     # ray, built twice as two equal ranges, and still get one id
     twice = Structure([
-        validate_context(c.name, [projector_onto(Subspace.span_of(a.range.basis_vectors(), 4), a.name) for a in c.atoms])
+        validate_context(c.name, [projector_onto(Subspace.span_of(a.range.basis, 4), a.name) for a in c.atoms])
         for c in cabello.contexts
     ])
     assert twice.contexts[0].atoms[0].range is not twice.contexts[1].atoms[0].range
@@ -517,7 +572,7 @@ def _reference_load_error(data):
     for ci, ctx in enumerate(data["contexts"]):
         for pi, proj in enumerate(ctx["projectors"]):
             try:
-                validate_projector(ExactMatrix.from_rows(proj["matrix"]), name=proj["name"])
+                validate_projector(ExactMatrix(proj["matrix"]), name=proj["name"])
             except ProjectorError as err:
                 return type(err), f"contexts[{ci}].projectors[{pi}]: {err}"
     return None
@@ -540,7 +595,7 @@ def test_load_matches_independent_validation(make):
     for ctx, raw in zip(structure.contexts, data["contexts"]):
         assert [p.name for p in ctx.atoms] == [p["name"] for p in raw["projectors"]]
         for atom, raw_atom in zip(ctx.atoms, raw["projectors"]):
-            oracle = validate_projector(ExactMatrix.from_rows(raw_atom["matrix"]), name=raw_atom["name"])
+            oracle = validate_projector(ExactMatrix(raw_atom["matrix"]), name=raw_atom["name"])
             assert (atom.matrix, atom.range) == (oracle.matrix, oracle.range)
     # Export and reload is byte-identical, as `datasets export` prints it.
     text = json.dumps(structure_to_dict(structure), indent=2)

@@ -52,7 +52,7 @@ def _hermitian(rng: random.Random, n: int) -> ExactMatrix:
 def _oblique_idempotent(rng: random.Random, n: int) -> ExactMatrix:
     """S D S^-1 with D a 0/1 diagonal: idempotent, rarely Hermitian."""
     s = random_invertible(rng, n, span=2)
-    d = ExactMatrix(n, n, [rng.randint(0, 1) if i == j else 0 for i in range(n) for j in range(n)])
+    d = ExactMatrix([[rng.randint(0, 1) if i == j else 0 for j in range(n)] for i in range(n)])
     return s * d * inverse(s)
 
 
@@ -64,7 +64,7 @@ def _candidate_matrix(rng: random.Random, n: int) -> ExactMatrix:
     if kind == 1:  # scaled: a projector only for the factors 0 and 1
         c = rng.choice([GaussianRational(1), GaussianRational(-1), GaussianRational(2),
                         GaussianRational(0, 1), random_nonzero_scalar(rng)])
-        return ExactMatrix(n, n, [c * e for row in p.grid for e in row])
+        return ExactMatrix([[c * e for e in row] for row in p.grid])
     if kind == 2:  # Hermitian perturbation of a projector
         return matrix_sum(p, _hermitian(rng, n))
     if kind == 3:
@@ -73,9 +73,9 @@ def _candidate_matrix(rng: random.Random, n: int) -> ExactMatrix:
         return _oblique_idempotent(rng, n)
     if kind == 5:  # Hermitian with unit diagonal: P*P - P is nonzero only off the diagonal
         h, keep_real = _hermitian(rng, n), rng.random() < 0.5  # else purely imaginary off the diagonal
-        return ExactMatrix(n, n, [
-            GaussianRational(h.entry(i, j).real * keep_real, h.entry(i, j).imag) if i != j else 1
-            for i in range(n) for j in range(n)
+        return ExactMatrix([
+            [GaussianRational(h.grid[i][j].real * keep_real, h.grid[i][j].imag) if i != j else 1 for j in range(n)]
+            for i in range(n)
         ])
     return random_matrix(rng, n, n, span=2)
 
@@ -101,11 +101,11 @@ def test_validate_projector_matches_definition():
     assert several_pivots
     # Hermitian, with trace(P*P) = 1, and its first column reduces to (1, 1), which P
     # maps to (1, 0), 1 at the pivot: a law check that stopped there would accept it.
-    reflection = ExactMatrix.from_rows([["1/2", "1/2"], ["1/2", "-1/2"]])
+    reflection = ExactMatrix([["1/2", "1/2"], ["1/2", "-1/2"]])
     with pytest.raises(NotIdempotentError):
         validate_projector(reflection)
     assert reference_projector_law(reflection) is NotIdempotentError
-    assert validate_projector(ExactMatrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])).rank == 1
+    assert validate_projector(ExactMatrix([["1/2", "1/2"], ["1/2", "1/2"]])).rank == 1
 
 
 def _big_scalar(rng: random.Random) -> GaussianRational:
@@ -151,7 +151,7 @@ def test_integer_dot_products_match_scalar_sums():
 
 def _partition_atoms(rng: random.Random, n: int, prefix: str) -> list:
     """Projectors onto the blocks of a random partition (2+ blocks) of an orthogonal basis."""
-    vectors = gram_schmidt(random_invertible(rng, n, span=2).row_list())
+    vectors = gram_schmidt(random_invertible(rng, n, span=2).grid)
     rng.shuffle(vectors)
     cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
     blocks = [vectors[a:b] for a, b in zip([0] + cuts, cuts + [n])]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,12 +19,51 @@ from helpers import random_invertible, random_matrix, random_scalar, reference_r
 
 
 def test_product_examples():
-    z_plus = ExactMatrix.from_rows([["1", "0"], ["0", "0"]])
-    z_minus = ExactMatrix.from_rows([["0", "0"], ["0", "1"]])
+    z_plus = ExactMatrix([["1", "0"], ["0", "0"]])
+    z_minus = ExactMatrix([["0", "0"], ["0", "1"]])
     assert z_plus * z_minus == ExactMatrix.zeros(2, 2)
     assert z_plus * ExactMatrix.identity(2) == z_plus
-    x_plus = ExactMatrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
+    x_plus = ExactMatrix([["1/2", "1/2"], ["1/2", "1/2"]])
     assert x_plus * x_plus == x_plus
+
+
+def test_constructor_checks_and_coerces_its_rows():
+    with pytest.raises(DimensionMismatchError, match="^a row of 1 entries in a matrix of 2 columns$"):
+        ExactMatrix([[1, 0], [1]])  # rows of unequal length
+    with pytest.raises(DimensionMismatchError, match="^a row of 2 entries in a matrix of 3 columns$"):
+        ExactMatrix([[1, 0]], 3)
+    with pytest.raises(ValueError, match="^a matrix with no rows needs its column count$"):
+        ExactMatrix([])
+    for rows in ((), [[]]):
+        with pytest.raises(ValueError, match="^matrix dimensions must be nonnegative$"):
+            ExactMatrix(rows, -1)
+    with pytest.raises(TypeError, match="^cannot interpret 0.5 as an exact scalar$"):
+        ExactMatrix([[1, 0.5]])
+    m = ExactMatrix(iter([[1, "1/2-i"], (Fraction(2, 3), GaussianRational(0, 1))]))
+    assert m.grid == ((GaussianRational(1), GaussianRational(Fraction(1, 2), -1)),
+                      (GaussianRational(Fraction(2, 3)), GaussianRational(0, 1)))
+    assert {type(e) for row in m.grid for e in row} == {GaussianRational}
+    assert (m.rows, m.cols) == (2, 2) and ExactMatrix(m.grid, 2) == m
+    empty = ExactMatrix((), 3)  # the 0x3 matrix
+    assert (empty.rows, empty.cols, empty.grid) == (0, 3, ()) and empty == ExactMatrix.zeros(0, 3)
+    assert empty != ExactMatrix((), 2) and ExactMatrix([(), ()]) == ExactMatrix.zeros(2, 0)
+
+
+def test_matrix_fields_cannot_be_assigned_or_deleted():
+    m = ExactMatrix([["1", "i"], ["-i", "2"]])
+    before = hash(m)
+    for name in ("rows", "cols", "grid"):
+        value = getattr(m, name)
+        with pytest.raises(AttributeError):
+            setattr(m, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+        assert getattr(m, name) is value
+    assert hash(m) == before
+    assert m.__reduce__() == (ExactMatrix, (m.grid, 2))
+    for other in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m)), ExactMatrix.zeros(0, 4)):
+        assert type(other) is ExactMatrix and pickle.loads(pickle.dumps(other)) == other
+    assert copy.copy(m) == m and hash(copy.copy(m)) == before
 
 
 def test_product_shape_mismatch():
@@ -42,9 +83,9 @@ def test_no_product_with_a_scalar():
 
 
 def test_rref_examples():
-    m = ExactMatrix.from_rows([["2", "2"], ["1", "1"]])
+    m = ExactMatrix([["2", "2"], ["1", "1"]])
     reduced, pivots, rank = m.rref()
-    assert reduced == ExactMatrix.from_rows([["1", "1"], ["0", "0"]])
+    assert reduced == ExactMatrix([["1", "1"], ["0", "0"]])
     assert pivots == (0,)
     assert rank == 1
 
@@ -69,15 +110,15 @@ def test_rref_idempotent_and_unique():
         assert list(pivots) == sorted(pivots)
         one = GaussianRational(1)
         for r, p in enumerate(pivots):
-            assert reduced.entry(r, p) == one
+            assert reduced.grid[r][p] == one
         for r in range(rank, rows):
-            assert not any(reduced.row(r))
+            assert not any(reduced.grid[r])
 
 
 def _rank_deficient(rng: random.Random, rows: int, cols: int) -> ExactMatrix:
     """Rows drawn from the span of a few random rows: exact repeats, zero
     rows and random combinations, shuffled."""
-    seeds = random_matrix(rng, rng.randint(1, cols), cols).row_list()
+    seeds = random_matrix(rng, rng.randint(1, cols), cols).grid
     out = []
     for _ in range(rows):
         pick = rng.random()
@@ -88,7 +129,7 @@ def _rank_deficient(rng: random.Random, rows: int, cols: int) -> ExactMatrix:
         else:
             terms = [[random_scalar(rng, 3) * e for e in r] for r in seeds]
             out.append(tuple(sum(column, GaussianRational(0)) for column in zip(*terms)))
-    return ExactMatrix(rows, cols, [e for r in out for e in r])
+    return ExactMatrix(out, cols)
 
 
 def _huge(rng: random.Random) -> GaussianRational:
@@ -104,13 +145,13 @@ def _huge(rng: random.Random) -> GaussianRational:
 def test_rref_matches_the_reference_elimination():
     # The insertion routine against whole-matrix Gauss-Jordan elimination.
     rng = random.Random(2026)
-    cases = [ExactMatrix(0, n, ()) for n in range(4)] + [ExactMatrix(3, 0, ())]
+    cases = [ExactMatrix((), n) for n in range(4)] + [ExactMatrix([(), (), ()])]
     for _ in range(60):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         cases.append(random_matrix(rng, rows, cols))  # dense complex entries
         cases.append(random_matrix(rng, rows, cols, span=9))  # mixed denominators
         cases.append(_rank_deficient(rng, rng.randint(2, 7), cols))
-        cases.append(ExactMatrix(rows, cols, [_huge(rng) for _ in range(rows * cols)]))
+        cases.append(ExactMatrix([[_huge(rng) for _ in range(cols)] for _ in range(rows)]))
     ranks = set()
     for m in cases:
         expected = reference_rref(m)
@@ -131,8 +172,8 @@ def test_rref_invariant_under_row_operations():
 
 
 def test_null_space_examples():
-    m = ExactMatrix.from_rows([["1", "0"], ["0", "0"]])
-    assert m.null_space() == ExactMatrix.from_rows([["0", "1"]])
+    m = ExactMatrix([["1", "0"], ["0", "0"]])
+    assert m.null_space() == ExactMatrix([["0", "1"]])
     assert ExactMatrix.identity(3).null_space().rows == 0
 
 
@@ -146,20 +187,20 @@ def test_null_space_oracle():
         basis = m.null_space()
         assert basis.rows == cols - m.rank()  # rank-nullity
         for i in range(basis.rows):
-            assert all(x == zero for x in m.apply(basis.row(i)))
+            assert all(x == zero for x in m.apply(basis.grid[i]))
         # basis rows are independent
         assert basis.rank() == basis.rows
 
 
 def test_apply_and_stacking():
-    m = ExactMatrix.from_rows([["1", "2"], ["0", "1"]])
+    m = ExactMatrix([["1", "2"], ["0", "1"]])
     assert m.apply(["1", "1"]) == (GaussianRational(3), GaussianRational(1))
     with pytest.raises(DimensionMismatchError):
         m.apply(["1"])
 
 
 def test_zero_row_matrices_supported():
-    empty = ExactMatrix(0, 3, ())
+    empty = ExactMatrix((), 3)
     reduced, pivots, rank = empty.rref()
     assert (reduced.rows, pivots, rank) == (0, (), 0)
     assert empty.null_space() == ExactMatrix.identity(3)

@@ -30,7 +30,7 @@ from helpers import (
 
 def test_validate_accepts_projectors(cabello):
     # one quarter of the all-ones matrix is a rank-1 projector
-    ones = ExactMatrix.from_rows([["1/4"] * 4] * 4)
+    ones = ExactMatrix([["1/4"] * 4] * 4)
     p = validate_projector(ones, name="sum-ray")
     assert p.rank == 1
     assert not p.is_trivial()
@@ -51,18 +51,18 @@ def test_validate_rejects_bad_matrices():
     with pytest.raises(NotSquareError):
         validate_projector(ExactMatrix.zeros(2, 3))
     with pytest.raises(NotHermitianError):
-        validate_projector(ExactMatrix.from_rows([["1", "1"], ["0", "1"]]))
+        validate_projector(ExactMatrix([["1", "1"], ["0", "1"]]))
     with pytest.raises(NotHermitianError):
         # Hermitian needs conjugation, not just symmetry
-        validate_projector(ExactMatrix.from_rows([["1", "i"], ["i", "0"]]))
+        validate_projector(ExactMatrix([["1", "i"], ["i", "0"]]))
     with pytest.raises(NotHermitianError):
         # a non-real diagonal entry
-        validate_projector(ExactMatrix.from_rows([["1", "0"], ["0", "i"]]))
+        validate_projector(ExactMatrix([["1", "0"], ["0", "i"]]))
     with pytest.raises(NotHermitianError):
         # nonzero below the diagonal only
-        validate_projector(ExactMatrix.from_rows([["1", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]]))
+        validate_projector(ExactMatrix([["1", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]]))
     with pytest.raises(NotIdempotentError):
-        validate_projector(ExactMatrix.from_rows([["1", "1"], ["1", "1"]]))
+        validate_projector(ExactMatrix([["1", "1"], ["1", "1"]]))
 
 
 def test_range_examples(qubit, cabello):
@@ -94,11 +94,11 @@ def test_kernel_is_orthocomplement_of_range(qubit, cabello):
         atoms += random_context(rng, rng.randint(3, 5), f"C{case}").atoms
     assert any(a.rank == 2 for a in atoms)
     for atom in atoms:
-        assert kernel_of(atom) == Subspace.span_of(atom.matrix.null_space().row_list(), atom.dimension)
+        assert kernel_of(atom) == Subspace.span_of(atom.matrix.null_space().grid, atom.dimension)
 
 
 def test_projector_onto_examples():
-    half = ExactMatrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
+    half = ExactMatrix([["1/2", "1/2"], ["1/2", "1/2"]])
     assert projector_onto(Subspace.span_of([["1", "1"]], 2)).matrix == half
     assert projector_onto(Subspace.zero(3)).matrix == ExactMatrix.zeros(3, 3)
     assert projector_onto(Subspace.full(3)).matrix == ExactMatrix.identity(3)
@@ -133,8 +133,8 @@ def test_projector_onto_obeys_the_laws():
             if k == 1:  # a ray: v v* / (v* v), whatever the length of v
                 (v,) = vectors
                 norm = sum((x.conjugate() * x for x in v), GaussianRational(0))
-                ray = [v[i] * v[j].conjugate() / norm for i in range(n) for j in range(n)]
-                assert p.matrix == ExactMatrix(n, n, ray)
+                ray = [[v[i] * v[j].conjugate() / norm for j in range(n)] for i in range(n)]
+                assert p.matrix == ExactMatrix(ray)
 
 
 def test_projector_onto_inverts_range(qubit, cabello):

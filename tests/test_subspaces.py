@@ -68,7 +68,7 @@ def test_contains_vector_matches_reference():
     for _ in range(60):
         n = rng.randint(1, 4)
         for s in (random_subspace(rng, n), Subspace.zero(n), Subspace.full(n)):
-            inside = _combination(rng, s.basis.row_list(), n)
+            inside = _combination(rng, s.basis, n)
             assert s.contains_vector(inside) and reference_contains(s, inside)
             anywhere = [random_scalar(rng) for _ in range(n)]
             outcomes.append(s.contains_vector(anywhere))
@@ -94,7 +94,7 @@ def test_span_and_join_match_the_reference_elimination():
         assert a == reference_span(vectors, n)
         b = rng.choice([random_subspace(rng, n), a, Subspace.zero(n), Subspace.full(n)])
         joined = a.join(b)
-        assert joined == reference_span(a.basis_vectors() + b.basis_vectors(), n)
+        assert joined == reference_span(a.basis + b.basis, n)
         dims.add((joined.dim > a.dim, joined.dim > b.dim))
     assert len(dims) == 4
 
@@ -135,11 +135,11 @@ def test_is_subspace_of_matches_reference():
     for _ in range(60):
         n = rng.randint(1, 4)
         b = random_subspace(rng, n)
-        below_b = Subspace.span_of([_combination(rng, b.basis.row_list(), n) for _ in range(2)], n)
+        below_b = Subspace.span_of([_combination(rng, b.basis, n) for _ in range(2)], n)
         for a in (random_subspace(rng, n), below_b, Subspace.zero(n), Subspace.full(n)):
             for x, y in ((a, b), (b, a)):
                 outcomes.append(x.is_subspace_of(y))
-                assert outcomes[-1] == all(reference_contains(y, row) for row in x.basis.row_list())
+                assert outcomes[-1] == all(reference_contains(y, row) for row in x.basis)
     assert True in outcomes and False in outcomes
 
 
@@ -161,8 +161,8 @@ def test_canonical_form_stability():
         if s.dim == 0:
             continue
         t = random_invertible(rng, s.dim)
-        transformed = t * s.basis
-        assert Subspace.span_of(transformed.row_list(), n) == s
+        transformed = t * ExactMatrix(s.basis)
+        assert Subspace.span_of(transformed.grid, n) == s
 
 
 def test_lattice_laws_corpus():
@@ -205,7 +205,7 @@ def test_containment_via_states():
         b = random_subspace(rng, n)
         j = a.join(b)
         for s in (a, b):
-            for row in s.basis.row_list():
+            for row in s.basis:
                 assert reference_contains(j, row)
         v = random_state(rng, n)
         inside = reference_contains(a, v)
@@ -234,7 +234,7 @@ def test_integer_sort_order_matches_sort_key():
         items = [random_subspace(rng, n, span=rng.choice((1, 2, 9))) for _ in range(rng.randint(0, 12))]
         items += rng.sample(items, min(2, len(items)))
         kinds.update(f"dim {s.dim}" for s in items)
-        entries = [e for s in items for row in s.basis.grid for e in row]
+        entries = [e for s in items for row in s.basis for e in row]
         kinds.update("complex" for e in entries if e.imag)
         kinds.update("fraction" for e in entries if e.real.denominator > 1)
         _assert_sparse_order_is_dense_order(items)
@@ -291,7 +291,7 @@ def test_row_keys_order_shared_rows_as_the_dense_key(monkeypatch):
         for lattice in structure.lattices:
             ranks.update(p.rank for p in lattice.context.atoms)
             complex_dense |= any(all(row) and any(e.imag for e in row)
-                                 for p in lattice.context.atoms for row in p.range.basis.grid)
+                                 for p in lattice.context.atoms for row in p.range.basis)
             members = list(lattice.members)
             rng.shuffle(members)
             _assert_sparse_order_is_dense_order(members + members[:3])
@@ -322,10 +322,10 @@ def test_str_rendering():
 
 def test_basis_is_exact_rref():
     s = span(["0", "2", "2", "0"], ["0", "0", "3", "1"], ambient=4)
-    reduced, _, rank = s.basis.rref()
-    assert reduced == s.basis
+    reduced, _, rank = ExactMatrix(s.basis).rref()
+    assert reduced.grid == s.basis
     assert rank == s.dim
-    assert s.basis == ExactMatrix.from_rows([["0", "1", "0", "-1/3"], ["0", "0", "1", "1/3"]])
+    assert s.basis == ExactMatrix([["0", "1", "0", "-1/3"], ["0", "0", "1", "1/3"]]).grid
 
 
 def test_hash_keeps_minus_one_and_minus_two_apart():

@@ -209,7 +209,7 @@ def test_states_with_complex_parts(qubit):
 
 def _differential_states(rng, structure):
     """Atom rays, sums of two rays, and random (complex) vectors."""
-    rays = [b for ctx in structure.contexts for a in ctx.atoms for b in a.range.basis_vectors()]
+    rays = [b for ctx in structure.contexts for a in ctx.atoms for b in a.range.basis]
     states = rng.sample(rays, 2)
     for u, w in (rng.sample(rays, 2) for _ in range(2)):
         states.append(tuple(x + y for x, y in zip(u, w)))
