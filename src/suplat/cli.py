@@ -149,8 +149,8 @@ def _formatted(fmt: str, to_text, to_dict, *objects) -> str:
 def _lattices_to_text(lattices) -> str:
     literals = _Literals()  # one per call: each distinct entry and row object is rendered once
     return "".join(
-        f"lattice {lat.name}: {len(lat.members)} members\n"
-        + "".join(f"  {label} = {literals.text(m.basis)}\n" for m, label in zip(lat.members, lat.labels()))
+        f"lattice {lat.name}: {len(lat.bases)} members\n"
+        + "".join(f"  {label} = {literals.text(basis)}\n" for basis, label in zip(lat.bases, lat.labels()))
         for lat in lattices
     )
 
@@ -159,8 +159,8 @@ def _lattices_to_dict(lattices) -> dict:
     literals = _Literals()
     return {
         lat.name: [
-            {"label": label, "dim": m.dim, "basis": literals.rows(m.basis)}
-            for m, label in zip(lat.members, lat.labels())
+            {"label": label, "dim": len(basis), "basis": literals.rows(basis)}
+            for basis, label in zip(lat.bases, lat.labels())
         ]
         for lat in lattices
     }

@@ -139,24 +139,32 @@ class InvariantLattice:
     """The Boolean lattice of subset-sums of a context's atom ranges.
 
     Members are canonical subspaces sorted by dimension and then by
-    lexicographic basis order; ``masks`` aligns each member with its atom
-    mask (bit i set when atom i's range is a summand).  A member is built by
-    inserting its top atom's range rows into the member without that atom,
-    whose rows it shares where the insertion leaves them alone.
+    lexicographic basis order.  The lattice holds each member's atom mask
+    (bit i set when atom i's range is a summand) in ``masks`` and its reduced
+    rows in ``bases``, both in member order; ``members`` wraps the rows in
+    subspaces on first read.  A member's rows are built by inserting its top
+    atom's range rows into those of the member without that atom, whose rows
+    it shares where the insertion leaves them alone.
     """
 
     def __init__(self, context: Context) -> None:
         self.context = context
-        n, rows = context.dimension, [p.range.basis for p in context.atoms]
-        sums, pivots = [Subspace.zero(n)], [()]  # pivot columns of each mask's basis
+        rows = [p.range.basis for p in context.atoms]
+        sums, pivots = [()], [()]  # each mask's reduced rows and their pivot columns
         for mask in range(1, 1 << len(rows)):
             top = mask.bit_length() - 1
-            rest = mask ^ 1 << top  # smaller, so its member is built
-            basis, cols = _insert_rows(sums[rest].basis, pivots[rest], rows[top])
-            sums.append(Subspace(n, basis))
+            rest = mask ^ 1 << top  # smaller, so its rows are built
+            basis, cols = _insert_rows(sums[rest], pivots[rest], rows[top])
+            sums.append(basis)
             pivots.append(cols)
         self.masks: tuple[int, ...] = tuple(_sort_order(sums))
-        self.members: tuple[Subspace, ...] = tuple(sums[m] for m in self.masks)
+        self.bases: tuple[tuple[tuple, ...], ...] = tuple(map(sums.__getitem__, self.masks))
+
+    @cached_property
+    def members(self) -> tuple[Subspace, ...]:
+        """Each member as a subspace, in member order."""
+        n = self.context.dimension
+        return tuple(Subspace(n, basis) for basis in self.bases)
 
     @property
     def name(self) -> str:

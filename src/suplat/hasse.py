@@ -92,7 +92,7 @@ def build_graph(report: ValuationReport, scope: str) -> HasseGraph:
             first.setdefault(keys[mask], (i, mask, member))
     node_keys = list(first)  # one lattice's members are in member order, each with its own key
     if len(in_scope) > 1:
-        node_keys = [node_keys[j] for j in _sort_order([first[s][2] for s in node_keys])]
+        node_keys = [node_keys[j] for j in _sort_order([first[s][2].basis for s in node_keys])]
     position = {s: j for j, s in enumerate(node_keys)}
     labels = {o: contexts[o].lattice.mask_labels for o in in_scope}  # other contexts' lattices stay unbuilt
     nodes, edges = [], []

@@ -13,6 +13,7 @@ calls them, though building a ``--dataset`` structure's projectors does.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from itertools import chain
 from math import gcd
 from numbers import Rational
@@ -426,12 +427,15 @@ def _matrix(cols: int, rows) -> ExactMatrix:
     return m
 
 
-def _minus_multiple(v, f: GaussianRational, w) -> tuple[GaussianRational, ...]:
-    """The row ``v - f*w`` on the triples: an entry of ``v`` is kept where ``w`` is 0,
-    and each other entry is ``(a + bi)/d - (p + qi)(c + ei)/(r h)``, one ``_reduced``."""
+def _minus_multiple(v, f: GaussianRational, w, col: int) -> tuple[GaussianRational, ...]:
+    """The row ``v - f*w`` on the triples, where ``w`` is 0 before column ``col`` and 1 at it
+    and ``f`` is ``v[col]``: the entries before ``col`` are ``v``'s, the one at ``col`` is the
+    shared zero, and of the rest ``v``'s is kept where ``w`` is 0 and each other one is
+    ``(a + bi)/d - (p + qi)(c + ei)/(r h)``, one ``_reduced``."""
     p, q, r = f._a, f._b, f._d
-    out = []
-    for x, y in zip(v, w):
+    out = list(v[:col])
+    out.append(_ZERO)
+    for x, y in zip(v[col + 1:], w[col + 1:]):
         c, e = y._a, y._b
         if c or e:
             re, im, h, d = p * c - q * e, p * e + q * c, r * y._d, x._d
@@ -450,25 +454,31 @@ def _insert_rows(basis, pivots: tuple[int, ...], rows) -> tuple[tuple[tuple, ...
     nothing is left; else it is scaled to a leading 1, cleared from the other rows and
     inserted in pivot order.  A row that no step changes stays the same object, so a lattice
     member shares each row it does not clear with the member it was built from.  Steps read
-    the triples: a zero test is ``a or b``, reducing and clearing are ``_minus_multiple``, and
-    scaling multiplies each nonzero entry by the lead's inverse ``d (a - bi) / (a^2 + b^2)``."""
+    the triples: a zero test is ``a or b``, reducing and clearing are ``_minus_multiple``, told
+    the column they clear (the pivot column, the lead column), and scaling multiplies each
+    nonzero entry after the lead by the lead's inverse ``d (a - bi) / (a^2 + b^2)``.  The
+    cleared zero and the scaled lead's 1 are written, not computed."""
     basis, pivots = list(basis), list(pivots)
     for v in rows:
         for k, c in enumerate(pivots):
             f = v[c]
             if f._a or f._b:
-                v = _minus_multiple(v, f, basis[k])
-        lead = next((j for j, x in enumerate(v) if x._a or x._b), None)
-        if lead is None:
+                v = _minus_multiple(v, f, basis[k], c)
+        for lead, x in enumerate(v):
+            if x._a or x._b:
+                break
+        else:
             continue
-        a, b, d = v[lead]._a, v[lead]._b, v[lead]._d
+        a, b, d = x._a, x._b, x._d
         if b or a != d:  # the leading entry is not 1
             p, q, m = d * a, d * b, a * a + b * b
-            v = tuple([_reduced(x._a * p + x._b * q, x._b * p - x._a * q, x._d * m) if x._a or x._b else x for x in v])
+            v = (*v[:lead], _ONE, *[_reduced(y._a * p + y._b * q, y._b * p - y._a * q, y._d * m) if y._a or y._b else y
+                                    for y in v[lead + 1:]])
         for k, w in enumerate(basis):
             f = w[lead]
             if f._a or f._b:
-                basis[k] = _minus_multiple(w, f, v)
-        pivots = sorted(pivots + [lead])
-        basis.insert(pivots.index(lead), v)
+                basis[k] = _minus_multiple(w, f, v, lead)
+        at = bisect_left(pivots, lead)
+        pivots.insert(at, lead)
+        basis.insert(at, v)
     return tuple(basis), tuple(pivots)

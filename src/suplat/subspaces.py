@@ -133,16 +133,17 @@ class _Literals(dict):
         return "span{" + ", ".join(map(self.row_text, rows)) + "}" if rows else "{0}"
 
 
-def _sort_order(subspaces: Sequence[Subspace]) -> list[int]:
-    """Indices that sort subspaces of one ambient dimension by dimension, then by basis
-    entries row by row, each by its real and then its imaginary part; ties keep input order.
-    The key is the dimension, then one key per row object, made once and kept by ``id``: ``1,
-    -j, re, im`` for each nonzero entry at column j with ``(re, im) > (0, 0)`` and ``-1, j, re,
-    im`` for the others (parts scaled to ints by the lcm of the set's denominators), then ``0``:
-    in the first row where two bases differ, the first column where they differ decides by the
-    sign there, and a row key's end sits between the signs, as a missing entry is 0.
+def _sort_order(bases: Sequence[tuple[tuple, ...]]) -> list[int]:
+    """Indices that sort reduced bases of one ambient dimension (subspaces' ``basis``) by
+    dimension, then by entries row by row, each by its real and then its imaginary part; ties
+    keep input order.  The key is the dimension, then one key per row object, made once and
+    kept by ``id``: ``1, -j, re, im`` for each nonzero entry at column j with ``(re, im) > (0,
+    0)`` and ``-1, j, re, im`` for the others (parts scaled to ints by the lcm of the set's
+    denominators), then ``0``: in the first row where two bases differ, the first column where
+    they differ decides by the sign there, and a row key's end sits between the signs, as a
+    missing entry is 0.
     """
-    rows = {id(r): r for s in subspaces for r in s.basis}
+    rows = {id(r): r for basis in bases for r in basis}
     common = lcm(*{e._d for r in rows.values() for e in r})
     row_keys = {}
     for x, r in rows.items():
@@ -152,5 +153,5 @@ def _sort_order(subspaces: Sequence[Subspace]) -> list[int]:
                 a, b = e._a * common // e._d, e._b * common // e._d
                 key += (1, -j, a, b) if a > 0 or a == 0 and b > 0 else (-1, j, a, b)
         key.append(0)
-    keys = [[s.dim, *map(row_keys.__getitem__, map(id, s.basis))] for s in subspaces]
+    keys = [[len(basis), *map(row_keys.__getitem__, map(id, basis))] for basis in bases]
     return sorted(range(len(keys)), key=keys.__getitem__)

@@ -143,7 +143,7 @@ def report_to_text(report: ValuationReport) -> str:
         f"allocated: {', '.join(report.allocated) if report.allocated else '(none)'}",
     ]
     lines.extend(f"note: {note}" for note in report.notes)
-    lines.extend(f"{key} = {value}" for key, value in report.entries.items())
+    lines.extend(f"{key} = {value.value}" for key, value in report.entries.items())
     return "\n".join(lines) + "\n"
 
 

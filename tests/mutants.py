@@ -29,8 +29,13 @@ MUTANTS = [
     ("linalg.py", "p * e + q * c", "p * e - q * c"),
     ("linalg.py", "if b or a != d:  # the leading entry is not 1", "if b:"),
     # A row the insertion need not clear is kept as the same object, so lattice members share it.
-    ("linalg.py", "            if f._a or f._b:\n                basis[k] = _minus_multiple(w, f, v)",
-     "            if True:\n                basis[k] = _minus_multiple(w, f, v)"),
+    ("linalg.py", "            if f._a or f._b:\n                basis[k] = _minus_multiple(w, f, v, lead)",
+     "            if True:\n                basis[k] = _minus_multiple(w, f, v, lead)"),
+    # Each step writes the entries it fixes: the cleared zero at the column it is
+    # told, the scaled lead's 1; and a new pivot goes in by bisection.
+    ("linalg.py", "_minus_multiple(v, f, basis[k], c)", "_minus_multiple(v, f, basis[k], k)"),
+    ("linalg.py", "v = (*v[:lead], _ONE, *[", "v = (*v[:lead], x, *["),
+    ("linalg.py", "at = bisect_left(pivots, lead)", "at = len(pivots)"),
     # The scalar operators and matrix products, one formula each.
     ("linalg.py", "b * f + e * d", "b * f - e * d"),
     ("linalg.py", "a * e + b * c", "a * e - b * c"),
@@ -62,8 +67,10 @@ MUTANTS = [
     ("linalg.py", "if not set(map(type, chain.from_iterable(grid))) <= _SCALAR_TYPE:", "if False:"),
     ("linalg.py", "    __setattr__, __delattr__ = Frozen.__setattr__, Frozen.__delattr__\n", "    __delattr__ = Frozen.__delattr__\n"),
     ("linalg.py", "return ExactMatrix, (self.grid, self.cols)", "return ExactMatrix, (self.grid,)"),
-    # A lattice member's basis is the rows the elimination returns, wrapped in no matrix.
-    ("contexts.py", "sums.append(Subspace(n, basis))", "sums.append(Subspace(n, _matrix(n, basis).grid))"),
+    # A lattice member's basis is the rows the elimination returns, wrapped in no matrix,
+    # and the lattice keeps the bases in member order.
+    ("contexts.py", "sums.append(basis)", "sums.append(_matrix(context.dimension, basis).grid)"),
+    ("contexts.py", "tuple(map(sums.__getitem__, self.masks))", "tuple(sums)"),
     # One support per index lookup.
     ("contexts.py", "return self.masks.index(support)", "return self.masks.index(self.context.support(s))"),
 ]

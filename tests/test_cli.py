@@ -677,6 +677,38 @@ def test_lattice_and_eval_construct_no_fraction(capsys, tmp_path, monkeypatch):
     assert made == []
 
 
+def test_lattice_build_eval_and_lattice_construct_no_member_subspace(capsys, tmp_path, monkeypatch):
+    # A lattice holds its members' rows and wraps them in subspaces only when
+    # ``members`` is read, which building it, eval and lattice do not: loading
+    # makes one subspace per distinct atom range and eval one for the state's
+    # ray, however many members the lattices have.
+    path = tmp_path / "cabello.json"
+    path.write_text(json.dumps(structure_to_dict(builtin_structure("cabello-3"))))
+    made = []
+    original = Subspace.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subspace, "__init__", counting)
+    for name in dataset_names():
+        structure = builtin_structure(name)
+        made.clear()
+        assert sum(len(contexts.InvariantLattice(c).bases) for c in structure.contexts) > 0
+        assert made == []
+    assert run(capsys, "validate", str(path))[0] == 0
+    loaded = len(made)
+    made.clear()
+    for argv, rays in ((["lattice", str(path)], 0), (["lattice", str(path), "--format", "structured"], 0),
+                       (["eval", str(path), "--state", "0,0,0,1", "--mode", "invariant"], 1),
+                       (["eval", str(path), "--state", "1,1/2,-i,0", "--mode", "hilbert", "--format", "structured"], 1)):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and "S1" in out
+        assert len(made) == loaded + rays, argv
+        made.clear()
+
+
 def test_hasse_output_file(capsys, tmp_path):
     target = tmp_path / "graph.dot"
     code, out, _ = run(

@@ -171,6 +171,23 @@ def test_lattice_members_share_the_rows_their_build_leaves_alone():
     assert after[0] is r0 and after[3] is w and rows[2] is r1  # the input rows are not changed
 
 
+def test_lattice_members_wrap_its_bases_once():
+    # The lattice holds each member's rows; members are built on first read,
+    # once, and hold those rows, so diag-12's 4096 still hold the atoms' 12.
+    rng = random.Random(37)
+    n = 12
+    diag_12 = validate_context("D", [named(diag(*(int(i == k) for i in range(n))), f"e{k}") for k in range(n)])
+    for context in [diag_12] + [c for _ in range(4) for c in random_structure(rng, rng.randint(2, 4)).contexts]:
+        lattice = InvariantLattice(context)
+        assert "members" not in vars(lattice)
+        members = lattice.members
+        assert members == tuple(Subspace(context.dimension, basis) for basis in lattice.bases)
+        assert all(m.basis is basis for m, basis in zip(members, lattice.bases))
+        assert lattice.members is members
+    members = diag_12.lattice.members
+    assert len(members) == 4096 and len({id(r) for m in members for r in m.basis}) == n
+
+
 def test_lattice_members_joins_and_projector_ranges_build_no_matrix(monkeypatch):
     # A subspace's basis is the tuple of rows the elimination returns, so building
     # a lattice, joining members and validating a projector wrap no rows in a matrix.
@@ -254,6 +271,7 @@ def test_lattice_members_match_the_reference_elimination(qubit, cabello):
             for mask in range(1 << len(context.atoms))
         }
         assert dict(zip(lattice.masks, lattice.members)) == by_mask
+        assert dict(zip(lattice.masks, lattice.bases)) == {mask: s.basis for mask, s in by_mask.items()}
         assert list(lattice.masks) == sorted(by_mask, key=lambda m: reference_sort_key(by_mask[m]))
         ranks.update(p.rank for p in context.atoms)
     assert {1, 2} <= ranks

@@ -10,9 +10,12 @@ from fractions import Fraction
 import pytest
 
 from suplat.linalg import (
+    _ONE,
+    _ZERO,
     DimensionMismatchError,
     ExactMatrix,
     GaussianRational,
+    _insert_rows,
 )
 
 from helpers import random_invertible, random_matrix, random_scalar, reference_rref
@@ -158,6 +161,19 @@ def test_rref_matches_the_reference_elimination():
         assert m.rref() == expected, m
         ranks.add((expected[2] < m.rows, m.rows == 0))
     assert ranks == {(False, False), (True, False), (False, True)}
+
+
+def test_elimination_writes_the_entries_it_fixes():
+    # A pivot column holds 1 at its pivot and 0 elsewhere by construction, so
+    # each lead is scaled to the shared one, and each entry that reducing (the
+    # new row at a pivot column) or clearing (a pivot row at the new lead)
+    # zeroes is the shared zero: none of them is computed.
+    m = ExactMatrix([["2", "4", "6", "8"], ["3", "1", "2", "i"], ["1", "1/2", "5", "2-i"]])
+    rows, pivots = _insert_rows((), (), m.grid)
+    reduced, expected_pivots, _ = reference_rref(m)
+    assert rows == reduced.grid and pivots == expected_pivots == (0, 1, 2)
+    for i, row in enumerate(rows):
+        assert all(row[c] is (_ONE if k == i else _ZERO) for k, c in enumerate(pivots))
 
 
 def test_rref_invariant_under_row_operations():

@@ -221,7 +221,7 @@ def test_sort_key_orders_by_dimension_first():
 
 def _assert_sparse_order_is_dense_order(items):
     expected = sorted(range(len(items)), key=lambda i: reference_sort_key(items[i]))
-    assert _sort_order(items) == dense_sort_order(items) == expected
+    assert _sort_order([s.basis for s in items]) == dense_sort_order(items) == expected
 
 
 def test_integer_sort_order_matches_sort_key():
@@ -280,9 +280,9 @@ def test_row_keys_order_shared_rows_as_the_dense_key(monkeypatch):
     sorted_lists, ranks, complex_dense = [], set(), False
     original = hasse._sort_order
 
-    def checked(subspaces):
-        sorted_lists.append(subspaces)
-        return original(subspaces)
+    def checked(bases):
+        sorted_lists.append([Subspace(structure.ambient_dim, basis) for basis in bases])
+        return original(bases)
 
     monkeypatch.setattr(hasse, "_sort_order", checked)
     for _ in range(10):
@@ -310,8 +310,8 @@ def test_row_keys_order_shared_rows_as_the_dense_key(monkeypatch):
     ]
     for low, high in pairs:
         assert low.dim == high.dim
-        assert _sort_order([low, high]) == dense_sort_order([low, high]) == [0, 1]
-        assert _sort_order([high, low]) == dense_sort_order([high, low]) == [1, 0]
+        assert _sort_order([low.basis, high.basis]) == dense_sort_order([low, high]) == [0, 1]
+        assert _sort_order([high.basis, low.basis]) == dense_sort_order([high, low]) == [1, 0]
 
 
 def test_str_rendering():
