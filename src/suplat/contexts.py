@@ -21,7 +21,7 @@ from .frozen import Frozen
 from .linalg import DimensionMismatchError, _insert_rows, _is_orthogonal, _matrix
 from .linalg import as_scalar, parse_scalar
 from .operators import Projector, ProjectorError, validate_projector
-from .subspaces import Subspace, _Literals, _sort_order
+from .subspaces import Subspace, _Literals, _sort_order, _subspace
 
 
 class ContextError(ValueError):
@@ -164,7 +164,7 @@ class InvariantLattice:
     def members(self) -> tuple[Subspace, ...]:
         """Each member as a subspace, in member order."""
         n = self.context.dimension
-        return tuple(Subspace(n, basis) for basis in self.bases)
+        return tuple(_subspace(n, basis) for basis in self.bases)
 
     @property
     def name(self) -> str:
@@ -284,7 +284,7 @@ def state_supports(structure: Structure, v) -> list[int]:
     ``v`` is the orthogonal sum of its projections ``P_i v``, so it lies in
     the member named by mask m iff its support is a subset of m.
     """
-    ray = Subspace.span_of([v], structure.ambient_dim)
+    ray = Subspace(structure.ambient_dim, [v])
     return [c.support(ray) for c in structure.contexts]
 
 

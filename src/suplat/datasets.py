@@ -62,7 +62,7 @@ def builtin_structure(name: str) -> Structure:
 
     def atom(label: str, ray: tuple) -> Projector:
         if ray not in first:
-            first[ray] = projector_onto(Subspace.span_of([ray], len(ray)), name=label)
+            first[ray] = projector_onto(Subspace(len(ray), [ray]), name=label)
         p = first[ray]
         return p if p.name == label else Projector(label, p.matrix, p.range)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .frozen import Frozen
 from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _insert_rows, _is_hermitian, _reduced
-from .subspaces import Subspace
+from .subspaces import Subspace, _subspace
 
 
 class ProjectorError(ValueError):
@@ -70,7 +70,7 @@ def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
     dots = ((i == k, _dot(rows[c], b)) for i, c in enumerate(pivots) for k, b in enumerate(basis))
     if any(im or a != d * one for one, (a, im, d) in dots):
         raise NotIdempotentError(f"projector {name!r}: matrix squared differs from the matrix")
-    return Projector(name, matrix, Subspace(n, basis))
+    return Projector(name, matrix, _subspace(n, basis))
 
 
 def range_of(p: Projector) -> Subspace:

@@ -1,10 +1,11 @@
 """Closed linear subspaces of C^n in canonical form, with lattice operations.
 
 A subspace is identified by the reduced row echelon basis of any spanning
-set, which is unique, so equality and hashing are structural.  The basis
-is held as a tuple of row tuples, the rows that ``linalg._insert_rows``
-returns, so no subspace builds a matrix.  A join inserts the other's rows
-into the reduced rows.
+set, which is unique, so equality and hashing are structural: the one
+constructor reduces whatever spanning set it is given.  The basis is held
+as a tuple of row tuples, the rows that ``linalg._insert_rows`` returns, so
+no subspace builds a matrix.  A join inserts the other's rows into the
+reduced rows, which ``_subspace`` wraps without reducing them again.
 Meet is routed through orthocomplements (de Morgan) because the
 intersection of row spaces has no direct canonical construction, and the
 order is read off the join: a <= b iff dim(a v b) = dim b.
@@ -17,34 +18,32 @@ from itertools import compress, count
 from math import lcm
 from operator import attrgetter
 
-from .frozen import Frozen
+from .frozen import Frozen, setfield
 from .linalg import (
     DimensionMismatchError,
     ExactMatrix,
     _insert_rows,
     _matrix,
+    _new,
     _triple,
     format_scalar,
 )
 
 
 class Subspace(Frozen):
-    """A subspace of C^ambient_dim; ``basis`` is its RREF spanning set, a tuple of row tuples."""
+    """A subspace of C^ambient_dim; ``basis`` is its RREF spanning set, a tuple of row tuples.
+    The constructor takes any spanning vectors (possibly none), whose entries may be anything
+    ``as_scalar`` accepts, coerced once every length has been checked, and keeps their RREF."""
 
     __slots__ = ("ambient_dim", "basis")
 
-    @staticmethod
-    def span_of(vectors, ambient_dim: int) -> Subspace:
-        """Canonical subspace spanned by the given vectors (possibly none); entries may
-        be anything ``as_scalar`` accepts, coerced once every length has been checked."""
-        rows = [tuple(vec) for vec in vectors]
+    def __init__(self, *values, **named) -> None:
+        super().__init__(*values, **named)
+        n, rows = self.ambient_dim, [tuple(vec) for vec in self.basis]
         for v in rows:
-            if len(v) != ambient_dim:
-                raise DimensionMismatchError(
-                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-        coerced = ExactMatrix(rows, ambient_dim).grid
-        return Subspace(ambient_dim, _insert_rows((), (), coerced)[0])
+            if len(v) != n:
+                raise DimensionMismatchError(f"vector of length {len(v)} in ambient dimension {n}")
+        setfield(self, "basis", _insert_rows((), (), ExactMatrix(rows, n).grid)[0])
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
@@ -76,7 +75,7 @@ class Subspace(Frozen):
 
     def contains_vector(self, vector) -> bool:
         """True iff the vector lies in the subspace (the zero vector does): its ray adds no dimension."""
-        return self.join(Subspace.span_of([vector], self.ambient_dim)).dim == self.dim
+        return self.join(Subspace(self.ambient_dim, [vector])).dim == self.dim
 
     def is_subspace_of(self, other: Subspace) -> bool:
         return self.join(other).dim == other.dim
@@ -85,7 +84,7 @@ class Subspace(Frozen):
         """Smallest subspace containing both: other's rows inserted into self's reduced rows."""
         self._require_same_ambient(other)
         pivots = tuple(next(compress(count(), row)) for row in self.basis)
-        return Subspace(self.ambient_dim, _insert_rows(self.basis, pivots, other.basis)[0])
+        return _subspace(self.ambient_dim, _insert_rows(self.basis, pivots, other.basis)[0])
 
     def orthocomplement(self) -> Subspace:
         """All vectors Hermitian-orthogonal to the subspace.
@@ -95,7 +94,7 @@ class Subspace(Frozen):
         place a subspace's rows become a matrix.
         """
         kernel = _matrix(self.ambient_dim, self.basis).conjugate().null_space()
-        return Subspace.span_of(kernel.grid, self.ambient_dim)
+        return Subspace(self.ambient_dim, kernel.grid)
 
     def meet(self, other: Subspace) -> Subspace:
         """Intersection, computed as the complement of the join of complements."""
@@ -104,6 +103,14 @@ class Subspace(Frozen):
 
     def __str__(self) -> str:
         return _Literals().text(self.basis)
+
+
+def _subspace(ambient_dim: int, basis: tuple[tuple, ...]) -> Subspace:
+    """The subspace with this basis, reduced rows ``_insert_rows`` returned: no check, no copy."""
+    s = _new(Subspace)
+    setfield(s, "ambient_dim", ambient_dim)
+    setfield(s, "basis", basis)
+    return s
 
 
 class _Literals(dict):

@@ -168,7 +168,9 @@ def reference_rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:
 def reference_span(vectors, ambient_dim: int) -> Subspace:
     """The subspace spanned by the vectors, read off :func:`reference_rref`."""
     reduced, _, rank = reference_rref(ExactMatrix(vectors, ambient_dim))
-    return Subspace(ambient_dim, reduced.grid[:rank])
+    s = Subspace(ambient_dim, reduced.grid[:rank])
+    assert s.basis == reduced.grid[:rank]  # the constructor keeps a reduced basis as it is
+    return s
 
 
 def reference_contains(s: Subspace, vector) -> bool:
@@ -225,7 +227,7 @@ def random_invertible(rng: random.Random, n: int, span: int = 3) -> ExactMatrix:
 def random_subspace(rng: random.Random, ambient: int, span: int = 2) -> Subspace:
     k = rng.randint(0, ambient)
     vectors = [[random_scalar(rng, span) for _ in range(ambient)] for _ in range(k)]
-    return Subspace.span_of(vectors, ambient)
+    return Subspace(ambient, vectors)
 
 
 def random_state(rng: random.Random, ambient: int, span: int = 4) -> tuple:
@@ -257,7 +259,7 @@ def random_context(rng: random.Random, n: int, name: str, keep=()) -> Context:
     Half the time every new block is one vector (rank-1 atoms); otherwise
     blocks of two or more vectors give atoms of higher rank.
     """
-    kept = Subspace.span_of([b for p in keep for b in p.range.basis], n)
+    kept = Subspace(n, [b for p in keep for b in p.range.basis])
     complement = kept.orthocomplement().basis
     m = len(complement)
     vectors = gram_schmidt((random_invertible(rng, m, span=2) * ExactMatrix(complement, n)).grid)
@@ -267,7 +269,7 @@ def random_context(rng: random.Random, n: int, name: str, keep=()) -> Context:
         cuts = sorted(rng.sample(range(1, m), rng.randint(0 if keep else 1, m - 1)))
     blocks = [vectors[a:b] for a, b in zip([0] + cuts, cuts + [m])]
     atoms = [
-        validate_projector(projector_onto(Subspace.span_of(block, n)).matrix, name=f"{name}{i}")
+        validate_projector(projector_onto(Subspace(n, block)).matrix, name=f"{name}{i}")
         for i, block in enumerate(blocks)
     ]
     return validate_context(name, list(keep) + atoms)
@@ -474,7 +476,7 @@ def _ray_structure(rays: list[tuple[int, ...]]) -> tuple[int, Structure]:
     """The number of rays, and the structure of every orthogonal basis of
     them, in basis order.  Each ray's projector is built once."""
     dim = len(rays[0])
-    atoms = [projector_onto(Subspace.span_of([v], dim), name=f"r{i + 1}") for i, v in enumerate(rays)]
+    atoms = [projector_onto(Subspace(dim, [v]), name=f"r{i + 1}") for i, v in enumerate(rays)]
     orthogonal = {(a, b) for a, b in combinations(range(len(rays)), 2) if _dot(rays[a], rays[b]) == 0}
     bases = [t for t in combinations(range(len(rays)), dim) if orthogonal.issuperset(combinations(t, 2))]
     return len(rays), Structure([validate_context(f"C{i + 1}", [atoms[a] for a in t]) for i, t in enumerate(bases)])

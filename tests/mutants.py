@@ -67,10 +67,15 @@ MUTANTS = [
     ("linalg.py", "if not set(map(type, chain.from_iterable(grid))) <= _SCALAR_TYPE:", "if False:"),
     ("linalg.py", "    __setattr__, __delattr__ = Frozen.__setattr__, Frozen.__delattr__\n", "    __delattr__ = Frozen.__delattr__\n"),
     ("linalg.py", "return ExactMatrix, (self.grid, self.cols)", "return ExactMatrix, (self.grid,)"),
+    # The subspace's one constructor keeps the reduced rows of what it is given.
+    ("subspaces.py", 'setfield(self, "basis", _insert_rows((), (), ExactMatrix(rows, n).grid)[0])',
+     'setfield(self, "basis", ExactMatrix(rows, n).grid)'),
     # A lattice member's basis is the rows the elimination returns, wrapped in no matrix,
     # and the lattice keeps the bases in member order.
     ("contexts.py", "sums.append(basis)", "sums.append(_matrix(context.dimension, basis).grid)"),
     ("contexts.py", "tuple(map(sums.__getitem__, self.masks))", "tuple(sums)"),
+    # Members wrap the lattice's rows without reducing them again.
+    ("contexts.py", "tuple(_subspace(n, basis) for basis", "tuple(Subspace(n, basis) for basis"),
     # One support per index lookup.
     ("contexts.py", "return self.masks.index(support)", "return self.masks.index(self.context.support(s))"),
 ]

@@ -62,8 +62,8 @@ def test_criterion_03_qubit_lattice_members(qubit):
     assert len(lattice.members) == 4
     assert set(lattice.members) == {
         Subspace.zero(2),
-        Subspace.span_of([["0", "1"]], 2),
-        Subspace.span_of([["1", "0"]], 2),
+        Subspace(2, [["0", "1"]]),
+        Subspace(2, [["1", "0"]]),
         Subspace.full(2),
     }
     assert [m.basis_literals() for m in lattice.members] == [
@@ -121,7 +121,7 @@ def test_criterion_05b_rotated_kernel_membership_in_all_three(cabello):
     The enumerated lattices agree with the invariance test on every context.
     """
     kernel = kernel_of(cabello.contexts[2].atoms[3])
-    assert kernel == Subspace.span_of([["1", "0", "0", "0"], ["0", "1", "1", "0"], E4], 4)
+    assert kernel == Subspace(4, [["1", "0", "0", "0"], ["0", "1", "1", "0"], E4])
     membership = [is_lattice_member(kernel, ctx) for ctx in cabello.contexts]
     assert membership == [False, False, True]
     assert [lattice.has_member(kernel) for lattice in cabello.lattices] == membership

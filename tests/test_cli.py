@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from suplat import cli, contexts, hasse, linalg
+from suplat import cli, contexts, hasse, linalg, subspaces
 from suplat.admissibility import ks_to_text
 from suplat.cli import build_parser, load_structure, main
 from suplat.contexts import structure_to_dict
@@ -681,17 +681,27 @@ def test_lattice_build_eval_and_lattice_construct_no_member_subspace(capsys, tmp
     # A lattice holds its members' rows and wraps them in subspaces only when
     # ``members`` is read, which building it, eval and lattice do not: loading
     # makes one subspace per distinct atom range and eval one for the state's
-    # ray, however many members the lattices have.
+    # ray, however many members the lattices have.  Subspaces are counted
+    # through both paths: the constructor and ``_subspace``, in each module
+    # that binds it.
     path = tmp_path / "cabello.json"
     path.write_text(json.dumps(structure_to_dict(builtin_structure("cabello-3"))))
     made = []
-    original = Subspace.__init__
+    original, wrap = Subspace.__init__, subspaces._subspace
 
     def counting(self, *args, **kwargs):
         made.append(args)
         original(self, *args, **kwargs)
 
+    def wrapping(*args):
+        made.append(args)
+        return wrap(*args)
+
     monkeypatch.setattr(Subspace, "__init__", counting)
+    binders = [m for name, m in sys.modules.items() if name.startswith("suplat.") and vars(m).get("_subspace") is wrap]
+    assert {"suplat.subspaces", "suplat.contexts", "suplat.operators"} <= {m.__name__ for m in binders}
+    for module in binders:
+        monkeypatch.setattr(module, "_subspace", wrapping)
     for name in dataset_names():
         structure = builtin_structure(name)
         made.clear()

@@ -90,8 +90,8 @@ def test_invariant_lattice_qubit(qubit):
     assert len(lattice.members) == 4
     expected = {
         Subspace.zero(2),
-        Subspace.span_of([["1", "0"]], 2),
-        Subspace.span_of([["0", "1"]], 2),
+        Subspace(2, [["1", "0"]]),
+        Subspace(2, [["0", "1"]]),
         Subspace.full(2),
     }
     assert set(lattice.members) == expected
@@ -324,7 +324,7 @@ def test_enumeration_matches_invariance(cabello):
 
 def test_membership_rule_is_the_atom_sum_lattice():
     # span{e1} is invariant under both atoms but is no sum of atom ranges.
-    e1 = Subspace.span_of([[1, 0, 0]], 3)
+    e1 = Subspace(3, [[1, 0, 0]])
     split = validate_context("split", [named(diag(1, 1, 0), "12"), named(diag(0, 0, 1), "3")])
     assert all(is_invariant(e1, p) for p in split.atoms)
     assert not is_lattice_member(e1, split)
@@ -339,7 +339,7 @@ def test_membership_rule_is_the_atom_sum_lattice():
         candidates = list(lattice.members) + [random_subspace(rng, context.dimension) for _ in range(4)]
         for member in rng.sample(lattice.members[1:], 3):  # spans of vectors inside members
             rows = random_matrix(rng, rng.randint(1, member.dim), member.dim) * ExactMatrix(member.basis)
-            candidates.append(Subspace.span_of(rows.grid, context.dimension))
+            candidates.append(Subspace(context.dimension, rows.grid))
         for s in candidates:
             member = is_lattice_member(s, context)
             assert (s in oracle) == member
@@ -365,10 +365,10 @@ def test_support_matches_projector_images():
         candidates = [Subspace.zero(n), random_subspace(rng, n)]
         for _ in range(3):  # spans of vectors inside a random sum of atom ranges
             mask = rng.randrange(1, 1 << len(context.atoms))
-            member = Subspace.span_of([b for i, p in enumerate(context.atoms) if mask >> i & 1
-                                       for b in p.range.basis], n)
+            member = Subspace(n, [b for i, p in enumerate(context.atoms) if mask >> i & 1
+                                  for b in p.range.basis])
             rows = random_matrix(rng, rng.randint(1, member.dim), member.dim) * ExactMatrix(member.basis)
-            candidates.append(Subspace.span_of(rows.grid, n))
+            candidates.append(Subspace(n, rows.grid))
         for s in candidates:
             expected = sum(1 << i for i, p in enumerate(context.atoms)
                            if any(any(p.matrix.apply(b)) for b in s.basis))
@@ -380,7 +380,7 @@ def test_support_matches_projector_images():
 def test_support_checks_the_ambient_dimension(cabello):
     # One check, in support: mismatched vectors would zip to a meaningless mask.
     s1 = cabello.contexts[0]
-    for s in (Subspace.span_of([(1, 0, 0, 0, 1)], 5), Subspace.full(2)):
+    for s in (Subspace(5, [(1, 0, 0, 0, 1)]), Subspace.full(2)):
         text = f"subspace of C^{s.ambient_dim} against a context on C^4"
         for check in (s1.support, lambda s: is_lattice_member(s, s1)):
             with pytest.raises(DimensionMismatchError) as exc:
@@ -401,7 +401,7 @@ def test_membership_queries_match_the_hashed_index_oracle():
         for member in rng.sample(candidates, 4):
             if member.dim:
                 rows = random_matrix(rng, rng.randint(1, member.dim), member.dim) * ExactMatrix(member.basis)
-                candidates.append(Subspace.span_of(rows.grid, n))
+                candidates.append(Subspace(n, rows.grid))
         candidates += [random_subspace(rng, n) for _ in range(4)]
         for lattice in structure.lattices:
             oracle = member_index(lattice)
@@ -506,7 +506,7 @@ def test_range_ids_number_the_distinct_ranges_in_first_occurrence_order(cabello)
     # cabello-3 with each atom's range spanned again: S1.P1 and S2.P1 are one
     # ray, built twice as two equal ranges, and still get one id
     twice = Structure([
-        validate_context(c.name, [projector_onto(Subspace.span_of(a.range.basis, 4), a.name) for a in c.atoms])
+        validate_context(c.name, [projector_onto(Subspace(4, a.range.basis), a.name) for a in c.atoms])
         for c in cabello.contexts
     ])
     assert twice.contexts[0].atoms[0].range is not twice.contexts[1].atoms[0].range

@@ -25,7 +25,7 @@ from helpers import random_state, random_structure, reference_sort_key
 
 def test_transitive_reduction_chain():
     bottom = Subspace.zero(2)
-    middle = Subspace.span_of([["1", "0"]], 2)
+    middle = Subspace(2, [["1", "0"]])
     top = Subspace.full(2)
     # the long edge bottom -> top must be dropped
     assert transitive_reduction([bottom, middle, top]) == [(0, 1), (1, 2)]
@@ -104,7 +104,7 @@ def test_boolean_lattice_edge_counts(qubit, cabello):
     # oracle tests every pair of members, so it runs only while that is cheap.
     for k in range(2, 11):
         rays = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
-        atoms = [projector_onto(Subspace.span_of([ray], k), f"e{i}") for i, ray in enumerate(rays)]
+        atoms = [projector_onto(Subspace(k, [ray]), f"e{i}") for i, ray in enumerate(rays)]
         report = evaluate_structure(Structure([validate_context("D", atoms)]), rays[0], Mode.INVARIANT)
         graph = build_graph(report, "D")
         assert len(graph.edges) == k * 2 ** (k - 1)

@@ -96,7 +96,7 @@ def test_validate_projector_matches_definition():
         p = validate_projector(m)
         assert p.rank == m.rank()
         columns = list(zip(*m.grid))
-        assert range_of(p) == Subspace.span_of(columns, m.rows)
+        assert range_of(p) == Subspace(m.rows, columns)
     assert len(outcomes) == 3  # accepted, not Hermitian, not idempotent all occur
     assert several_pivots
     # Hermitian, with trace(P*P) = 1, and its first column reduces to (1, 1), which P
@@ -156,7 +156,7 @@ def _partition_atoms(rng: random.Random, n: int, prefix: str) -> list:
     cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
     blocks = [vectors[a:b] for a, b in zip([0] + cuts, cuts + [n])]
     return [
-        validate_projector(projector_onto(Subspace.span_of(block, n)).matrix, name=f"{prefix}{i}")
+        validate_projector(projector_onto(Subspace(n, block)).matrix, name=f"{prefix}{i}")
         for i, block in enumerate(blocks)
     ]
 
@@ -197,7 +197,7 @@ def test_validate_context_matches_definition():
 
 def _ray_atoms(n: int, rays: dict) -> list:
     """One rank-1 projector per named ray on C^n."""
-    return [validate_projector(projector_onto(Subspace.span_of([v], n)).matrix, name=k) for k, v in rays.items()]
+    return [validate_projector(projector_onto(Subspace(n, [v])).matrix, name=k) for k, v in rays.items()]
 
 
 # Neither orthogonal nor complete.  In (i, j) order, i outer, the first

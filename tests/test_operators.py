@@ -67,22 +67,20 @@ def test_validate_rejects_bad_matrices():
 
 def test_range_examples(qubit, cabello):
     z_plus = qubit.contexts[0].atoms[0]
-    assert range_of(z_plus) == Subspace.span_of([["1", "0"]], 2)
+    assert range_of(z_plus) == Subspace(2, [["1", "0"]])
     p64 = cabello.contexts[2].atoms[3]
-    assert range_of(p64) == Subspace.span_of([["0", "1", "-1", "0"]], 4)
+    assert range_of(p64) == Subspace(4, [["0", "1", "-1", "0"]])
     zero = validate_projector(ExactMatrix.zeros(2, 2))
     assert range_of(zero) == Subspace.zero(2)
 
 
 def test_kernel_examples(qubit, cabello):
     z_plus = qubit.contexts[0].atoms[0]
-    assert kernel_of(z_plus) == Subspace.span_of([["0", "1"]], 2)
+    assert kernel_of(z_plus) == Subspace(2, [["0", "1"]])
     eye = validate_projector(ExactMatrix.identity(3))
     assert kernel_of(eye) == Subspace.zero(3)
     p64 = cabello.contexts[2].atoms[3]
-    expected = Subspace.span_of(
-        [["1", "0", "0", "0"], ["0", "1", "1", "0"], ["0", "0", "0", "1"]], 4
-    )
+    expected = Subspace(4, [["1", "0", "0", "0"], ["0", "1", "1", "0"], ["0", "0", "0", "1"]])
     assert kernel_of(p64) == expected
 
 
@@ -94,12 +92,12 @@ def test_kernel_is_orthocomplement_of_range(qubit, cabello):
         atoms += random_context(rng, rng.randint(3, 5), f"C{case}").atoms
     assert any(a.rank == 2 for a in atoms)
     for atom in atoms:
-        assert kernel_of(atom) == Subspace.span_of(atom.matrix.null_space().grid, atom.dimension)
+        assert kernel_of(atom) == Subspace(atom.dimension, atom.matrix.null_space().grid)
 
 
 def test_projector_onto_examples():
     half = ExactMatrix([["1/2", "1/2"], ["1/2", "1/2"]])
-    assert projector_onto(Subspace.span_of([["1", "1"]], 2)).matrix == half
+    assert projector_onto(Subspace(2, [["1", "1"]])).matrix == half
     assert projector_onto(Subspace.zero(3)).matrix == ExactMatrix.zeros(3, 3)
     assert projector_onto(Subspace.full(3)).matrix == ExactMatrix.identity(3)
 
@@ -123,7 +121,7 @@ def test_projector_onto_obeys_the_laws():
         for k in range(n + 1):
             while True:
                 vectors = [[random_scalar(rng, span=2) for _ in range(n)] for _ in range(k)]
-                s = Subspace.span_of(vectors, n)
+                s = Subspace(n, vectors)
                 if s.dim == k:
                     break
             p = projector_onto(s)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import pytest
 from suplat import hasse
 from suplat.hasse import build_graph
 from suplat.linalg import DimensionMismatchError, ExactMatrix, GaussianRational
+from suplat.operators import projector_onto
 from suplat.subspaces import Subspace, _sort_order
 from suplat.valuation import Mode, evaluate_structure
 
@@ -29,19 +32,37 @@ from helpers import (
 
 def span(*vectors, ambient=None):
     ambient = ambient if ambient is not None else len(vectors[0])
-    return Subspace.span_of(vectors, ambient)
+    return Subspace(ambient, vectors)
 
 
 def test_span_canonicalizes():
     assert span(["2", "2"]) == span(["1", "1"])
     assert span(["1", "0"], ["1", "1"]) == Subspace.full(2)
-    assert Subspace.span_of([], 3) == Subspace.zero(3)
+    assert Subspace(3, []) == Subspace.zero(3)
     assert span(["0", "0"]).dim == 0
+    # The constructor reduces any spanning set, so the basis is canonical however it is given.
+    x = Subspace(2, [(2, 0)])
+    assert x == Subspace(2, [("1", 0)]) == Subspace(ambient_dim=2, basis=((GaussianRational(1, 0), 0),))
+    assert hash(x) == hash(Subspace(2, [("1", 0)]))
+    dependent = Subspace(2, [(1, 0), (2, 0)])
+    assert dependent == x and dependent.dim == 1 and not dependent.is_full()
+    assert copy.copy(x) == copy.deepcopy(x) == pickle.loads(pickle.dumps(x)) == x
 
 
 def test_span_rejects_wrong_length():
     with pytest.raises(DimensionMismatchError):
-        Subspace.span_of([["1", "0", "0"]], 2)
+        Subspace(2, [["1", "0", "0"]])
+    with pytest.raises(DimensionMismatchError, match=r"^vector of length 1 in ambient dimension 2$"):
+        Subspace(2, [(1, 0), (1,)])
+    with pytest.raises(TypeError, match="exact scalar"):
+        Subspace(2, [(0.5, 0)])
+
+
+def test_zero_and_full_reject_a_negative_dimension():
+    for make, n in ((Subspace.zero, -3), (Subspace.full, -1), (lambda n: Subspace(n, []), -2)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            make(n)
+    assert Subspace.zero(0) == Subspace.full(0) and Subspace.full(0).is_zero()
 
 
 def test_contains_vector():
@@ -52,6 +73,9 @@ def test_contains_vector():
     assert Subspace.zero(2).contains_vector(["0", "0"])
     assert not Subspace.zero(2).contains_vector(["1", "0"])
     assert Subspace.full(2).contains_vector(["i", "-2/3"])
+    ints = Subspace(2, [(1, 1)])  # int rows are coerced like literals
+    assert ints == span(["1", "1"]) and ints.contains_vector((2, 2)) and not ints.contains_vector((1, 0))
+    assert projector_onto(ints).matrix == ExactMatrix([["1/2", "1/2"], ["1/2", "1/2"]])
     with pytest.raises(DimensionMismatchError, match=r"^vector of length 3 in ambient dimension 2$"):
         ray.contains_vector(["1", "0", "0"])
 
@@ -90,7 +114,7 @@ def test_span_and_join_match_the_reference_elimination():
     for _ in range(80):
         n = rng.randint(1, 5)
         vectors = [[random_scalar(rng, 2) for _ in range(n)] for _ in range(rng.randint(0, n + 2))]
-        a = Subspace.span_of(vectors, n)
+        a = Subspace(n, vectors)
         assert a == reference_span(vectors, n)
         b = rng.choice([random_subspace(rng, n), a, Subspace.zero(n), Subspace.full(n)])
         joined = a.join(b)
@@ -135,7 +159,7 @@ def test_is_subspace_of_matches_reference():
     for _ in range(60):
         n = rng.randint(1, 4)
         b = random_subspace(rng, n)
-        below_b = Subspace.span_of([_combination(rng, b.basis, n) for _ in range(2)], n)
+        below_b = Subspace(n, [_combination(rng, b.basis, n) for _ in range(2)])
         for a in (random_subspace(rng, n), below_b, Subspace.zero(n), Subspace.full(n)):
             for x, y in ((a, b), (b, a)):
                 outcomes.append(x.is_subspace_of(y))
@@ -162,7 +186,7 @@ def test_canonical_form_stability():
             continue
         t = random_invertible(rng, s.dim)
         transformed = t * ExactMatrix(s.basis)
-        assert Subspace.span_of(transformed.grid, n) == s
+        assert Subspace(n, transformed.grid) == s
 
 
 def test_lattice_laws_corpus():
