@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .frozen import Frozen
-from .linalg import DimensionMismatchError, _insert_rows, _is_orthogonal, _matrix
+from .linalg import DimensionMismatchError, _dot, _insert_rows, _is_orthogonal, _matrix
 from .linalg import as_scalar, parse_scalar
 from .operators import Projector, ProjectorError, validate_projector
 from .subspaces import Subspace, _Literals, _sort_order, _subspace
@@ -100,37 +100,38 @@ def validate_context(name: str, projectors) -> Context:
     """Check the context laws and return the validated context.
 
     Laws: at least two atoms, all on the same space, each nontrivial,
-    names unique, pairwise orthogonal, and summing to the identity.
+    names unique, pairwise orthogonal, and summing to the identity.  Each
+    check stops at the first failing atom or pair.
 
     Hermitian projectors have ``P_i P_j = 0`` iff their ranges are
-    orthogonal, so the first pair of range bases with a nonzero inner
-    product is the first non-orthogonal pair.  Mutually orthogonal
-    projectors sum to the projector onto the direct sum of their ranges:
-    I exactly when the ranks add up to the dimension.
+    orthogonal, so the first pair (atom i outer, j > i inner) whose range
+    bases have a nonzero inner product is the first non-orthogonal pair.
+    Mutually orthogonal projectors sum to the projector onto the direct
+    sum of their ranges: I exactly when the ranks add up to the dimension.
     """
     atoms = tuple(projectors)
     if len(atoms) < 2:
         raise ContextError(f"context {name!r}: needs at least 2 projectors, got {len(atoms)}")
-    dim = atoms[0].dimension
-    for p in atoms:
-        if p.dimension != dim:
-            raise ContextError(
-                f"context {name!r}: atom {p.name!r} acts on C^{p.dimension}, expected C^{dim}"
-            )
-        if p.is_trivial():
-            raise TrivialAtomError(
-                f"context {name!r}: atom {p.name!r} is trivial (rank {p.rank} of {dim})"
-            )
+    n, total, bases = atoms[0].matrix.rows, 0, [p.range.basis for p in atoms]
+    for p, basis in zip(atoms, bases):
+        if p.matrix.rows != n:
+            raise ContextError(f"context {name!r}: atom {p.name!r} acts on C^{p.matrix.rows}, expected C^{n}")
+        r = len(basis)
+        if r == 0 or r == n:
+            raise TrivialAtomError(f"context {name!r}: atom {p.name!r} is trivial (rank {r} of {n})")
+        total += r
     names = [p.name for p in atoms]
     if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
+        dup = next(s for s in names if names.count(s) > 1)
         raise DuplicateAtomNameError(f"context {name!r}: duplicate atom name {dup!r}")
-    ranges = [(p.name, p.range.basis) for p in atoms]
-    for i, (a, rows_a) in enumerate(ranges):
-        for b, rows_b in ranges[i + 1:]:
-            if not all(_is_orthogonal(u, v) for u in rows_a for v in rows_b):
-                raise NotOrthogonalError(f"context {name!r}: atoms {a!r} and {b!r} are not orthogonal")
-    if sum(p.rank for p in atoms) != dim:
+    for i, (a, rows_a) in enumerate(zip(names, bases)):
+        for j in range(i + 1, len(bases)):
+            for u in rows_a:
+                for v in bases[j]:
+                    x, y, _ = _dot(u, v, -1)
+                    if x or y:
+                        raise NotOrthogonalError(f"context {name!r}: atoms {a!r} and {names[j]!r} are not orthogonal")
+    if total != n:
         raise IncompleteSumError(f"context {name!r}: atoms do not sum to the identity")
     return Context(name, atoms)
 

@@ -273,13 +273,6 @@ def format_scalar(value: GaussianRational) -> str:
     return _format_rational(a, d) + sep + imag
 
 
-def _is_hermitian(rows) -> bool:
-    """True iff the square matrix with these rows equals its adjoint, read off the canonical
-    triples: entry (i, j) is conj(entry (j, i)) iff (a, b, d) = (a', -b', d')."""
-    pairs = ((r[j], rows[j][i]) for i, r in enumerate(rows) for j in range(i, len(rows)))
-    return all(x._a == y._a and x._b == -y._b and x._d == y._d for x, y in pairs)
-
-
 def _dot(u, v, sign: int = 1) -> tuple[int, int, int]:
     """``sum u_i v_i`` (``sum conj(u_i) v_i`` for sign -1) as the unreduced triple
     ``(a, b, d)``: zero terms are skipped, and the ints share one running denominator."""

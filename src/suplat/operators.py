@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .frozen import Frozen
-from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _insert_rows, _is_hermitian, _reduced
+from .linalg import _ZERO, ExactMatrix, GaussianRational, _dot, _insert_rows, _reduced
 from .subspaces import Subspace, _subspace
 
 
@@ -50,12 +50,13 @@ class Projector(Frozen):
 def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
     """Check square, Hermitian and idempotent; compute the range once.
 
-    The range comes from one echelon reduction of the columns, and its
-    dimension is the rank.  Every column of P lies in the range, so
-    ``P*P = P`` iff P fixes each range basis row ``b_k``.  ``P b_k`` lies
-    in the range too, where a vector is fixed by its entries at the pivot
-    columns ``c_i``: so P fixes ``b_k`` iff ``(row c_i of P) . b_k`` is 1
-    for i = k and 0 otherwise, r^2 dot products summed as ints.
+    Each law is a loop that stops at the first failing entry.  P is
+    Hermitian iff entry (i, j), j >= i, is entry (j, i)'s triple (a, b, d)
+    with b negated.  One echelon reduction of the columns gives the range,
+    which they span: so ``P*P = P`` iff P fixes each basis row ``b_k``.
+    ``P b_k`` lies in the range, where a vector is fixed by its entries at
+    the pivot columns ``c_i``: P fixes ``b_k`` iff ``(row c_i of P) . b_k``
+    is 1 for i = k and 0 otherwise, r^2 dot products summed as ints.
 
     Raises:
         NotSquareError, NotHermitianError, NotIdempotentError: naming the
@@ -64,12 +65,17 @@ def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
     n, rows = matrix.rows, matrix.grid
     if matrix.cols != n:
         raise NotSquareError(f"projector {name!r}: matrix is {matrix.rows}x{matrix.cols}, not square")
-    if not _is_hermitian(rows):
-        raise NotHermitianError(f"projector {name!r}: matrix is not equal to its adjoint")
+    for i, r in enumerate(rows):
+        for j in range(i, n):
+            x, y = r[j], rows[j][i]
+            if x._a != y._a or x._b != -y._b or x._d != y._d:
+                raise NotHermitianError(f"projector {name!r}: matrix is not equal to its adjoint")
     basis, pivots = _insert_rows((), (), list(zip(*rows)))  # the columns
-    dots = ((i == k, _dot(rows[c], b)) for i, c in enumerate(pivots) for k, b in enumerate(basis))
-    if any(im or a != d * one for one, (a, im, d) in dots):
-        raise NotIdempotentError(f"projector {name!r}: matrix squared differs from the matrix")
+    for i, c in enumerate(pivots):
+        for k, b in enumerate(basis):
+            a, im, d = _dot(rows[c], b)
+            if im or a != (d if i == k else 0):
+                raise NotIdempotentError(f"projector {name!r}: matrix squared differs from the matrix")
     return Projector(name, matrix, _subspace(n, basis))
 
 

@@ -36,6 +36,14 @@ MUTANTS = [
     ("linalg.py", "_minus_multiple(v, f, basis[k], c)", "_minus_multiple(v, f, basis[k], k)"),
     ("linalg.py", "v = (*v[:lead], _ONE, *[", "v = (*v[:lead], x, *["),
     ("linalg.py", "at = bisect_left(pivots, lead)", "at = len(pivots)"),
+    # The projector laws, each a loop that stops at the first failing entry: the
+    # adjoint's conjugate sign, and the target 1 or 0 of (row c_i of P) . b_k.
+    ("operators.py", "x._b != -y._b", "x._b != y._b"),
+    ("operators.py", "a != (d if i == k else 0)", "a != d"),
+    # The context laws: an inner product is zero only if its imaginary part is too,
+    # and an atom is trivial at full rank as well as at rank 0.
+    ("contexts.py", "if x or y:", "if x:"),
+    ("contexts.py", "r == 0 or r == n", "r == 0"),
     # The scalar operators and matrix products, one formula each.
     ("linalg.py", "b * f + e * d", "b * f - e * d"),
     ("linalg.py", "a * e + b * c", "a * e - b * c"),

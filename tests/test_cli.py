@@ -161,6 +161,18 @@ def test_validate_rejects_a_reflection(capsys, tmp_path):
     assert err == "error: contexts[0].projectors[0]: projector 'z+': matrix squared differs from the matrix\n"
 
 
+def test_validate_rejects_a_full_rank_atom(capsys, tmp_path):
+    projectors = [
+        {"name": "I", "matrix": [["1", "0"], ["0", "1"]]},
+        {"name": "P", "matrix": [["1", "0"], ["0", "0"]]},
+    ]
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps({"dimension": 2, "contexts": [{"name": "C", "projectors": projectors}]}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: contexts[0]: context 'C': atom 'I' is trivial (rank 2 of 2)\n"
+
+
 @pytest.mark.parametrize("damage, law", [
     ("drop", "atoms do not sum to the identity"),
     ("overlap", "atoms 'P1' and 'P4' are not orthogonal"),

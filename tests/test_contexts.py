@@ -83,6 +83,10 @@ def test_validate_context_rejects(qubit):
         )
     with pytest.raises(DuplicateAtomNameError):
         validate_context("clash", [named(z_plus, "p"), named(z_minus, "p")])
+    # The identity is trivial at full rank, as the zero operator is at rank 0.
+    with pytest.raises(TrivialAtomError) as err:
+        validate_context("C", [named(diag(1, 1), "I"), named(diag(1, 0), "P")])
+    assert str(err.value) == "context 'C': atom 'I' is trivial (rank 2 of 2)"
 
 
 def test_invariant_lattice_qubit(qubit):

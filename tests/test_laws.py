@@ -217,6 +217,20 @@ def test_non_orthogonal_incomplete_family_reports_first_pair():
         assert str(err.value) == message
 
 
+def test_orthogonality_scan_takes_atom_pairs_before_rows():
+    # a's first row e1 is orthogonal to b but not to c, and its second row e2 is not
+    # orthogonal to b: a scan of each row of a against every later row would meet (a, c)
+    # first, a scan of the atom pairs in order meets (a, b).
+    spans = {"a": [[1, 0, 0, 0], [0, 1, 0, 0]], "b": [[0, 1, 1, 0]], "c": [[1, 0, 0, 1]]}
+    atoms = [projector_onto(Subspace(4, rows), name=k) for k, rows in spans.items()]
+    assert atoms[0].rank == 2
+    message = "context 'skew': atoms 'a' and 'b' are not orthogonal"
+    assert reference_context_error("skew", atoms) == (NotOrthogonalError, message)
+    with pytest.raises(NotOrthogonalError) as err:
+        validate_context("skew", atoms)
+    assert str(err.value) == message
+
+
 def test_context_laws_multiply_no_matrices(monkeypatch):
     data = structure_to_dict(builtin_structure("cabello-3"))
     data["contexts"][1]["projectors"].pop()
