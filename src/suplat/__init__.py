@@ -63,7 +63,6 @@ from .operators import (
     Projector,
     ProjectorError,
     kernel_of,
-    projector_onto,
     range_of,
     validate_projector,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "kernel_of",
     "ks_search",
     "parse_scalar",
-    "projector_onto",
     "range_of",
     "report_to_dict",
     "report_to_text",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .frozen import Frozen
+from .frozen import Frozen, setfield
 from .linalg import DimensionMismatchError, _dot, _insert_rows, _is_orthogonal, _matrix
 from .linalg import as_scalar, parse_scalar
 from .operators import Projector, ProjectorError, validate_projector
@@ -57,9 +57,46 @@ class ZeroStateError(ValueError):
 
 
 class Context(Frozen):
-    """A named resolution of the identity into orthogonal nontrivial atoms."""
+    """A named resolution of the identity into orthogonal nontrivial atoms.
+
+    The constructor checks the laws, each up to its first failing atom or
+    pair: at least two atoms, all on one space, each nontrivial, names unique,
+    pairwise orthogonal (Hermitian projectors have ``P_i P_j = 0`` iff their
+    ranges are; atom i outer, j > i inner), and summing to the identity
+    (orthogonal projectors sum to the projector onto the direct sum of their
+    ranges, so to I exactly when the ranks add up to the dimension).
+    """
 
     __slots__ = ("name", "atoms", "__dict__")
+
+    def __init__(self, *values, **named) -> None:
+        super().__init__(*values, **named)
+        name, atoms = self.name, tuple(self.atoms)
+        setfield(self, "atoms", atoms)
+        if len(atoms) < 2:
+            raise ContextError(f"context {name!r}: needs at least 2 projectors, got {len(atoms)}")
+        n, total, bases = atoms[0].range.ambient_dim, 0, [p.range.basis for p in atoms]
+        for p, basis in zip(atoms, bases):
+            if p.range.ambient_dim != n:
+                raise ContextError(f"context {name!r}: atom {p.name!r} acts on C^{p.range.ambient_dim}, expected C^{n}")
+            r = len(basis)
+            if r == 0 or r == n:
+                raise TrivialAtomError(f"context {name!r}: atom {p.name!r} is trivial (rank {r} of {n})")
+            total += r
+        names = [p.name for p in atoms]
+        if len(set(names)) != len(names):
+            dup = next(s for s in names if names.count(s) > 1)
+            raise DuplicateAtomNameError(f"context {name!r}: duplicate atom name {dup!r}")
+        for i, (a, rows_a) in enumerate(zip(names, bases)):
+            for j in range(i + 1, len(bases)):
+                for u in rows_a:
+                    for v in bases[j]:
+                        x, y, _ = _dot(u, v, -1)
+                        if x or y:
+                            b = names[j]
+                            raise NotOrthogonalError(f"context {name!r}: atoms {a!r} and {b!r} are not orthogonal")
+        if total != n:
+            raise IncompleteSumError(f"context {name!r}: atoms do not sum to the identity")
 
     @property
     def dimension(self) -> int:
@@ -97,43 +134,8 @@ class Context(Frozen):
 
 
 def validate_context(name: str, projectors) -> Context:
-    """Check the context laws and return the validated context.
-
-    Laws: at least two atoms, all on the same space, each nontrivial,
-    names unique, pairwise orthogonal, and summing to the identity.  Each
-    check stops at the first failing atom or pair.
-
-    Hermitian projectors have ``P_i P_j = 0`` iff their ranges are
-    orthogonal, so the first pair (atom i outer, j > i inner) whose range
-    bases have a nonzero inner product is the first non-orthogonal pair.
-    Mutually orthogonal projectors sum to the projector onto the direct
-    sum of their ranges: I exactly when the ranks add up to the dimension.
-    """
-    atoms = tuple(projectors)
-    if len(atoms) < 2:
-        raise ContextError(f"context {name!r}: needs at least 2 projectors, got {len(atoms)}")
-    n, total, bases = atoms[0].matrix.rows, 0, [p.range.basis for p in atoms]
-    for p, basis in zip(atoms, bases):
-        if p.matrix.rows != n:
-            raise ContextError(f"context {name!r}: atom {p.name!r} acts on C^{p.matrix.rows}, expected C^{n}")
-        r = len(basis)
-        if r == 0 or r == n:
-            raise TrivialAtomError(f"context {name!r}: atom {p.name!r} is trivial (rank {r} of {n})")
-        total += r
-    names = [p.name for p in atoms]
-    if len(set(names)) != len(names):
-        dup = next(s for s in names if names.count(s) > 1)
-        raise DuplicateAtomNameError(f"context {name!r}: duplicate atom name {dup!r}")
-    for i, (a, rows_a) in enumerate(zip(names, bases)):
-        for j in range(i + 1, len(bases)):
-            for u in rows_a:
-                for v in bases[j]:
-                    x, y, _ = _dot(u, v, -1)
-                    if x or y:
-                        raise NotOrthogonalError(f"context {name!r}: atoms {a!r} and {names[j]!r} are not orthogonal")
-    if total != n:
-        raise IncompleteSumError(f"context {name!r}: atoms do not sum to the identity")
-    return Context(name, atoms)
+    """Check the context laws (see :class:`Context`) and return the validated context."""
+    return Context(name, projectors)
 
 
 class InvariantLattice:
@@ -320,7 +322,7 @@ def structure_from_dict(data) -> Structure:
 
     Each distinct literal is parsed once and each distinct atom matrix
     (keyed by its literal rows) is validated once; a repeated atom shares
-    the first occurrence's matrix and range under its own name.  The shape
+    the first occurrence's range under its own name.  The shape
     and type checks still run on every occurrence.
 
     Raises:
@@ -397,7 +399,7 @@ def structure_from_dict(data) -> Structure:
                     known = projectors[key] = validate_projector(matrix, name=pname)
                 except ProjectorError as err:
                     raise type(err)(f"{pwhere}: {err}") from err
-            atoms.append(known if known.name == pname else Projector(pname, known.matrix, known.range))
+            atoms.append(known if known.name == pname else Projector(pname, known.range))
         try:
             contexts.append(validate_context(cname, atoms))
         except ContextError as err:

@@ -1,8 +1,8 @@
 """Built-in example structures, each a table of named rays.
 
-Every atom is the rank-1 projector onto its ray, built exactly by
-:func:`projector_onto` once per distinct ray, and :func:`validate_context`
-checks each context, so a mistyped ray fails at load time.
+Every atom is the rank-1 projector onto its ray, one ``Projector`` per
+distinct ray, and :func:`validate_context` checks each context, so a
+mistyped ray fails at load time.
 
 ``pauli-qubit``: the z, x and y spin contexts of a qubit.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .contexts import Structure, validate_context
-from .operators import Projector, projector_onto
+from .operators import Projector
 from .subspaces import Subspace
 
 PAULI_QUBIT = "pauli-qubit"
@@ -58,12 +58,12 @@ def builtin_structure(name: str) -> Structure:
         raise UnknownDatasetError(
             f"unknown dataset {name!r}; available: {', '.join(_TABLES)}"
         ) from None
-    first: dict[tuple, Projector] = {}  # ray -> its first atom, whose matrix and range a later atom shares
+    first: dict[tuple, Projector] = {}  # ray -> its first atom, whose range a later atom shares
 
     def atom(label: str, ray: tuple) -> Projector:
         if ray not in first:
-            first[ray] = projector_onto(Subspace(len(ray), [ray]), name=label)
+            first[ray] = Projector(label, Subspace(len(ray), [ray]))
         p = first[ray]
-        return p if p.name == label else Projector(label, p.matrix, p.range)
+        return p if p.name == label else Projector(label, p.range)
 
     return Structure([validate_context(context, [atom(*row) for row in atoms]) for context, atoms in table])

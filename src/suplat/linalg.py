@@ -6,8 +6,8 @@ exactly, so canonical forms are unique and equality is structural.  No tolerance
 anywhere.  A row is a tuple of scalars, and a matrix holds a tuple of rows.  Row
 elimination (``_insert_rows``) takes and returns rows, not matrices, and reads the
 triples, so each entry it changes is one new scalar.
-The scalar operators are the library's numeric protocol; no command on a structure file
-calls them, though building a ``--dataset`` structure's projectors does.
+The scalar operators are the library's numeric protocol; of the commands, only
+``datasets export`` calls them, deriving each projector's matrix from its range.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class GaussianRational:
     scalars always have identical representations.  The operators are the
     library's numeric protocol, one formula each on the triples: ``+``,
     ``*`` and ``inverse`` reduce once, ``-`` adds the negation and ``/``
-    multiplies by the inverse.  No command on a structure file calls them:
-    the commands read the triples.  Only building a built-in dataset's
-    projectors does.  ``real`` and ``imag`` are read-only Fraction views.
+    multiplies by the inverse.  The commands read the triples; only
+    ``datasets export``, which derives each projector's matrix, calls the
+    operators.  ``real`` and ``imag`` are read-only Fraction views.
     """
 
     __slots__ = ("_a", "_b", "_d")

@@ -24,15 +24,14 @@ class NotIdempotentError(ProjectorError):
 
 
 class Projector(Frozen):
-    """A Hermitian idempotent matrix together with its name and range.
+    """A named orthogonal projector, stored as its range.
 
-    Instances are produced by :func:`validate_projector`, the only place
-    the defining laws are checked, and by :func:`projector_onto`, whose
-    matrices satisfy them by construction.  ``range`` is the canonical
-    column space, computed once.
+    Every subspace has exactly one orthogonal projector, so any name and
+    range make a valid projector.  :func:`validate_projector` checks a
+    given matrix against the defining laws and keeps its range.
     """
 
-    __slots__ = ("name", "matrix", "range")
+    __slots__ = ("name", "range")
 
     @property
     def rank(self) -> int:
@@ -40,11 +39,34 @@ class Projector(Frozen):
 
     @property
     def dimension(self) -> int:
-        return self.matrix.rows
+        return self.range.ambient_dim
 
     def is_trivial(self) -> bool:
         """Rank 0 (zero operator) or full rank (identity)."""
         return self.rank == 0 or self.rank == self.dimension
+
+    @property
+    def matrix(self) -> ExactMatrix:
+        """The projector onto the range, derived on each read.
+
+        Exact Gram-Schmidt turns the basis rows b_k into orthogonal rows
+        ``u_k = b_k - sum_{j<k} (<u_j, b_k> / <u_j, u_j>) u_j``, and the
+        matrix is ``sum_k u_k u_k* / <u_k, u_k>``, the sum of the rank-1
+        projectors onto them.  With no basis rows it is the zero matrix.
+        """
+        n = self.range.ambient_dim
+        grid = [(_ZERO,) * n] * n
+        done: list[tuple[list[GaussianRational], GaussianRational]] = []
+        for b in self.range.basis:
+            u = list(b)
+            for w, norm in done:
+                c = _inner(w, b) / norm
+                u = [x - c * y for x, y in zip(u, w)]
+            norm = _inner(u, u)
+            done.append((u, norm))
+            scaled = [x / norm if x else x for x in u]
+            grid = [tuple(e + x * y.conjugate() if x and y else e for e, y in zip(r, u)) for r, x in zip(grid, scaled)]
+        return ExactMatrix(grid, n)
 
 
 def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
@@ -76,7 +98,7 @@ def validate_projector(matrix: ExactMatrix, name: str = "P") -> Projector:
             a, im, d = _dot(rows[c], b)
             if im or a != (d if i == k else 0):
                 raise NotIdempotentError(f"projector {name!r}: matrix squared differs from the matrix")
-    return Projector(name, matrix, _subspace(n, basis))
+    return Projector(name, _subspace(n, basis))
 
 
 def range_of(p: Projector) -> Subspace:
@@ -87,29 +109,6 @@ def range_of(p: Projector) -> Subspace:
 def kernel_of(p: Projector) -> Subspace:
     """Null space of the projector matrix: P is Hermitian, so it is the range's orthocomplement."""
     return p.range.orthocomplement()
-
-
-def projector_onto(s: Subspace, name: str = "P") -> Projector:
-    """The unique orthogonal projector with the given range.
-
-    Exact Gram-Schmidt turns the basis rows b_k into orthogonal rows
-    ``u_k = b_k - sum_{j<k} (<u_j, b_k> / <u_j, u_j>) u_j``, and the
-    matrix is ``sum_k u_k u_k* / <u_k, u_k>``, the sum of the rank-1
-    projectors onto them.  With no basis rows it is the zero matrix.
-    """
-    n = s.ambient_dim
-    grid = [(_ZERO,) * n] * n
-    done: list[tuple[list[GaussianRational], GaussianRational]] = []
-    for b in s.basis:
-        u = list(b)
-        for w, norm in done:
-            c = _inner(w, b) / norm
-            u = [x - c * y for x, y in zip(u, w)]
-        norm = _inner(u, u)
-        done.append((u, norm))
-        scaled = [x / norm if x else x for x in u]
-        grid = [tuple(e + x * y.conjugate() if x and y else e for e, y in zip(row, u)) for row, x in zip(grid, scaled)]
-    return Projector(name, ExactMatrix(grid, n), s)
 
 
 def _inner(u, v) -> GaussianRational:

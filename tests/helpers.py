@@ -24,7 +24,6 @@ from suplat.operators import (
     NotHermitianError,
     NotIdempotentError,
     Projector,
-    projector_onto,
     range_of,
     validate_projector,
 )
@@ -269,7 +268,7 @@ def random_context(rng: random.Random, n: int, name: str, keep=()) -> Context:
         cuts = sorted(rng.sample(range(1, m), rng.randint(0 if keep else 1, m - 1)))
     blocks = [vectors[a:b] for a, b in zip([0] + cuts, cuts + [m])]
     atoms = [
-        validate_projector(projector_onto(Subspace(n, block)).matrix, name=f"{name}{i}")
+        validate_projector(Projector("P", Subspace(n, block)).matrix, name=f"{name}{i}")
         for i, block in enumerate(blocks)
     ]
     return validate_context(name, list(keep) + atoms)
@@ -362,6 +361,16 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
     return ExactMatrix([r[n:] for r in reduced.grid], n)
+
+
+def reference_projector(s: Subspace) -> ExactMatrix:
+    """The orthogonal projector onto s as ``B (B* B)^-1 B*``, B's columns the basis rows:
+    an oracle for ``Projector.matrix`` that takes no Gram-Schmidt step."""
+    n = s.ambient_dim
+    if s.is_zero():
+        return ExactMatrix.zeros(n, n)
+    b_star = ExactMatrix(s.basis, n).conjugate()
+    return adjoint(b_star) * inverse(b_star * adjoint(b_star)) * b_star
 
 
 def reference_projector_law(m: ExactMatrix):
@@ -476,7 +485,7 @@ def _ray_structure(rays: list[tuple[int, ...]]) -> tuple[int, Structure]:
     """The number of rays, and the structure of every orthogonal basis of
     them, in basis order.  Each ray's projector is built once."""
     dim = len(rays[0])
-    atoms = [projector_onto(Subspace(dim, [v]), name=f"r{i + 1}") for i, v in enumerate(rays)]
+    atoms = [Projector(f"r{i + 1}", Subspace(dim, [v])) for i, v in enumerate(rays)]
     orthogonal = {(a, b) for a, b in combinations(range(len(rays)), 2) if _dot(rays[a], rays[b]) == 0}
     bases = [t for t in combinations(range(len(rays)), dim) if orthogonal.issuperset(combinations(t, 2))]
     return len(rays), Structure([validate_context(f"C{i + 1}", [atoms[a] for a in t]) for i, t in enumerate(bases)])

@@ -44,6 +44,10 @@ MUTANTS = [
     # and an atom is trivial at full rank as well as at rank 0.
     ("contexts.py", "if x or y:", "if x:"),
     ("contexts.py", "r == 0 or r == n", "r == 0"),
+    # The constructor is the only check of the context laws, and a projector's
+    # matrix is derived from its range: the sum of the u u* / <u, u>.
+    ("contexts.py", "        setfield(self, \"atoms\", atoms)\n", "        setfield(self, \"atoms\", atoms)\n        return\n"),
+    ("operators.py", "x * y.conjugate()", "x * y"),
     # The scalar operators and matrix products, one formula each.
     ("linalg.py", "b * f + e * d", "b * f - e * d"),
     ("linalg.py", "a * e + b * c", "a * e - b * c"),

@@ -29,7 +29,7 @@ from suplat.contexts import (
 )
 from suplat.hasse import build_graph, emit_dot
 from suplat.linalg import as_scalar
-from suplat.operators import kernel_of, projector_onto, range_of
+from suplat.operators import Projector, kernel_of, range_of
 from suplat.subspaces import Subspace
 from suplat.valuation import Mode, TruthValue, evaluate, evaluate_structure, report_to_text
 
@@ -291,4 +291,4 @@ def test_criterion_12_property_suites(qubit, cabello):
     for structure in (qubit, cabello):
         for ctx in structure.contexts:
             for atom in ctx.atoms:
-                assert projector_onto(range_of(atom)).matrix == atom.matrix
+                assert Projector("P", range_of(atom)).matrix == atom.matrix

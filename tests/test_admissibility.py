@@ -34,7 +34,7 @@ from suplat.admissibility import (
 )
 from suplat.contexts import Context, Structure, validate_context
 from suplat.linalg import ExactMatrix
-from suplat.operators import projector_onto, validate_projector
+from suplat.operators import Projector, validate_projector
 from suplat.subspaces import Subspace
 from suplat.valuation import Mode, TruthValue, evaluate_structure
 
@@ -267,7 +267,7 @@ def _ray_contexts(bases, prefix: str = "C") -> list:
     return [
         validate_context(
             f"{prefix}{i + 1}",
-            [projector_onto(Subspace(4, [ray]), name=f"P{j + 1}") for j, ray in enumerate(basis)],
+            [Projector(f"P{j + 1}", Subspace(4, [ray])) for j, ray in enumerate(basis)],
         )
         for i, basis in enumerate(bases)
     ]
@@ -362,7 +362,7 @@ def test_ks_outputs_where_prefixes_of_different_widths_meet():
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
     pairs = [[x + s * y for x, y in zip(unit[2 * j], unit[2 * j + 1])] for j in range(n // 2) for s in (1, -1)]
     structure = Structure([
-        validate_context(name, [projector_onto(Subspace(n, [ray]), name=f"P{i + 1}") for i, ray in enumerate(rays)])
+        validate_context(name, [Projector(f"P{i + 1}", Subspace(n, [ray])) for i, ray in enumerate(rays)])
         for name, rays in (("A", unit), ("B", pairs))
     ])
     assert len(ks_search(structure)) == 100

@@ -978,7 +978,7 @@ def test_commands_call_no_scalar_arithmetic(capsys, tmp_path, monkeypatch):
     # Every command runs on atom masks and the scalars' integer triples, so
     # the operators are library API only: with each of them refused, every
     # call prints what it printed before.  The exported file is written
-    # first, because building a projector does call them.
+    # first, because deriving a projector's matrix does call them.
     cabello = tmp_path / "cabello.json"
     cabello.write_text(json.dumps(structure_to_dict(builtin_structure("cabello-3"))))
     argvs = []
@@ -1001,6 +1001,27 @@ def test_commands_call_no_scalar_arithmetic(capsys, tmp_path, monkeypatch):
                  "__rtruediv__", "inverse", "__neg__", "conjugate"):
         monkeypatch.setattr(GaussianRational, name, refuse)
     for argv, before in zip(argvs, expected):
+        assert run(capsys, *argv) == before, argv
+
+
+def test_builtin_commands_call_no_scalar_arithmetic(capsys, monkeypatch):
+    # A built-in atom is a name and a ray's range, so building a dataset derives
+    # no matrix: with every operator refused, each call builds it and prints what it did.
+    argvs = []
+    for dataset, state in (("cabello-3", "0,0,0,1"), ("pauli-qubit", "1,i")):
+        at = ["--dataset", dataset, "--state", state, "--mode", "invariant"]
+        argvs += [["eval", *at], ["hasse", *at, "--scope", "all"], ["ks-search", "--dataset", dataset]]
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 and err == "" for code, _, err in expected)
+
+    def refuse(*args):
+        raise AssertionError("a scalar operator was called")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                 "__rtruediv__", "inverse", "__neg__", "conjugate"):
+        monkeypatch.setattr(GaussianRational, name, refuse)
+    for argv, before in zip(argvs, expected):
+        builtin_structure.cache_clear()
         assert run(capsys, *argv) == before, argv
 
 

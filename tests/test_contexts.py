@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 from collections import Counter
 
@@ -11,6 +13,7 @@ import pytest
 from suplat import contexts, linalg, operators, subspaces
 from suplat.cli import main
 from suplat.contexts import (
+    Context,
     ContextError,
     DuplicateAtomNameError,
     IncompleteSumError,
@@ -30,7 +33,7 @@ from suplat.contexts import (
 )
 from suplat.datasets import builtin_structure, dataset_names
 from suplat.linalg import DimensionMismatchError, ExactMatrix, _insert_rows
-from suplat.operators import ProjectorError, kernel_of, projector_onto, range_of, validate_projector
+from suplat.operators import Projector, ProjectorError, kernel_of, range_of, validate_projector
 from suplat.subspaces import Subspace
 
 from helpers import (
@@ -87,6 +90,23 @@ def test_validate_context_rejects(qubit):
     with pytest.raises(TrivialAtomError) as err:
         validate_context("C", [named(diag(1, 1), "I"), named(diag(1, 0), "P")])
     assert str(err.value) == "context 'C': atom 'I' is trivial (rank 2 of 2)"
+
+
+def test_context_constructor_checks_the_laws(qubit):
+    # The constructor is the check: no atom list breaking a law makes a Context.
+    z_plus, z_minus = qubit.contexts[0].atoms
+    with pytest.raises(ContextError) as err:
+        Context("C", ())
+    assert str(err.value) == "context 'C': needs at least 2 projectors, got 0"
+    with pytest.raises(NotOrthogonalError) as err:
+        Context("C", (z_plus, Projector("z+'", z_plus.range)))
+    assert str(err.value) == "context 'C': atoms 'z+' and \"z+'\" are not orthogonal"
+    with pytest.raises(DuplicateAtomNameError):
+        Context(name="C", atoms=[z_plus, z_plus])
+    for built in (Context("Sigma_z", [z_plus, z_minus]), Context(name="Sigma_z", atoms=(z_plus, z_minus))):
+        assert built == qubit.contexts[0] and type(built.atoms) is tuple
+    for again in (copy.copy(qubit.contexts[0]), pickle.loads(pickle.dumps(qubit.contexts[0]))):
+        assert again == qubit.contexts[0] and again.atoms == (z_plus, z_minus)
 
 
 def test_invariant_lattice_qubit(qubit):
@@ -199,6 +219,7 @@ def test_lattice_members_joins_and_projector_ranges_build_no_matrix(monkeypatch)
     structure = random_structure(rng, 5)
     expected = [lattice.members for lattice in structure.lattices]
     atoms = [a for c in structure.contexts for a in c.atoms]
+    matrices = [a.matrix for a in atoms]  # derived from the range, so read before counting
     calls = []
 
     def counting(function):
@@ -213,7 +234,7 @@ def test_lattice_members_joins_and_projector_ranges_build_no_matrix(monkeypatch)
             monkeypatch.setattr(module, "_matrix", counting(linalg._matrix))
     lattices = [InvariantLattice(c) for c in structure.contexts]
     joins = [a.join(b) for members in expected for a in members[1:4] for b in members[-4:]]
-    projectors = [validate_projector(a.matrix, name=a.name) for a in atoms]
+    projectors = [validate_projector(m, name=a.name) for m, a in zip(matrices, atoms)]
     assert calls == []
     monkeypatch.undo()
     assert [lattice.members for lattice in lattices] == expected and projectors == atoms
@@ -510,7 +531,7 @@ def test_range_ids_number_the_distinct_ranges_in_first_occurrence_order(cabello)
     # cabello-3 with each atom's range spanned again: S1.P1 and S2.P1 are one
     # ray, built twice as two equal ranges, and still get one id
     twice = Structure([
-        validate_context(c.name, [projector_onto(Subspace(4, a.range.basis), a.name) for a in c.atoms])
+        validate_context(c.name, [Projector(a.name, Subspace(4, a.range.basis)) for a in c.atoms])
         for c in cabello.contexts
     ])
     assert twice.contexts[0].atoms[0].range is not twice.contexts[1].atoms[0].range
@@ -629,7 +650,7 @@ def test_load_shares_repeated_atoms():
     s1, s2, _, again = structure.contexts
     # The shared atom and the repeated context hold one range per matrix.
     assert s2.atoms[0].range is s1.atoms[0].range
-    assert all(a.matrix is b.matrix and a.range is b.range for a, b in zip(s1.atoms, again.atoms))
+    assert all(a.range is b.range for a, b in zip(s1.atoms, again.atoms))
 
 
 def test_load_parses_each_literal_and_checks_each_matrix_once(monkeypatch):

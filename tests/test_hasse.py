@@ -16,7 +16,7 @@ from suplat.hasse import (
     render_dot,
     transitive_reduction,
 )
-from suplat.operators import projector_onto
+from suplat.operators import Projector
 from suplat.subspaces import Subspace
 from suplat.valuation import Mode, TruthValue, evaluate_structure
 
@@ -104,7 +104,7 @@ def test_boolean_lattice_edge_counts(qubit, cabello):
     # oracle tests every pair of members, so it runs only while that is cheap.
     for k in range(2, 11):
         rays = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
-        atoms = [projector_onto(Subspace(k, [ray]), f"e{i}") for i, ray in enumerate(rays)]
+        atoms = [Projector(f"e{i}", Subspace(k, [ray])) for i, ray in enumerate(rays)]
         report = evaluate_structure(Structure([validate_context("D", atoms)]), rays[0], Mode.INVARIANT)
         graph = build_graph(report, "D")
         assert len(graph.edges) == k * 2 ** (k - 1)

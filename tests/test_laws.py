@@ -25,7 +25,7 @@ from suplat.contexts import (
 )
 from suplat.datasets import builtin_structure
 from suplat.linalg import ExactMatrix, GaussianRational, _dot, _is_orthogonal
-from suplat.operators import NotIdempotentError, _inner, projector_onto, range_of, validate_projector
+from suplat.operators import NotIdempotentError, Projector, _inner, range_of, validate_projector
 from suplat.subspaces import Subspace
 
 from helpers import (
@@ -57,7 +57,7 @@ def _oblique_idempotent(rng: random.Random, n: int) -> ExactMatrix:
 
 
 def _candidate_matrix(rng: random.Random, n: int) -> ExactMatrix:
-    p = projector_onto(random_subspace(rng, n)).matrix
+    p = Projector("P", random_subspace(rng, n)).matrix
     kind = rng.randrange(7)
     if kind == 0:
         return p
@@ -156,7 +156,7 @@ def _partition_atoms(rng: random.Random, n: int, prefix: str) -> list:
     cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
     blocks = [vectors[a:b] for a, b in zip([0] + cuts, cuts + [n])]
     return [
-        validate_projector(projector_onto(Subspace(n, block)).matrix, name=f"{prefix}{i}")
+        validate_projector(Projector("P", Subspace(n, block)).matrix, name=f"{prefix}{i}")
         for i, block in enumerate(blocks)
     ]
 
@@ -197,7 +197,7 @@ def test_validate_context_matches_definition():
 
 def _ray_atoms(n: int, rays: dict) -> list:
     """One rank-1 projector per named ray on C^n."""
-    return [validate_projector(projector_onto(Subspace(n, [v])).matrix, name=k) for k, v in rays.items()]
+    return [validate_projector(Projector("P", Subspace(n, [v])).matrix, name=k) for k, v in rays.items()]
 
 
 # Neither orthogonal nor complete.  In (i, j) order, i outer, the first
@@ -222,7 +222,7 @@ def test_orthogonality_scan_takes_atom_pairs_before_rows():
     # orthogonal to b: a scan of each row of a against every later row would meet (a, c)
     # first, a scan of the atom pairs in order meets (a, b).
     spans = {"a": [[1, 0, 0, 0], [0, 1, 0, 0]], "b": [[0, 1, 1, 0]], "c": [[1, 0, 0, 1]]}
-    atoms = [projector_onto(Subspace(4, rows), name=k) for k, rows in spans.items()]
+    atoms = [Projector(k, Subspace(4, rows)) for k, rows in spans.items()]
     assert atoms[0].rank == 2
     message = "context 'skew': atoms 'a' and 'b' are not orthogonal"
     assert reference_context_error("skew", atoms) == (NotOrthogonalError, message)
@@ -256,6 +256,7 @@ def test_lattice_build_and_projector_laws_compute_no_scalar_arithmetic(monkeypat
     dense = [a for a in atoms if all(map(all, a.matrix.grid)) and any(e.imag for r in a.matrix.grid for e in r)]
     assert {a.rank for a in dense} == {1, 2, 3}  # dense complex entries at every rank
     members = [InvariantLattice(c).members for c in contexts]
+    matrices = [a.matrix for a in atoms]  # derived from the range, so read before refusing
 
     def refuse(*args):
         raise AssertionError("a scalar operator was called")
@@ -264,7 +265,7 @@ def test_lattice_build_and_projector_laws_compute_no_scalar_arithmetic(monkeypat
                  "__bool__", "__eq__"):
         monkeypatch.setattr(GaussianRational, name, refuse)
     lattices = [InvariantLattice(c) for c in contexts]
-    projectors = [validate_projector(a.matrix, name=a.name) for a in atoms]
+    projectors = [validate_projector(m, name=a.name) for m, a in zip(matrices, atoms)]
     monkeypatch.undo()
     assert [lattice.members for lattice in lattices] == members
     assert projectors == atoms

@@ -6,13 +6,14 @@ import random
 
 import pytest
 
+from suplat.contexts import Structure, structure_from_dict, structure_to_dict
 from suplat.linalg import ExactMatrix, GaussianRational
 from suplat.operators import (
     NotHermitianError,
     NotIdempotentError,
     NotSquareError,
+    Projector,
     kernel_of,
-    projector_onto,
     range_of,
     validate_projector,
 )
@@ -23,7 +24,9 @@ from helpers import (
     is_invariant,
     random_context,
     random_scalar,
+    random_structure,
     random_subspace,
+    reference_projector,
     reference_projector_law,
 )
 
@@ -97,9 +100,9 @@ def test_kernel_is_orthocomplement_of_range(qubit, cabello):
 
 def test_projector_onto_examples():
     half = ExactMatrix([["1/2", "1/2"], ["1/2", "1/2"]])
-    assert projector_onto(Subspace(2, [["1", "1"]])).matrix == half
-    assert projector_onto(Subspace.zero(3)).matrix == ExactMatrix.zeros(3, 3)
-    assert projector_onto(Subspace.full(3)).matrix == ExactMatrix.identity(3)
+    assert Projector("P", Subspace(2, [["1", "1"]])).matrix == half
+    assert Projector("P", Subspace.zero(3)).matrix == ExactMatrix.zeros(3, 3)
+    assert Projector("P", Subspace.full(3)).matrix == ExactMatrix.identity(3)
 
 
 def test_projector_round_trip():
@@ -107,7 +110,7 @@ def test_projector_round_trip():
     for _ in range(40):
         n = rng.randint(2, 4)
         s = random_subspace(rng, n)
-        p = projector_onto(s)
+        p = Projector("P", s)
         assert adjoint(p.matrix) == p.matrix
         assert p.matrix * p.matrix == p.matrix
         assert p.rank == s.dim
@@ -124,7 +127,7 @@ def test_projector_onto_obeys_the_laws():
                 s = Subspace(n, vectors)
                 if s.dim == k:
                     break
-            p = projector_onto(s)
+            p = Projector("P", s)
             assert reference_projector_law(p.matrix) is None
             assert validate_projector(p.matrix).range == s
             assert p.rank == k
@@ -135,12 +138,23 @@ def test_projector_onto_obeys_the_laws():
                 assert p.matrix == ExactMatrix(ray)
 
 
-def test_projector_onto_inverts_range(qubit, cabello):
-    for structure in (qubit, cabello):
-        for ctx in structure.contexts:
-            for atom in ctx.atoms:
-                rebuilt = projector_onto(range_of(atom), name=atom.name)
-                assert rebuilt.matrix == atom.matrix
+def test_derived_matrix_is_the_validated_input_matrix(qubit, cabello):
+    # Each atom's matrix, built from its range as B (B* B)^-1 B* with no Gram-Schmidt
+    # step, is the input that validates to the atom and the matrix the atom derives.
+    rng = random.Random(4040)
+    structures = [qubit, cabello] + [random_structure(rng, rng.randint(3, 5)) for _ in range(6)]
+    structures += [Structure([random_context(rng, rng.randint(2, 5), f"C{case}")]) for case in range(12)]
+    atoms = [a for s in structures for c in s.contexts for a in c.atoms]
+    inputs = [reference_projector(a.range) for a in atoms]
+    dense = [a for a, m in zip(atoms, inputs) if all(map(all, m.grid)) and any(e.imag for r in m.grid for e in r)]
+    assert {1, 2, 3} <= {a.rank for a in dense}  # dense complex entries at ranks 1 to 3
+    for atom, m in zip(atoms, inputs):
+        assert reference_projector_law(m) is None
+        assert validate_projector(m, name=atom.name) == atom
+        assert validate_projector(m).matrix == m == atom.matrix
+    for s in structures:
+        again = structure_from_dict(structure_to_dict(s))
+        assert [c.atoms for c in again.contexts] == [c.atoms for c in s.contexts]
 
 
 def test_invariance_examples(qubit, cabello):

@@ -12,7 +12,7 @@ import pytest
 from suplat import hasse
 from suplat.hasse import build_graph
 from suplat.linalg import DimensionMismatchError, ExactMatrix, GaussianRational
-from suplat.operators import projector_onto
+from suplat.operators import Projector
 from suplat.subspaces import Subspace, _sort_order
 from suplat.valuation import Mode, evaluate_structure
 
@@ -75,7 +75,7 @@ def test_contains_vector():
     assert Subspace.full(2).contains_vector(["i", "-2/3"])
     ints = Subspace(2, [(1, 1)])  # int rows are coerced like literals
     assert ints == span(["1", "1"]) and ints.contains_vector((2, 2)) and not ints.contains_vector((1, 0))
-    assert projector_onto(ints).matrix == ExactMatrix([["1/2", "1/2"], ["1/2", "1/2"]])
+    assert Projector("P", ints).matrix == ExactMatrix([["1/2", "1/2"], ["1/2", "1/2"]])
     with pytest.raises(DimensionMismatchError, match=r"^vector of length 3 in ambient dimension 2$"):
         ray.contains_vector(["1", "0", "0"])
 

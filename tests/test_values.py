@@ -11,14 +11,14 @@ from suplat.admissibility import AdmissibilityReport, ContextAdmissibility, Rule
 from suplat.contexts import Context
 from suplat.frozen import Frozen
 from suplat.hasse import HasseGraph, HasseNode, build_graph
-from suplat.operators import Projector, projector_onto
+from suplat.operators import Projector
 from suplat.subspaces import Subspace
 from suplat.valuation import Mode, ValuationReport, evaluate_structure
 
 # Each type's fields, in constructor order.
 FIELDS = {
     Subspace: ("ambient_dim", "basis"),
-    Projector: ("name", "matrix", "range"),
+    Projector: ("name", "range"),
     Context: ("name", "atoms"),
     ValuationReport: ("structure", "state", "mode", "supports"),
     HasseNode: ("node_id", "subspace", "label", "truth", "shared", "memberships"),
@@ -39,7 +39,7 @@ def _pairs(cabello):
     first, second = report(), report()
     return {
         Subspace: (plane, same_plane),
-        Projector: (projector_onto(plane, "P"), projector_onto(same_plane, "P")),
+        Projector: (Projector("P", plane), Projector("P", same_plane)),
         Context: (cabello.contexts[0], Context(cabello.contexts[0].name, tuple(cabello.contexts[0].atoms))),
         ValuationReport: (first, second),
         HasseNode: (build_graph(first, "S6").nodes[1], build_graph(second, "S6").nodes[1]),
@@ -80,8 +80,8 @@ def test_equal_fields_give_equal_objects_with_equal_hashes(kind, cabello):
 
 def test_projector_equality_includes_the_name(cabello):
     atom = cabello.contexts[0].atoms[0]
-    assert atom == Projector(atom.name, atom.matrix, atom.range)
-    assert atom != Projector(atom.name + "'", atom.matrix, atom.range)
+    assert atom == Projector(atom.name, atom.range)
+    assert atom != Projector(atom.name + "'", atom.range)
 
 
 def test_context_admissibility_takes_keywords():
@@ -97,8 +97,8 @@ def test_slots_are_the_only_list_of_fields():
     assert set(Frozen.__subclasses__()) == set(FIELDS)
     for kind, fields in FIELDS.items():
         assert fields == tuple(name for name in kind.__slots__ if name != "__dict__")
-        # Only a subspace checks and reduces what it is given.
-        assert ("__init__" in vars(kind)) == (kind is Subspace)
+        # Only a subspace (which reduces what it is given) and a context check their fields.
+        assert ("__init__" in vars(kind)) == (kind in (Subspace, Context))
         by_identity = kind is ValuationReport
         assert ("__eq__" in vars(kind), "__hash__" in vars(kind)) == (by_identity, by_identity)
 
